@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -220,7 +219,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_config_file(path: str, dimension_default: int) -> dict:
+def _load_config_file(path: str) -> dict:
     allowed = {
         "N",
         "L",
@@ -250,7 +249,7 @@ def _load_config_file(path: str, dimension_default: int) -> dict:
 
 
 def _resolve_ed_config(args: argparse.Namespace) -> tuple[EDConfig, list, int, float, int]:
-    raw = _load_config_file(args.config, args.dim) if args.config else {}
+    raw = _load_config_file(args.config) if args.config else {}
     dim = int(raw.get("dimension", args.dim))
     L = float(raw.get("L", args.L))
     n = int(raw["N"] if args.N is None and "N" in raw else (args.N or 0))
@@ -300,12 +299,12 @@ def _pot_from_dict(pd: dict, dimension: int) -> Potential:
 
 def cmd_ed(args: argparse.Namespace) -> int:
     cfg, sectors, count, tol, seed = _resolve_ed_config(args)
+    # the resolved values, for the failure messages of main
+    args.tol, args.max_excited = tol, cfg.effective_max_excited
     zero = (0,) * cfg.lattice.d
     if zero not in sectors:
         sectors = [zero] + sectors
-    result = fock_ed.many_body_excitations(
-        cfg, sectors, count, tol=tol, seed=seed, max_workers=_threads()
-    )
+    result = fock_ed.many_body_excitations(cfg, sectors, count, tol=tol, seed=seed)
     rows = []
     for key in sorted(result.sector_values, key=lambda k: (sum(c * c for c in k), k)):
         vals = result.sector_values[key]
@@ -329,7 +328,8 @@ def cmd_ed(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     tol = args.tol if args.tol is not None else 1e-9
     seed = args.seed if args.seed is not None else fock_ed.DEFAULT_SEED
-    report = verify.run_default_suite(tol=tol, seed=seed, max_workers=_threads())
+    args.tol = tol
+    report = verify.run_default_suite(tol=tol, seed=seed)
     csv_text = report.to_csv_text()
     summary = report.summary()
     if args.out:
@@ -340,14 +340,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sys.stdout.write(csv_text)
     sys.stderr.write(summary)
     return 0 if report.all_passed else 1
-
-
-def _threads() -> int:
-    raw = os.environ.get("BOGOSPEC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,14 +402,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: exit codes of main besides 0 (success) and 1 (a verify check failed)
+EXIT_USAGE = 2
+EXIT_EIGENSOLVER = 3
+EXIT_GROUND_SECTOR = 4
+EXIT_MEMORY = 5
+
+
+def _eigensolver_message(exc: fock_ed.EigenConvergenceError, tol: float) -> str:
+    finite = [float(r) for r in exc.residuals if r == r]  # NaN: no residual known
+    worst = f"largest residual {max(finite):.3e}" if finite else "no converged residual"
+    return f"eigensolver failed: {exc}; {worst} against tolerance {tol:g} x ||M||_inf"
+
+
+def _memory_message(args: argparse.Namespace) -> str:
+    if args.command == "ed" and args.max_excited is not None:
+        return f"out of memory; try --max-excited below {args.max_excited}"
+    return "out of memory"
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; the failures below become one line on stderr.
+
+    Exit codes: 0 success, 1 a verify check failed, 2 usage or input
+    error, 3 eigensolver did not converge, 4 ground state outside the
+    zero sector, 5 out of memory.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
-        sys.stderr.write(f"bogospec: error: {exc}\n")
-        return 2
+    except ValueError as exc:  # UsageError among them
+        message, code = str(exc), EXIT_USAGE
+    except fock_ed.EigenConvergenceError as exc:
+        message, code = _eigensolver_message(exc, args.tol), EXIT_EIGENSOLVER
+    except fock_ed.GroundSectorError as exc:
+        message, code = f"ground-state check failed: {exc}", EXIT_GROUND_SECTOR
+    except MemoryError:
+        message, code = _memory_message(args), EXIT_MEMORY
+    sys.stderr.write(f"bogospec: error: {message}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -6,12 +6,16 @@ and the excited-particle count optionally capped.  Assembled matrices are
 exact compressions P H P of the second-quantized operators to that basis,
 so every operator inequality between the full operators survives as a
 matrix inequality on each sector.
+
+The Hamiltonian is assembled one two-body move {p, q} -> {t1, t2} at a
+time, vectorised over the sector's states, and equals bit for bit the
+matrix a per-state loop builds: every entry adds the same terms in the
+same order (see `assemble_hamiltonian`).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -201,64 +205,118 @@ def assemble_hamiltonian(
     (1/2N) sum vhat(k) a+_{p+k} a+_{q-k} a_q a_p with the transfer k
     evaluated at exact lattice momenta (which may exceed the mode
     radius; only the modes themselves are truncated).
+
+    Assembly loops over the mode moves a_q a_p -> a+_{t2} a+_{t1}
+    (t1 = p + q - t2) and vectorises over the states.  Each entry is
+    still summed in the order of a loop over states, then (p, q, t2):
+    the kinetic fsum first, then each term
+    (v/2N) * (sqrt(a) sqrt(b) sqrt(c+1) sqrt(e+1)), its factors
+    multiplied in that order, terms with v == 0 left out.  Diagonal
+    terms (t2 in {p, q}) are added into one vector in (p, q, t2) order.
+    Off the diagonal, momentum conservation makes {p, q} and {t1, t2}
+    disjoint, so an entry comes from a single unordered move
+    {p <= q} -> {t1 <= t2}; its ordered variants (at most four) are
+    summed in loop order and the entry is written once.  Target states
+    are found by exact search over the occupation rows.  A basis that
+    lists a state twice is rejected.
     """
     key = tuple(int(c) for c in sector)
     states = _sector_basis(cfg, key, basis)
     modes = cfg.modes()
     nmode = len(modes)
-    index = {s: i for i, s in enumerate(states)}
-    norm2 = [m.norm2 for m in modes]
+    n = len(states)
+    occ = np.array(states, dtype=np.int64).reshape(n, nmode)
+    # each occupation row as one opaque fixed-width key: sorted and
+    # searched by its bytes, so lookup is exact for any mode count
+    row_key = np.dtype((np.void, occ.itemsize * nmode))
+    keys = occ.view(row_key).ravel()
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+        raise ValueError("basis lists a state twice")
+    occ_t = np.ascontiguousarray(occ.T)  # occ_t[m] = n_m over the states
+    # root[1 + s][m] = sqrt(n_m + s), s = -1..2: every square root a term
+    # takes, each rounded once as math.sqrt rounds it (n_m - 1 < 0 is
+    # clipped and never read)
+    root = np.sqrt(np.maximum(occ_t + np.arange(-1, 3)[:, None, None], 0).astype(np.float64))
     mode_n = [m.n for m in modes]
-    mode_of = {m.n: i for i, m in enumerate(modes)}
     L = cfg.lattice.L
     inv2n = 1.0 / (2.0 * cfg.n_particles)
-    vcache: dict[tuple[int, ...], float] = {}
+    vcache: dict[tuple[int, int], float] = {}
 
-    def vhat_transfer(kvec: tuple[int, ...]) -> float:
-        v = vcache.get(kvec)
+    def vhat_transfer(t2: int, p: int) -> float:
+        v = vcache.get((t2, p))
         if v is None:
-            v = cfg.pot.vhat_extended(Momentum(kvec, L).norm)
-            vcache[kvec] = v
+            kvec = tuple(a - b for a, b in zip(mode_n[t2], mode_n[p]))
+            v = vcache[(t2, p)] = cfg.pot.vhat_extended(Momentum(kvec, L).norm)
         return v
 
-    entries: dict[tuple[int, int], float] = {}
-    for i, s in enumerate(states):
-        kin = math.fsum(norm2[m] * s[m] for m in range(nmode) if s[m])
-        entries[(i, i)] = entries.get((i, i), 0.0) + kin
-        occupied = [m for m in range(nmode) if s[m]]
-        for p_i in occupied:
-            amp_p = math.sqrt(s[p_i])
-            s1 = list(s)
-            s1[p_i] -= 1
-            for q_i in range(nmode):
-                if not s1[q_i]:
+    def amplitude(r: np.ndarray, p: int, q: int, t1: int, t2: int) -> np.ndarray:
+        # sqrt(a) sqrt(b) sqrt(c+1) sqrt(e+1) of a+_{t2} a+_{t1} a_q a_p,
+        # multiplied in that order, on the states whose roots r holds
+        return (
+            r[1][p]
+            * r[1 - (q == p)][q]
+            * r[2 - (t1 == p) - (t1 == q)][t1]
+            * r[2 - (t2 == p) - (t2 == q) + (t2 == t1)][t2]
+        )
+
+    pairs_by_total: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for t1 in range(nmode):
+        for t2 in range(t1, nmode):
+            total = tuple(a + b for a, b in zip(mode_n[t1], mode_n[t2]))
+            pairs_by_total.setdefault(total, []).append((t1, t2))
+
+    norm2 = np.array([m.norm2 for m in modes])
+    diag = np.array([math.fsum(row) for row in (occ * norm2).tolist()])
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [diag]
+    for p in range(nmode):
+        for q in range(nmode):
+            src = np.flatnonzero((occ_t[p] >= 1) & (occ_t[q] - (q == p) >= 1))
+            if not src.size:
+                continue
+            r_src = root[:, :, src]
+            for t2 in sorted({p, q}):
+                v = vhat_transfer(t2, p)
+                if v != 0.0:
+                    t1 = q if t2 == p else p
+                    diag[src] += (inv2n * v) * amplitude(r_src, p, q, t1, t2)
+            if q < p:
+                continue
+            removed = occ[src]
+            removed[:, p] -= 1
+            removed[:, q] -= 1
+            total = tuple(a + b for a, b in zip(mode_n[p], mode_n[q]))
+            for t1, t2 in pairs_by_total[total]:
+                if {t1, t2} & {p, q}:
                     continue
-                amp_q = amp_p * math.sqrt(s1[q_i])
-                for t2_i in range(nmode):
-                    t1_n = tuple(
-                        mode_n[p_i][k] + mode_n[q_i][k] - mode_n[t2_i][k]
-                        for k in range(cfg.lattice.d)
-                    )
-                    t1_i = mode_of.get(t1_n)
-                    if t1_i is None:
-                        continue
-                    kvec = tuple(
-                        mode_n[t2_i][k] - mode_n[p_i][k] for k in range(cfg.lattice.d)
-                    )
-                    v = vhat_transfer(kvec)
-                    if v == 0.0:
-                        continue
-                    s3 = list(s1)
-                    s3[q_i] -= 1
-                    amp = amp_q * math.sqrt(s3[t1_i] + 1)
-                    s3[t1_i] += 1
-                    amp *= math.sqrt(s3[t2_i] + 1)
-                    s3[t2_i] += 1
-                    j = index.get(tuple(s3))
-                    if j is None:
-                        continue
-                    entries[(j, i)] = entries.get((j, i), 0.0) + inv2n * v * amp
-    return SectorMatrix(key, states, _csr_from_dict(entries, len(states)), "H", modes)
+                # ordered variants as (p, q, t1, t2), in (p, q, t2) loop order
+                variants = dict.fromkeys(
+                    [(p, q, t2, t1), (p, q, t1, t2), (q, p, t2, t1), (q, p, t1, t2)]
+                )
+                terms = [(vhat_transfer(w[3], w[0]), w) for w in variants]
+                terms = [(inv2n * v, w) for v, w in terms if v != 0.0]
+                if not terms:
+                    continue
+                target = removed.copy()
+                target[:, t1] += 1
+                target[:, t2] += 1
+                target_keys = target.view(row_key).ravel()
+                pos = np.searchsorted(sorted_keys, target_keys)
+                hit = np.flatnonzero(sorted_keys[np.minimum(pos, n - 1)] == target_keys)
+                if not hit.size:
+                    continue
+                r_hit = r_src[:, :, hit]
+                entry = np.zeros(hit.size)
+                for c, w in terms:
+                    entry += c * amplitude(r_hit, *w)
+                rows.append(order[pos[hit]])
+                cols.append(src[hit])
+                vals.append(entry)
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    perm = np.lexsort((cols, rows))
+    matrix = sp.csr_matrix((vals[perm], (rows[perm], cols[perm])), shape=(n, n))
+    return SectorMatrix(key, states, matrix, "H", modes)
 
 
 def assemble_estimating(
@@ -537,7 +595,6 @@ def many_body_excitations(
     count: int,
     tol: float = 1e-9,
     seed: int = DEFAULT_SEED,
-    max_workers: int = 1,
 ) -> EDResult:
     """Diagonalize the requested sectors and report excitation gaps.
 
@@ -555,21 +612,16 @@ def many_body_excitations(
     if missing:
         raise ValueError(f"no basis states in sectors {missing}")
 
-    def solve(key: tuple[int, ...]) -> tuple[tuple[int, ...], EigenResult]:
+    values: dict[tuple[int, ...], np.ndarray] = {}
+    residuals: dict[tuple[int, ...], np.ndarray] = {}
+    for key in keys:
         basis = basis_map[key]
         want = count + 1 if key == zero else count
         want = min(want, len(basis))
         mat = assemble_hamiltonian(cfg, key, basis)
-        return key, lowest_eigenvalues(mat, want, tol=tol, seed=seed)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            solved = list(pool.map(solve, keys))
-    else:
-        solved = [solve(k) for k in keys]
-
-    values = {k: r.values for k, r in solved}
-    residuals = {k: r.residuals for k, r in solved}
+        res = lowest_eigenvalues(mat, want, tol=tol, seed=seed)
+        values[key] = res.values
+        residuals[key] = res.residuals
     scale = max(float(np.max(np.abs(v))) for v in values.values())
     guard = tol * max(1.0, scale)
     e_ground = values[zero][0]

@@ -266,7 +266,6 @@ def compare_spectra(
     j_max: int = 1,
     tol: float = 1e-9,
     seed: int = fock_ed.DEFAULT_SEED,
-    max_workers: int = 1,
 ) -> SpectraComparison:
     """|K_N^j(p) - K_Bog^j(p)| and the ground-energy error along a series.
 
@@ -304,9 +303,7 @@ def compare_spectra(
         (k, j): [] for k in keys for j in range(1, j_max + 1)
     }
     for cfg in cfg_series:
-        ed = fock_ed.many_body_excitations(
-            cfg, keys, count=j_max + 1, tol=tol, seed=seed, max_workers=max_workers
-        )
+        ed = fock_ed.many_body_excitations(cfg, keys, count=j_max + 1, tol=tol, seed=seed)
         n = cfg.n_particles
         n_values.append(n)
         err = abs(ed.e_ground - 0.5 * v0hat * (n - 1) - e_bog_trunc)
@@ -382,7 +379,6 @@ def scaling_fit(
 def run_default_suite(
     tol: float = 1e-9,
     seed: int = fock_ed.DEFAULT_SEED,
-    max_workers: int = 1,
 ) -> VerificationReport:
     """The standard desk-scale verification profile.
 
@@ -406,8 +402,7 @@ def run_default_suite(
         ("gaussian", gauss, 6),
     ):
         cfg = EDConfig(n, lat, pot, mode_radius=2.0, max_excited=min(n, 8))
-        ed = fock_ed.many_body_excitations(cfg, sectors1, count=3, tol=tol, seed=seed,
-                                           max_workers=max_workers)
+        ed = fock_ed.many_body_excitations(cfg, sectors1, count=3, tol=tol, seed=seed)
         for c in check_ground_bounds(ed, pot, lat):
             report.checks.append(
                 Check(f"{label}:{c.name}", c.lhs, c.rhs, c.tolerance, c.strict, c.note)
@@ -449,8 +444,7 @@ def run_default_suite(
     series = [
         EDConfig(n, lat, gauss, mode_radius=2.0, max_excited=8) for n in (4, 8, 16, 32)
     ]
-    comp = compare_spectra(series, sectors1, j_max=1, tol=tol, seed=seed,
-                           max_workers=max_workers)
+    comp = compare_spectra(series, sectors1, j_max=1, tol=tol, seed=seed)
     report.extend(comp.checks)
     report.scaling_fits.append(
         scaling_fit(list(zip(comp.n_values, comp.ground_errors)))

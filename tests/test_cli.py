@@ -1,12 +1,16 @@
 """CLI surface: flags, CSV contracts, reproducibility, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from bogospec import fock_ed
 from bogospec.cli import main, parse_sectors, parse_vhat
 
 
@@ -192,12 +196,72 @@ def test_verify_exit_zero_and_report_files(tmp_path, capsys):
     assert out_csv.read_text().startswith("check,name,lhs,rhs,margin,pass")
 
 
-def test_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("BOGOSPEC_THREADS", "2")
-    code, out, _ = run_cli(
-        ["ed", "--vhat", "gaussian:0.1:5", "--L", str(2 * math.pi), "--N", "3",
-         "--mode-radius", "1", "--sectors", "0;1", "--count", "1"],
+ED_1D = ["ed", "--vhat", "gaussian:0.1:5", "--L", repr(2 * math.pi), "--N", "3",
+         "--mode-radius", "1", "--sectors", "0;1", "--count", "1"]
+
+
+def test_eigensolver_failure_exit_code(monkeypatch, capsys):
+    def unconverged(m, count, tol=1e-9, seed=fock_ed.DEFAULT_SEED):
+        raise fock_ed.EigenConvergenceError(
+            "residuals exceed tolerance", np.array([2.5e-3, np.nan])
+        )
+
+    monkeypatch.setattr(fock_ed, "lowest_eigenvalues", unconverged)
+    code, out, err = run_cli(ED_1D + ["--tol", "1e-08"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("bogospec: error: ") and err.count("\n") == 1
+    assert "2.500e-03" in err and "1e-08" in err
+
+
+def test_ground_sector_failure_exit_code(monkeypatch, capsys):
+    # lower every nonzero sector so that the ground state leaves sector 0
+    orig = fock_ed.assemble_hamiltonian
+
+    def doctored(cfg, sector, basis=None):
+        m = orig(cfg, sector, basis)
+        if any(m.sector):
+            m.matrix = (m.matrix - 100.0 * sp.identity(m.dim, format="csr")).tocsr()
+        return m
+
+    monkeypatch.setattr(fock_ed, "assemble_hamiltonian", doctored)
+    code, out, err = run_cli(ED_1D, capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("bogospec: error: ") and err.count("\n") == 1
+    assert "sector (1,)" in err
+
+
+def test_memory_error_exit_code(monkeypatch, capsys):
+    def exhausted(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(fock_ed, "build_basis", exhausted)
+    code, out, err = run_cli(ED_1D + ["--max-excited", "3"], capsys)
+    assert code == 5
+    assert out == ""
+    assert err == "bogospec: error: out of memory; try --max-excited below 3\n"
+
+
+# SHA-256 of `bogospec ed` CSV output, captured before the vectorised
+# Hamiltonian assembly; the header names the package version, so a
+# version bump changes them too
+GOLDEN_ED = [
+    (["--N", "32", "--mode-radius", "4", "--max-excited", "8",
+      "--sectors", "0;1;-1;2;-2"],
+     "5ddd53bef9f92fd35f02a6d0da920c598d7ab759fe7be06cf6fc37805d96a830"),
+    (["--dim", "2", "--N", "6", "--mode-radius", "1.5", "--sectors", "0 0;1 0;1 1"],
+     "3aa974ea3d44fddd3c0dbb27c9f2d58aff543cd0373f305c541b4712e5c27d2d"),
+]
+
+
+@pytest.mark.parametrize("flags, digest", GOLDEN_ED)
+def test_ed_output_bytes_pinned(tmp_path, capsys, flags, digest):
+    out = tmp_path / "ed.csv"
+    code, _, _ = run_cli(
+        ["ed", "--vhat", "gaussian:0.1:5", "--L", repr(2 * math.pi)] + flags
+        + ["--out", str(out)],
         capsys,
     )
     assert code == 0
-    assert "eigenvalue" in out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -78,6 +78,118 @@ def test_hand_derived_two_state_sector():
     assert np.abs(m.matrix.toarray() - expected).max() < 1e-13
 
 
+def _reference_hamiltonian(cfg, states):
+    """Slow per-state assembly of H: loop over states, then (p, q, t2)."""
+    modes = cfg.modes()
+    nmode = len(modes)
+    index = {s: i for i, s in enumerate(states)}
+    norm2 = [m.norm2 for m in modes]
+    mode_n = [m.n for m in modes]
+    mode_of = {m.n: i for i, m in enumerate(modes)}
+    inv2n = 1.0 / (2.0 * cfg.n_particles)
+    entries = {}
+    for i, s in enumerate(states):
+        kin = math.fsum(norm2[m] * s[m] for m in range(nmode) if s[m])
+        entries[(i, i)] = entries.get((i, i), 0.0) + kin
+        for p_i in (m for m in range(nmode) if s[m]):
+            amp_p = math.sqrt(s[p_i])
+            s1 = list(s)
+            s1[p_i] -= 1
+            for q_i in range(nmode):
+                if not s1[q_i]:
+                    continue
+                amp_q = amp_p * math.sqrt(s1[q_i])
+                for t2_i in range(nmode):
+                    t1_n = tuple(
+                        a + b - c for a, b, c in zip(mode_n[p_i], mode_n[q_i], mode_n[t2_i])
+                    )
+                    t1_i = mode_of.get(t1_n)
+                    if t1_i is None:
+                        continue
+                    kvec = tuple(a - b for a, b in zip(mode_n[t2_i], mode_n[p_i]))
+                    v = cfg.pot.vhat_extended(Momentum(kvec, cfg.lattice.L).norm)
+                    if v == 0.0:
+                        continue
+                    s3 = list(s1)
+                    s3[q_i] -= 1
+                    amp = amp_q * math.sqrt(s3[t1_i] + 1)
+                    s3[t1_i] += 1
+                    amp *= math.sqrt(s3[t2_i] + 1)
+                    s3[t2_i] += 1
+                    j = index.get(tuple(s3))
+                    if j is None:
+                        continue
+                    entries[(j, i)] = entries.get((j, i), 0.0) + inv2n * v * amp
+    dim = len(states)
+    if not entries:
+        return sp.csr_matrix((dim, dim))
+    keys = sorted(entries)
+    rows = np.array([k[0] for k in keys], dtype=np.int64)
+    cols = np.array([k[1] for k in keys], dtype=np.int64)
+    vals = np.array([entries[k] for k in keys], dtype=np.float64)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+
+
+def _assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+# (config, sector) pairs on which the vectorised assembly must reproduce
+# the per-state loop bit for bit
+ORACLE_CASES = [
+    # sector 0 holds moves with p == q (two particles leave one mode) and
+    # with t1 == t2 (two land in one mode)
+    (EDConfig(6, LAT, V1, mode_radius=2.0, max_excited=5), (0,)),
+    (EDConfig(6, LAT, V1, mode_radius=2.0, max_excited=5), (1,)),
+    (EDConfig(6, LAT, V1, mode_radius=2.0, max_excited=5), (-3,)),
+    (EDConfig(32, LAT, V1, mode_radius=4.0, max_excited=4), (0,)),
+    # here adding a pair's two diagonal terms in the other order changes
+    # the last bit of some diagonal entries
+    (EDConfig(9, LatticeSpec(7.3, 1), Potential.gaussian(0.7, 3.0, 1),
+              mode_radius=2.0, max_excited=6), (0,)),
+    # 2D, 13 modes: a base-(N+1) integer key would need 33^13 > 2^63
+    (EDConfig(32, LatticeSpec(2 * math.pi, 2), Potential.gaussian(0.5, 2.0, 2),
+              mode_radius=2.0, max_excited=3), (0, 0)),
+    (EDConfig(32, LatticeSpec(2 * math.pi, 2), Potential.gaussian(0.5, 2.0, 2),
+              mode_radius=2.0, max_excited=3), (1, 1)),
+    # compact table: transfers |k| >= 2.5 have v == 0, so some variants
+    # of a move drop out and some moves vanish
+    (EDConfig(7, LAT, Potential.table([(0.0, 0.3), (1.5, -0.2), (2.5, 0.0)]),
+              mode_radius=3.0, max_excited=4), (0,)),
+    (EDConfig(7, LAT, Potential.table([(0.0, 0.3), (1.5, -0.2), (2.5, 0.0)]),
+              mode_radius=3.0, max_excited=4), (2,)),
+    # one state, and no state at all
+    (EDConfig(2, LAT, V1, mode_radius=1.0), (2,)),
+    (EDConfig(2, LAT, V1, mode_radius=1.0), (9,)),
+]
+
+
+@pytest.mark.parametrize("cfg, sector", ORACLE_CASES)
+def test_assembly_matches_reference_bit_for_bit(cfg, sector):
+    states = build_basis(cfg).get(sector, [])
+    got = assemble_hamiltonian(cfg, sector, states).matrix
+    _assert_same_csr(got, _reference_hamiltonian(cfg, states))
+
+
+def test_assembly_matches_reference_on_any_basis_order():
+    cfg = EDConfig(5, LAT, V1, mode_radius=2.0, max_excited=4)
+    basis = build_basis(cfg)
+    states = basis[(1,)] + basis[(0,)]
+    states = [states[i] for i in np.random.default_rng(5).permutation(len(states))]
+    got = assemble_hamiltonian(cfg, (0,), states).matrix
+    _assert_same_csr(got, _reference_hamiltonian(cfg, states))
+
+
+def test_assembly_rejects_repeated_state():
+    cfg = EDConfig(3, LAT, V1, mode_radius=1.0)
+    states = build_basis(cfg)[(0,)]
+    with pytest.raises(ValueError):
+        assemble_hamiltonian(cfg, (0,), states + states[:1])
+
+
 def test_free_hamiltonian_is_diagonal():
     cfg = EDConfig(4, LAT, ZERO, mode_radius=2.0, max_excited=4)
     m = assemble_hamiltonian(cfg, (0,))
@@ -299,15 +411,6 @@ def test_many_body_rejects_empty_sector():
     cfg = EDConfig(2, LAT, V1, mode_radius=1.0)
     with pytest.raises(ValueError):
         many_body_excitations(cfg, [(0,), (9,)], count=1)
-
-
-def test_many_body_parallel_matches_serial():
-    cfg = EDConfig(5, LAT, V1, mode_radius=2.0, max_excited=5)
-    sectors = [(0,), (1,), (-1,), (2,)]
-    serial = many_body_excitations(cfg, sectors, count=2, max_workers=1)
-    par = many_body_excitations(cfg, sectors, count=2, max_workers=4)
-    for key in serial.sector_values:
-        assert np.array_equal(serial.sector_values[key], par.sector_values[key])
 
 
 def test_ground_sector_violation_detected(monkeypatch):
