@@ -4,8 +4,8 @@ coefficients, ground-state energy and its infinite-volume density.
 Every formula is kept in a rationalized, cancellation-free form (the
 difference A - sqrt(A^2 - B^2) is never evaluated through a subtraction
 of nearly equal numbers unless that is the quantity under test), and
-lattice sums accumulate with exact fsum over a deterministic shell
-ordering so results reproduce bit-for-bit.
+lattice sums accumulate with math.fsum, which rounds the exact sum once,
+so results reproduce bit-for-bit whatever the order of the terms.
 """
 
 from __future__ import annotations
@@ -114,9 +114,9 @@ def bogoliubov_energy(
 ) -> EnergySummary:
     """Bogoliubov energy -1/2 sum_{p != 0} (A_p - sqrt(A_p^2 - B_p^2)).
 
-    The sum runs over shells of increasing |n|^2 (lexicographic within a
-    shell) until the omitted tail, each summand being at most
-    vhat(p)^2/|p|^2, is below tail_tol.
+    The sum runs over all lattice points within a radius chosen so that
+    the omitted tail, each summand being at most vhat(p)^2/|p|^2, is
+    below tail_tol.
     """
     # default honours tail_tol = 1e-10 * max(1, |e_bog|) >= 1e-10
     if tail_tol is None:
@@ -133,10 +133,7 @@ def bogoliubov_energy(
             radius *= 1.5
     else:
         radius = summation_radius(lattice, pot, 1.0, 1.0, tail_tol)
-    pts = sorted(
-        lattice_points(lattice, radius, include_zero=False),
-        key=lambda q: (q.norm2_int, q.n),
-    )
+    pts = lattice_points(lattice, radius, include_zero=False)
     direct: list[float] = []
     rational: list[float] = []
     for q in pts:
@@ -165,7 +162,7 @@ def gaussian_pair_tail(lattice: LatticeSpec, pot: Potential, radius: float) -> f
 def bogoliubov_energy_on_modes(modes: list[Momentum], pot: Potential) -> float:
     """Bogoliubov energy restricted to an explicit (truncated) mode set."""
     terms = []
-    for q in sorted(modes, key=lambda m: (m.norm2_int, m.n)):
+    for q in modes:
         if q.is_zero:
             continue
         r = q.norm

@@ -105,25 +105,23 @@ def enumerate_below(
     while heap:
         energy, cnt, enc, total, start = heapq.heappop(heap)
         if cnt and sum(c * c for c in total) <= win2:
-            rec = ExcitationRecord(
-                total_momentum=Momentum(total, lattice.L),
-                energy=energy,
-                constituents=tuple(Momentum(nv, lattice.L) for nv in enc),
-                rank=0,
-                n_quasi=cnt,
+            # records of a sector arrive in rank order
+            bucket = sectors.setdefault(total, [])
+            bucket.append(
+                ExcitationRecord(
+                    total_momentum=Momentum(total, lattice.L),
+                    energy=energy,
+                    constituents=tuple(Momentum(nv, lattice.L) for nv in enc),
+                    rank=len(bucket) + 1,
+                    n_quasi=cnt,
+                )
             )
-            sectors.setdefault(total, []).append(rec)
         for i in range(start, len(cand)):
             nv, e = cand[i]
             ne = energy + e
             if ne <= kappa:
                 new_total = tuple(a + b for a, b in zip(total, nv))
                 heapq.heappush(heap, (ne, cnt + 1, enc + (nv,), new_total, i))
-    for key, recs in sectors.items():
-        sectors[key] = [
-            ExcitationRecord(r.total_momentum, r.energy, r.constituents, j + 1, r.n_quasi)
-            for j, r in enumerate(recs)
-        ]
     return SpectrumTable(lattice, pot, kappa, momentum_window, sectors)
 
 

@@ -7,17 +7,20 @@ exact compressions P H P of the second-quantized operators to that basis,
 so every operator inequality between the full operators survives as a
 matrix inequality on each sector.
 
-The Hamiltonian is assembled one two-body move {p, q} -> {t1, t2} at a
-time, vectorised over the sector's states, and equals bit for bit the
-matrix a per-state loop builds: every entry adds the same terms in the
-same order (see `assemble_hamiltonian`).
+Every operator, number-conserving or not, is assembled on one
+representation of its basis: the (n_states, n_modes) occupation array,
+searched exactly row by row (`_Occupations`).  Moves are vectorised over
+the states, and each entry adds the same terms in the same order as a
+per-state loop would, so the matrices equal that loop's bit for bit
+(see `assemble_hamiltonian`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -132,7 +135,7 @@ def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
 def build_basis(cfg: EDConfig) -> dict[tuple[int, ...], list[FockState]]:
     """All occupation vectors with sum N and excited count <= cap, by sector."""
     modes = cfg.modes()
-    zero_idx = next(i for i, m in enumerate(modes) if m.is_zero)
+    zero_idx = _zero_index(modes)
     excited = [i for i in range(len(modes)) if i != zero_idx]
     cap = cfg.effective_max_excited
     sectors: dict[tuple[int, ...], list[FockState]] = {}
@@ -179,14 +182,70 @@ class SectorMatrix:
         return float(abs(d).max()) if d.nnz else 0.0
 
 
-def _csr_from_dict(entries: dict[tuple[int, int], float], dim: int) -> sp.csr_matrix:
-    if not entries:
-        return sp.csr_matrix((dim, dim))
-    keys = sorted(entries)
-    rows = np.fromiter((k[0] for k in keys), dtype=np.int64, count=len(keys))
-    cols = np.fromiter((k[1] for k in keys), dtype=np.int64, count=len(keys))
-    vals = np.fromiter((entries[k] for k in keys), dtype=np.float64, count=len(keys))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+def _zero_index(modes: list[Momentum]) -> int:
+    return next(i for i, m in enumerate(modes) if m.is_zero)
+
+
+def _negation_index(modes: list[Momentum]) -> list[int]:
+    """neg[i] is the index of the mode -modes[i]; the set must be symmetric."""
+    index = {m.n: i for i, m in enumerate(modes)}
+    return [index[tuple(-c for c in m.n)] for m in modes]
+
+
+class _Occupations:
+    """A basis as its (n_states, n_modes) int64 occupation array.
+
+    Rows are looked up exactly: each is sorted and searched as one opaque
+    fixed-width key made of its bytes, so no integer encoding of a state
+    can overflow whatever the mode count.  A basis that lists a state
+    twice is rejected.
+    """
+
+    def __init__(self, states: Sequence[FockState], nmode: int):
+        self.occ = np.array(states, dtype=np.int64).reshape(len(states), nmode)
+        self._row_key = np.dtype((np.void, self.occ.itemsize * nmode))
+        keys = self._keys(self.occ)
+        self._order = np.argsort(keys)
+        self._sorted = keys[self._order]
+        if np.any(self._sorted[1:] == self._sorted[:-1]):
+            raise ValueError("basis lists a state twice")
+
+    def _keys(self, occ: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(occ).view(self._row_key).ravel()
+
+    def find(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(hit, rows): target[hit] are basis states, at basis indices rows."""
+        keys = self._keys(target)
+        pos = np.searchsorted(self._sorted, keys)
+        hit = np.flatnonzero(self._sorted[np.minimum(pos, len(self._sorted) - 1)] == keys)
+        return hit, self._order[pos[hit]]
+
+    def fsum(self, weight: np.ndarray) -> np.ndarray:
+        """math.fsum over the modes of weight[m] * n_m, per state."""
+        return np.array([math.fsum(row) for row in (self.occ * weight).tolist()])
+
+    def pair_move(
+        self, shift: np.ndarray, term: Callable[[np.ndarray, int, int], np.ndarray], p: int, q: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, entries) of moving every state by the occupation shift.
+
+        States whose target lies outside the basis are dropped.  The move
+        is one of a +/- pair, p < q = -p: term(x, m, -m) gives the term of
+        mode m on the source occupations x, and each entry adds the terms
+        of p and q in that order onto 0.0.
+        """
+        hit, rows = self.find(self.occ + shift)
+        x = self.occ[hit]
+        return rows, hit, (0.0 + term(x, p, q)) + term(x, q, p)
+
+
+def _csr(
+    rows: Sequence[np.ndarray], cols: Sequence[np.ndarray], vals: Sequence[np.ndarray], dim: int
+) -> sp.csr_matrix:
+    """CSR matrix from distinct (row, col) entries; explicit zeros stay stored."""
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    perm = np.lexsort((cols, rows))
+    return sp.csr_matrix((vals[perm], (rows[perm], cols[perm])), shape=(dim, dim))
 
 
 def _sector_basis(cfg: EDConfig, sector: Sequence[int], basis) -> list[FockState]:
@@ -225,15 +284,8 @@ def assemble_hamiltonian(
     modes = cfg.modes()
     nmode = len(modes)
     n = len(states)
-    occ = np.array(states, dtype=np.int64).reshape(n, nmode)
-    # each occupation row as one opaque fixed-width key: sorted and
-    # searched by its bytes, so lookup is exact for any mode count
-    row_key = np.dtype((np.void, occ.itemsize * nmode))
-    keys = occ.view(row_key).ravel()
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
-        raise ValueError("basis lists a state twice")
+    basis_occ = _Occupations(states, nmode)
+    occ = basis_occ.occ
     occ_t = np.ascontiguousarray(occ.T)  # occ_t[m] = n_m over the states
     # root[1 + s][m] = sqrt(n_m + s), s = -1..2: every square root a term
     # takes, each rounded once as math.sqrt rounds it (n_m - 1 < 0 is
@@ -268,7 +320,7 @@ def assemble_hamiltonian(
             pairs_by_total.setdefault(total, []).append((t1, t2))
 
     norm2 = np.array([m.norm2 for m in modes])
-    diag = np.array([math.fsum(row) for row in (occ * norm2).tolist()])
+    diag = basis_occ.fsum(norm2)
     rows, cols, vals = [np.arange(n)], [np.arange(n)], [diag]
     for p in range(nmode):
         for q in range(nmode):
@@ -301,22 +353,17 @@ def assemble_hamiltonian(
                 target = removed.copy()
                 target[:, t1] += 1
                 target[:, t2] += 1
-                target_keys = target.view(row_key).ravel()
-                pos = np.searchsorted(sorted_keys, target_keys)
-                hit = np.flatnonzero(sorted_keys[np.minimum(pos, n - 1)] == target_keys)
+                hit, target_rows = basis_occ.find(target)
                 if not hit.size:
                     continue
                 r_hit = r_src[:, :, hit]
                 entry = np.zeros(hit.size)
                 for c, w in terms:
                     entry += c * amplitude(r_hit, *w)
-                rows.append(order[pos[hit]])
+                rows.append(target_rows)
                 cols.append(src[hit])
                 vals.append(entry)
-    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    perm = np.lexsort((cols, rows))
-    matrix = sp.csr_matrix((vals[perm], (rows[perm], cols[perm])), shape=(n, n))
-    return SectorMatrix(key, states, matrix, "H", modes)
+    return SectorMatrix(key, states, _csr(rows, cols, vals, n), "H", modes)
 
 
 def assemble_estimating(
@@ -342,12 +389,12 @@ def assemble_estimating(
     states = _sector_basis(cfg, key, basis)
     modes = cfg.modes()
     nmode = len(modes)
-    index = {s: i for i, s in enumerate(states)}
-    zero_idx = next(i for i, m in enumerate(modes) if m.is_zero)
-    norm2 = [m.norm2 for m in modes]
-    vhat_m = [cfg.pot.vhat_extended(m.norm) for m in modes]
-    neg_of = {i: next(j for j, mm in enumerate(modes) if mm.n == tuple(-c for c in modes[i].n))
-              for i in range(nmode)}
+    basis_occ = _Occupations(states, nmode)
+    zero_idx = _zero_index(modes)
+    neg_of = _negation_index(modes)
+    excited = np.arange(nmode) != zero_idx
+    norm2 = np.array([m.norm2 for m in modes])
+    vhat_m = np.array([cfg.pot.vhat_extended(m.norm) for m in modes])
     n_part = cfg.n_particles
     v0hat = cfg.pot.vhat_extended(0.0)
     v0real = periodized_value(cfg.pot, cfg.lattice, (0.0,) * cfg.lattice.d)
@@ -356,71 +403,38 @@ def assemble_estimating(
     eps_signed = sign * eps
     coef_last = (1.0 + 1.0 / eps_signed) * v0real * cfg.lattice.volume / (2.0 * n_part)
     const = 0.5 * v0hat * (n_part - 1)
-    entries: dict[tuple[int, int], float] = {}
-    for i, s in enumerate(states):
-        n0 = s[zero_idx]
-        ngt = n_part - n0
-        diag = const
-        diag += math.fsum(
-            (norm2[m] + vhat_m[m]) * s[m] for m in range(nmode) if m != zero_idx and s[m]
-        )
-        diag -= (
-            math.fsum(
-                (vhat_m[m] + 0.5 * v0hat) * s[m]
-                for m in range(nmode)
-                if m != zero_idx and s[m]
-            )
-            * ngt
-            / n_part
-        )
-        diag += 0.5 * v0hat * ngt / n_part
-        diag += (
-            eps_signed
-            / n_part
-            * n0
-            * math.fsum(
-                (vhat_m[m] + v0hat) * s[m] for m in range(nmode) if m != zero_idx and s[m]
-            )
-        )
-        diag += coef_last * ngt * (ngt - 1)
-        entries[(i, i)] = entries.get((i, i), 0.0) + diag
-        # pairing (1/2N) sum_{p != 0} vhat(p) (a0+ a0+ a_p a_{-p} + hc)
-        for m in range(nmode):
-            if m == zero_idx or vhat_m[m] == 0.0:
-                continue
-            mm = neg_of[m]
-            if s[m] and (s[mm] - (1 if mm == m else 0)) > 0:
-                t = list(s)
-                amp = math.sqrt(t[m])
-                t[m] -= 1
-                amp *= math.sqrt(t[mm])
-                t[mm] -= 1
-                amp *= math.sqrt(t[zero_idx] + 1)
-                t[zero_idx] += 1
-                amp *= math.sqrt(t[zero_idx] + 1)
-                t[zero_idx] += 1
-                j = index.get(tuple(t))
-                if j is not None:
-                    entries[(j, i)] = entries.get((j, i), 0.0) + vhat_m[m] * amp / (
-                        2.0 * n_part
-                    )
-            if s[zero_idx] >= 2:
-                t = list(s)
-                amp = math.sqrt(t[zero_idx])
-                t[zero_idx] -= 1
-                amp *= math.sqrt(t[zero_idx])
-                t[zero_idx] -= 1
-                amp *= math.sqrt(t[mm] + 1)
-                t[mm] += 1
-                amp *= math.sqrt(t[m] + 1)
-                t[m] += 1
-                j = index.get(tuple(t))
-                if j is not None:
-                    entries[(j, i)] = entries.get((j, i), 0.0) + vhat_m[m] * amp / (
-                        2.0 * n_part
-                    )
+    n0 = basis_occ.occ[:, zero_idx]
+    ngt = n_part - n0
+    diag = const + basis_occ.fsum(np.where(excited, norm2 + vhat_m, 0.0))
+    diag -= basis_occ.fsum(np.where(excited, vhat_m + 0.5 * v0hat, 0.0)) * ngt / n_part
+    diag += 0.5 * v0hat * ngt / n_part
+    diag += eps_signed / n_part * n0 * basis_occ.fsum(np.where(excited, vhat_m + v0hat, 0.0))
+    diag += coef_last * ngt * (ngt - 1)
+    n = len(states)
+    entries = [(np.arange(n), np.arange(n), 0.0 + diag)]
+
+    # pairing (1/2N) sum_{p != 0} vhat(p) (a0+ a0+ a_p a_{-p} + hc); the
+    # raising terms of p and -p multiply the same roots in another order
+    def lowering(x, m, mm):  # a0+ a0+ a_{-m} a_m
+        z = x[:, zero_idx]
+        amp = np.sqrt(x[:, m]) * np.sqrt(x[:, mm]) * np.sqrt(z + 1) * np.sqrt(z + 2)
+        return vhat_m[m] * amp / (2.0 * n_part)
+
+    def raising(x, m, mm):  # a+_m a+_{-m} a0 a0
+        z = x[:, zero_idx]
+        amp = np.sqrt(z) * np.sqrt(z - 1) * np.sqrt(x[:, mm] + 1) * np.sqrt(x[:, m] + 1)
+        return vhat_m[m] * amp / (2.0 * n_part)
+
+    for p in range(nmode):
+        q = neg_of[p]
+        if p == zero_idx or q < p or vhat_m[p] == 0.0:
+            continue
+        shift = np.zeros(nmode, dtype=np.int64)
+        shift[[p, q, zero_idx]] = (-1, -1, 2)
+        entries.append(basis_occ.pair_move(shift, lowering, p, q))
+        entries.append(basis_occ.pair_move(-shift, raising, p, q))
     kind = "H+eps" if sign > 0 else "H-eps"
-    return SectorMatrix(key, states, _csr_from_dict(entries, len(states)), kind, modes)
+    return SectorMatrix(key, states, _csr(*zip(*entries), n), kind, modes)
 
 
 def assemble_kinetic(
@@ -430,12 +444,9 @@ def assemble_kinetic(
     key = tuple(int(c) for c in sector)
     states = _sector_basis(cfg, key, basis)
     modes = cfg.modes()
-    norm2 = [m.norm2 for m in modes]
-    entries = {
-        (i, i): math.fsum(norm2[m] * s[m] for m in range(len(modes)) if s[m])
-        for i, s in enumerate(states)
-    }
-    return SectorMatrix(key, states, _csr_from_dict(entries, len(states)), "T", modes)
+    diag = _Occupations(states, len(modes)).fsum(np.array([m.norm2 for m in modes]))
+    idx = np.arange(len(states))
+    return SectorMatrix(key, states, _csr([idx], [idx], [diag], len(states)), "T", modes)
 
 
 def assemble_excited_count(
@@ -445,11 +456,10 @@ def assemble_excited_count(
     key = tuple(int(c) for c in sector)
     states = _sector_basis(cfg, key, basis)
     modes = cfg.modes()
-    zero_idx = next(i for i, m in enumerate(modes) if m.is_zero)
-    entries = {
-        (i, i): float(cfg.n_particles - s[zero_idx]) for i, s in enumerate(states)
-    }
-    return SectorMatrix(key, states, _csr_from_dict(entries, len(states)), "Ngt", modes)
+    n0 = _Occupations(states, len(modes)).occ[:, _zero_index(modes)]
+    diag = (cfg.n_particles - n0).astype(np.float64)
+    idx = np.arange(len(states))
+    return SectorMatrix(key, states, _csr([idx], [idx], [diag], len(states)), "Ngt", modes)
 
 
 def assemble_bogoliubov_quadratic(
@@ -474,44 +484,28 @@ def assemble_bogoliubov_quadratic(
     if dim > 400_000:
         raise ValueError(f"occupation basis of size {dim} is too large")
     nmode = len(modes)
-    neg_of = {
-        i: next(j for j, mm in enumerate(modes) if mm.n == tuple(-c for c in modes[i].n))
-        for i in range(nmode)
-    }
-    diag_w = [m.norm2 + pot.vhat_extended(m.norm) for m in modes]
-    vhat_m = [pot.vhat_extended(m.norm) for m in modes]
+    neg_of = _negation_index(modes)
+    vhat_m = np.array([pot.vhat_extended(m.norm) for m in modes])
+    diag_w = np.array([m.norm2 for m in modes]) + vhat_m
+    states = list(itertools.product(range(max_occupation + 1), repeat=nmode))
+    basis_occ = _Occupations(states, nmode)
+    entries = [(np.arange(dim), np.arange(dim), basis_occ.fsum(diag_w))]
 
-    from itertools import product as iproduct
+    def lowering(x, m, mm):  # (1/2) vhat(p) a_p a_{-p}: annihilate -p first, then p
+        return 0.5 * vhat_m[m] * (np.sqrt(x[:, mm]) * np.sqrt(x[:, m]))
 
-    states = [tuple(occ) for occ in iproduct(range(max_occupation + 1), repeat=nmode)]
-    index = {s: i for i, s in enumerate(states)}
-    entries: dict[tuple[int, int], float] = {}
-    for i, s in enumerate(states):
-        entries[(i, i)] = math.fsum(diag_w[m] * s[m] for m in range(nmode))
-        for m in range(nmode):
-            if vhat_m[m] == 0.0:
-                continue
-            mm = neg_of[m]
-            # (1/2) vhat(p) a_p a_{-p}: annihilate -p first, then p
-            if s[mm] and (s[m] - (1 if m == mm else 0)) > 0:
-                t = list(s)
-                amp = math.sqrt(t[mm])
-                t[mm] -= 1
-                amp *= math.sqrt(t[m])
-                t[m] -= 1
-                j = index.get(tuple(t))
-                if j is not None:
-                    entries[(j, i)] = entries.get((j, i), 0.0) + 0.5 * vhat_m[m] * amp
-            # (1/2) vhat(p) a+_p a+_{-p}: create -p first, then p
-            t = list(s)
-            amp = math.sqrt(t[mm] + 1)
-            t[mm] += 1
-            amp *= math.sqrt(t[m] + 1)
-            t[m] += 1
-            j = index.get(tuple(t))
-            if j is not None:
-                entries[(j, i)] = entries.get((j, i), 0.0) + 0.5 * vhat_m[m] * amp
-    return SectorMatrix(None, states, _csr_from_dict(entries, dim), "HBog", modes)
+    def raising(x, m, mm):  # (1/2) vhat(p) a+_p a+_{-p}: create -p first, then p
+        return 0.5 * vhat_m[m] * (np.sqrt(x[:, mm] + 1) * np.sqrt(x[:, m] + 1))
+
+    for p in range(nmode):
+        q = neg_of[p]
+        if q < p or vhat_m[p] == 0.0:
+            continue
+        shift = np.zeros(nmode, dtype=np.int64)
+        shift[[p, q]] = -1
+        entries.append(basis_occ.pair_move(shift, lowering, p, q))
+        entries.append(basis_occ.pair_move(-shift, raising, p, q))
+    return SectorMatrix(None, states, _csr(*zip(*entries), dim), "HBog", modes)
 
 
 @dataclass(frozen=True)

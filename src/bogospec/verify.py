@@ -417,8 +417,9 @@ def run_default_suite(
 
     # kinetic bound and variational monotonicity
     cfg_k = EDConfig(6, lat, gauss, mode_radius=2.0, max_excited=6)
-    report.checks.append(check_kinetic_bound(cfg_k, (0,)))
-    report.checks.append(check_kinetic_bound(cfg_k, (1,)))
+    basis_k = fock_ed.build_basis(cfg_k)
+    report.checks.append(check_kinetic_bound(cfg_k, (0,), basis=basis_k[(0,)]))
+    report.checks.append(check_kinetic_bound(cfg_k, (1,), basis=basis_k[(1,)]))
     report.extend(
         check_variational_monotonicity(
             EDConfig(6, lat, gauss, mode_radius=2.0, max_excited=3),

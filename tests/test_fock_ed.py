@@ -1,5 +1,6 @@
 """Basis construction, operator assembly, eigensolvers, many-body gaps."""
 
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from bogospec.fock_ed import (
     lowest_eigenvalues,
     many_body_excitations,
 )
-from bogospec.model import LatticeSpec, Momentum, Potential
+from bogospec.model import LatticeSpec, Momentum, Potential, periodized_value
 
 LAT = LatticeSpec(2 * math.pi, 1)
 V1 = Potential.gaussian(0.1, 5.0, 1)
@@ -58,6 +59,9 @@ def test_build_basis_cap_error():
     with pytest.raises(BasisSizeError) as err:
         build_basis(cfg)
     assert err.value.suggestion < 8
+    # the suggested cap builds under the same basis cap
+    build_basis(EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=err.value.suggestion,
+                         basis_cap=5))
 
 
 def test_default_max_excited():
@@ -120,7 +124,146 @@ def _reference_hamiltonian(cfg, states):
                     if j is None:
                         continue
                     entries[(j, i)] = entries.get((j, i), 0.0) + inv2n * v * amp
-    dim = len(states)
+    return _reference_csr(entries, len(states))
+
+
+def _reference_estimating(cfg, states, eps, sign):
+    """Slow per-state assembly of H_{N,sign*eps}: loop over states, then modes."""
+    modes = cfg.modes()
+    nmode = len(modes)
+    index = {s: i for i, s in enumerate(states)}
+    zero_idx = next(i for i, m in enumerate(modes) if m.is_zero)
+    norm2 = [m.norm2 for m in modes]
+    vhat_m = [cfg.pot.vhat_extended(m.norm) for m in modes]
+    neg_of = {i: next(j for j, mm in enumerate(modes) if mm.n == tuple(-c for c in modes[i].n))
+              for i in range(nmode)}
+    n_part = cfg.n_particles
+    v0hat = cfg.pot.vhat_extended(0.0)
+    v0real = periodized_value(cfg.pot, cfg.lattice, (0.0,) * cfg.lattice.d)
+    eps_signed = sign * eps
+    coef_last = (1.0 + 1.0 / eps_signed) * v0real * cfg.lattice.volume / (2.0 * n_part)
+    const = 0.5 * v0hat * (n_part - 1)
+    entries = {}
+    for i, s in enumerate(states):
+        n0 = s[zero_idx]
+        ngt = n_part - n0
+        diag = const
+        diag += math.fsum(
+            (norm2[m] + vhat_m[m]) * s[m] for m in range(nmode) if m != zero_idx and s[m]
+        )
+        diag -= (
+            math.fsum(
+                (vhat_m[m] + 0.5 * v0hat) * s[m]
+                for m in range(nmode)
+                if m != zero_idx and s[m]
+            )
+            * ngt
+            / n_part
+        )
+        diag += 0.5 * v0hat * ngt / n_part
+        diag += (
+            eps_signed
+            / n_part
+            * n0
+            * math.fsum(
+                (vhat_m[m] + v0hat) * s[m] for m in range(nmode) if m != zero_idx and s[m]
+            )
+        )
+        diag += coef_last * ngt * (ngt - 1)
+        entries[(i, i)] = entries.get((i, i), 0.0) + diag
+        for m in range(nmode):
+            if m == zero_idx or vhat_m[m] == 0.0:
+                continue
+            mm = neg_of[m]
+            if s[m] and (s[mm] - (1 if mm == m else 0)) > 0:
+                t = list(s)
+                amp = math.sqrt(t[m])
+                t[m] -= 1
+                amp *= math.sqrt(t[mm])
+                t[mm] -= 1
+                amp *= math.sqrt(t[zero_idx] + 1)
+                t[zero_idx] += 1
+                amp *= math.sqrt(t[zero_idx] + 1)
+                t[zero_idx] += 1
+                j = index.get(tuple(t))
+                if j is not None:
+                    entries[(j, i)] = entries.get((j, i), 0.0) + vhat_m[m] * amp / (
+                        2.0 * n_part
+                    )
+            if s[zero_idx] >= 2:
+                t = list(s)
+                amp = math.sqrt(t[zero_idx])
+                t[zero_idx] -= 1
+                amp *= math.sqrt(t[zero_idx])
+                t[zero_idx] -= 1
+                amp *= math.sqrt(t[mm] + 1)
+                t[mm] += 1
+                amp *= math.sqrt(t[m] + 1)
+                t[m] += 1
+                j = index.get(tuple(t))
+                if j is not None:
+                    entries[(j, i)] = entries.get((j, i), 0.0) + vhat_m[m] * amp / (
+                        2.0 * n_part
+                    )
+    return _reference_csr(entries, len(states))
+
+
+def _reference_kinetic(cfg, states):
+    norm2 = [m.norm2 for m in cfg.modes()]
+    entries = {
+        (i, i): math.fsum(norm2[m] * s[m] for m in range(len(norm2)) if s[m])
+        for i, s in enumerate(states)
+    }
+    return _reference_csr(entries, len(states))
+
+
+def _reference_excited_count(cfg, states):
+    zero_idx = next(i for i, m in enumerate(cfg.modes()) if m.is_zero)
+    entries = {(i, i): float(cfg.n_particles - s[zero_idx]) for i, s in enumerate(states)}
+    return _reference_csr(entries, len(states))
+
+
+def _reference_quadratic(modes, pot, max_occupation):
+    """Slow per-state assembly of the quadratic Bogoliubov Hamiltonian."""
+    modes = sorted(modes, key=lambda m: m.n)
+    nmode = len(modes)
+    neg_of = {
+        i: next(j for j, mm in enumerate(modes) if mm.n == tuple(-c for c in modes[i].n))
+        for i in range(nmode)
+    }
+    diag_w = [m.norm2 + pot.vhat_extended(m.norm) for m in modes]
+    vhat_m = [pot.vhat_extended(m.norm) for m in modes]
+    states = list(itertools.product(range(max_occupation + 1), repeat=nmode))
+    index = {s: i for i, s in enumerate(states)}
+    entries = {}
+    for i, s in enumerate(states):
+        entries[(i, i)] = math.fsum(diag_w[m] * s[m] for m in range(nmode))
+        for m in range(nmode):
+            if vhat_m[m] == 0.0:
+                continue
+            mm = neg_of[m]
+            if s[mm] and (s[m] - (1 if m == mm else 0)) > 0:
+                t = list(s)
+                amp = math.sqrt(t[mm])
+                t[mm] -= 1
+                amp *= math.sqrt(t[m])
+                t[m] -= 1
+                j = index.get(tuple(t))
+                if j is not None:
+                    entries[(j, i)] = entries.get((j, i), 0.0) + 0.5 * vhat_m[m] * amp
+            t = list(s)
+            amp = math.sqrt(t[mm] + 1)
+            t[mm] += 1
+            amp *= math.sqrt(t[m] + 1)
+            t[m] += 1
+            j = index.get(tuple(t))
+            if j is not None:
+                entries[(j, i)] = entries.get((j, i), 0.0) + 0.5 * vhat_m[m] * amp
+    return _reference_csr(entries, len(states))
+
+
+def _reference_csr(entries, dim):
+    """CSR matrix of a {(row, col): value} dict, explicit zeros kept."""
     if not entries:
         return sp.csr_matrix((dim, dim))
     keys = sorted(entries)
@@ -137,8 +280,8 @@ def _assert_same_csr(got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
-# (config, sector) pairs on which the vectorised assembly must reproduce
-# the per-state loop bit for bit
+# (config, sector) pairs on which every vectorised sector assembly must
+# reproduce its per-state loop bit for bit
 ORACLE_CASES = [
     # sector 0 holds moves with p == q (two particles leave one mode) and
     # with t1 == t2 (two land in one mode)
@@ -164,14 +307,38 @@ ORACLE_CASES = [
     # one state, and no state at all
     (EDConfig(2, LAT, V1, mode_radius=1.0), (2,)),
     (EDConfig(2, LAT, V1, mode_radius=1.0), (9,)),
+    # the estimating raising terms of p and -p multiply their roots in
+    # another order; here reusing one of them for both changes the bits
+    (EDConfig(9, LatticeSpec(7.3, 1), V1, mode_radius=3.0, max_excited=5), (1,)),
+    (EDConfig(9, LatticeSpec(7.3, 1), V1, mode_radius=3.0, max_excited=5), (-2,)),
 ]
+
+
+# (eps, sign) of the estimating Hamiltonians checked against the reference
+ESTIMATES = [(0.25, 1), (0.25, -1), (0.5, 1), (0.5, -1), (1.0, 1), (1.0, -1), (3.0, 1)]
+
+
+def _sector_assemblies(cfg):
+    """(assemble(sector, states), reference(states)) per sector operator."""
+    pairs = [
+        (lambda k, s: assemble_hamiltonian(cfg, k, s), lambda s: _reference_hamiltonian(cfg, s)),
+        (lambda k, s: assemble_kinetic(cfg, k, s), lambda s: _reference_kinetic(cfg, s)),
+        (lambda k, s: assemble_excited_count(cfg, k, s),
+         lambda s: _reference_excited_count(cfg, s)),
+    ]
+    for eps, sign in ESTIMATES:
+        pairs.append((
+            lambda k, s, eps=eps, sign=sign: assemble_estimating(cfg, k, eps, sign, s),
+            lambda s, eps=eps, sign=sign: _reference_estimating(cfg, s, eps, sign),
+        ))
+    return pairs
 
 
 @pytest.mark.parametrize("cfg, sector", ORACLE_CASES)
 def test_assembly_matches_reference_bit_for_bit(cfg, sector):
     states = build_basis(cfg).get(sector, [])
-    got = assemble_hamiltonian(cfg, sector, states).matrix
-    _assert_same_csr(got, _reference_hamiltonian(cfg, states))
+    for assemble, reference in _sector_assemblies(cfg):
+        _assert_same_csr(assemble(sector, states).matrix, reference(states))
 
 
 def test_assembly_matches_reference_on_any_basis_order():
@@ -179,15 +346,24 @@ def test_assembly_matches_reference_on_any_basis_order():
     basis = build_basis(cfg)
     states = basis[(1,)] + basis[(0,)]
     states = [states[i] for i in np.random.default_rng(5).permutation(len(states))]
-    got = assemble_hamiltonian(cfg, (0,), states).matrix
-    _assert_same_csr(got, _reference_hamiltonian(cfg, states))
+    for assemble, reference in _sector_assemblies(cfg):
+        _assert_same_csr(assemble((0,), states).matrix, reference(states))
 
 
 def test_assembly_rejects_repeated_state():
     cfg = EDConfig(3, LAT, V1, mode_radius=1.0)
     states = build_basis(cfg)[(0,)]
-    with pytest.raises(ValueError):
-        assemble_hamiltonian(cfg, (0,), states + states[:1])
+    for assemble, _ in _sector_assemblies(cfg):
+        with pytest.raises(ValueError):
+            assemble((0,), states + states[:1])
+
+
+@pytest.mark.parametrize("pot", [ZERO, V1, Potential.table([(0.0, 0.3), (1.5, -0.2), (2.5, 0.0)])])
+@pytest.mark.parametrize("pairs, cutoff", [(1, 0), (1, 3), (1, 21), (2, 0), (2, 3)])
+def test_quadratic_matches_reference_bit_for_bit(pot, pairs, cutoff):
+    modes = [LAT.momentum(k) for j in range(1, pairs + 1) for k in (j, -j)]
+    got = assemble_bogoliubov_quadratic(modes, pot, cutoff)
+    _assert_same_csr(got.matrix, _reference_quadratic(modes, pot, cutoff))
 
 
 def test_free_hamiltonian_is_diagonal():
