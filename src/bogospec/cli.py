@@ -90,21 +90,6 @@ def _emit(
         sys.stdout.write(text)
 
 
-def _pot_config(pot: Potential) -> dict:
-    if pot.family == "gaussian":
-        return {
-            "family": "gaussian",
-            "amplitude": pot.amplitude,
-            "width": pot.width,
-            "dimension": pot.dimension,
-        }
-    return {
-        "family": "table",
-        "samples": [list(s) for s in pot.samples],
-        "dimension": pot.dimension,
-    }
-
-
 def cmd_dispersion(args: argparse.Namespace) -> int:
     lattice = LatticeSpec(args.L, args.dim)
     pot = parse_vhat(args.vhat, args.dim)
@@ -121,7 +106,7 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
         "L": args.L,
         "dimension": args.dim,
         "window": args.window,
-        "potential": _pot_config(pot),
+        "potential": pot.snapshot(),
     }
     _emit(args.out, "dispersion", cfg, cols, rows)
     return 0
@@ -145,7 +130,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
         "dimension": args.dim,
         "tail_tol": args.tail_tol,
         "quad_step": args.quad_step,
-        "potential": _pot_config(pot),
+        "potential": pot.snapshot(),
     }
     _emit(args.out, "energy", cfg, ["quantity", "value"], rows)
     return 0
@@ -177,7 +162,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "dimension": args.dim,
         "kappa": args.kappa,
         "window": args.window,
-        "potential": _pot_config(pot),
+        "potential": pot.snapshot(),
     }
     _emit(args.out, "enumerate", cfg, cols, rows)
     return 0
@@ -213,7 +198,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         "dimension": args.dim,
         "kappa": args.kappa,
         "window": args.window,
-        "potential": _pot_config(pot),
+        "potential": pot.snapshot(),
     }
     _emit(args.out, "figure", cfg, cols, rows)
     return 0

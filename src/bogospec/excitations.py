@@ -1,10 +1,11 @@
 """Multi-quasiparticle excitation spectrum below an energy cutoff.
 
 An excitation is a finite multiset of nonzero lattice momenta; its energy
-and momentum are the sums over constituents.  Enumeration is best-first
+and momentum are the sums over constituents.  Enumeration is depth-first
 over canonically ordered constituent sequences (each extension appends a
 momentum that is lexicographically >= the last one), so every multiset is
-generated exactly once and records arrive per sector already sorted.
+generated exactly once; each sector is then sorted once on (energy,
+number of quasiparticles, constituent encoding).
 
 Completeness below the cutoff kappa is certified by dispersion(k) >= |k|^2:
 each constituent satisfies dispersion(k) <= kappa, hence |k| <= sqrt(kappa),
@@ -13,7 +14,7 @@ and the multiset size is bounded by kappa over the smallest dispersion.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,34 +95,30 @@ def enumerate_below(
     if momentum_window < 0.0:
         raise ValueError(f"momentum window must be >= 0, got {momentum_window}")
     cand = _candidates(lattice, pot, kappa, modes)
-    d = lattice.d
-    h = lattice.spacing
-    win2 = (momentum_window / h) ** 2 * (1.0 + 1e-12)
-    sectors: dict[tuple[int, ...], list[ExcitationRecord]] = {}
-    # heap entries: (energy, n_quasi, encoding, total n, next candidate index)
-    heap: list[tuple[float, int, tuple, tuple[int, ...], int]] = [
-        (0.0, 0, (), (0,) * d, 0)
-    ]
-    while heap:
-        energy, cnt, enc, total, start = heapq.heappop(heap)
+    win2 = (momentum_window / lattice.spacing) ** 2 * (1.0 + 1e-12)
+    found: dict[tuple[int, ...], list[tuple[float, int, tuple]]] = {}
+    # stack entries: (energy, n_quasi, encoding, total n, next candidate index)
+    stack = [(0.0, 0, (), (0,) * lattice.d, 0)]
+    while stack:
+        energy, cnt, enc, total, start = stack.pop()
         if cnt and sum(c * c for c in total) <= win2:
-            # records of a sector arrive in rank order
-            bucket = sectors.setdefault(total, [])
-            bucket.append(
-                ExcitationRecord(
-                    total_momentum=Momentum(total, lattice.L),
-                    energy=energy,
-                    constituents=tuple(Momentum(nv, lattice.L) for nv in enc),
-                    rank=len(bucket) + 1,
-                    n_quasi=cnt,
-                )
-            )
+            found.setdefault(total, []).append((energy, cnt, enc))
         for i in range(start, len(cand)):
             nv, e = cand[i]
             ne = energy + e
             if ne <= kappa:
                 new_total = tuple(a + b for a, b in zip(total, nv))
-                heapq.heappush(heap, (ne, cnt + 1, enc + (nv,), new_total, i))
+                stack.append((ne, cnt + 1, enc + (nv,), new_total, i))
+    # Momentum is frozen, so records share one object per candidate and sector
+    moms = {nv: Momentum(nv, lattice.L) for nv, _ in cand}
+    sectors: dict[tuple[int, ...], list[ExcitationRecord]] = {}
+    for total, entries in found.items():
+        entries.sort()
+        p = Momentum(total, lattice.L)
+        sectors[total] = [
+            ExcitationRecord(p, energy, tuple(moms[nv] for nv in enc), rank, cnt)
+            for rank, (energy, cnt, enc) in enumerate(entries, 1)
+        ]
     return SpectrumTable(lattice, pot, kappa, momentum_window, sectors)
 
 
@@ -201,37 +198,38 @@ def oracle_enumerate(
 ) -> list[tuple[float, tuple[tuple[int, ...], ...]]]:
     """Brute-force reference enumeration of one sector (tests only).
 
-    Recursively generates every canonical multiset without a priority
-    queue and returns (energy, constituents) sorted exactly like the main
-    search.  Guarded to small instances: constituent shells |n| <= 5 and
-    multiset size <= 8.
+    Tries every multiset of candidates of each size up to the bound
+    kappa / (smallest dispersion) + 1, via combinations_with_replacement,
+    and keeps those with energy <= kappa and the requested total; returns
+    (energy, constituents) sorted exactly like the main search.  Energies
+    are summed left to right, as there, so near-ties rank alike.  Guarded
+    to small instances: constituent shells |n| <= 5, multiset size <= 8 and
+    at most 10^6 multisets tried.
     """
     if kappa < 0.0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
     cand = _candidates(lattice, pot, kappa, modes)
     if any(max(abs(c) for c in nv) > 5 for nv, _ in cand):
         raise ValueError("oracle guard: constituent shells beyond |n| = 5")
-    if cand:
-        min_e = min(e for _, e in cand)
-        if kappa / min_e > 8.0:
-            raise ValueError("oracle guard: multiset size bound exceeds 8")
     target = p.n if isinstance(p, Momentum) else tuple(int(c) for c in p)
-    d = lattice.d
+    if not cand:
+        return []
+    min_e = min(e for _, e in cand)
+    if kappa / min_e > 8.0:
+        raise ValueError("oracle guard: multiset size bound exceeds 8")
+    max_size = int(kappa / min_e) + 1
+    # the brute force does not prune, so bound the multisets it tries
+    if math.comb(len(cand) + max_size, max_size) > 10**6:
+        raise ValueError("oracle guard: more than 10^6 multisets to try")
     found: list[tuple[float, int, tuple]] = []
-
-    def extend(start: int, seq: tuple, energy: float, total: tuple[int, ...]) -> None:
-        if seq and total == target:
-            found.append((energy, len(seq), seq))
-        for i in range(start, len(cand)):
-            nv, e = cand[i]
-            if energy + e <= kappa:
-                extend(
-                    i,
-                    seq + (nv,),
-                    energy + e,
-                    tuple(a + b for a, b in zip(total, nv)),
-                )
-
-    extend(0, (), 0.0, (0,) * d)
+    for size in range(1, max_size + 1):
+        for combo in itertools.combinations_with_replacement(cand, size):
+            energy = 0.0
+            for _, e in combo:
+                energy += e
+            seq = tuple(nv for nv, _ in combo)
+            total = tuple(sum(col) for col in zip(*seq))
+            if energy <= kappa and total == target:
+                found.append((energy, size, seq))
     found.sort()
     return [(e, seq) for e, _, seq in found]

@@ -103,19 +103,13 @@ class EDConfig:
         return lattice_points(self.lattice, self.mode_radius, include_zero=True)
 
     def snapshot(self) -> dict:
-        pot = self.pot
-        pd: dict = {"family": pot.family, "dimension": pot.dimension}
-        if pot.family == "gaussian":
-            pd.update(amplitude=pot.amplitude, width=pot.width)
-        else:
-            pd.update(samples=[list(s) for s in pot.samples])
         return {
             "N": self.n_particles,
             "L": self.lattice.L,
             "dimension": self.lattice.d,
             "mode_radius": self.mode_radius,
             "max_excited": self.max_excited,
-            "potential": pd,
+            "potential": self.pot.snapshot(),
         }
 
 

@@ -180,6 +180,14 @@ class Potential:
         samp = tuple((float(p), float(v)) for p, v in samples)
         return cls("table", dimension, samples=samp)
 
+    def snapshot(self) -> dict:
+        """The defining parameters as a JSON-ready dict (CSV config headers)."""
+        if self.family == "gaussian":
+            params: dict = {"amplitude": self.amplitude, "width": self.width}
+        else:
+            params = {"samples": [list(s) for s in self.samples]}
+        return {"family": self.family, "dimension": self.dimension, **params}
+
     @property
     def support_radius(self) -> float:
         """Radius beyond which vhat is known to vanish (inf for gaussian)."""

@@ -404,9 +404,7 @@ def run_default_suite(
         cfg = EDConfig(n, lat, pot, mode_radius=2.0, max_excited=min(n, 8))
         ed = fock_ed.many_body_excitations(cfg, sectors1, count=3, tol=tol, seed=seed)
         for c in check_ground_bounds(ed, pot, lat):
-            report.checks.append(
-                Check(f"{label}:{c.name}", c.lhs, c.rhs, c.tolerance, c.strict, c.note)
-            )
+            report.checks.append(_relabel(c, label))
         report.checks.append(_relabel(check_ground_sector(ed), label))
 
     # operator sandwich on a small interacting sector

@@ -11,7 +11,8 @@ import pytest
 import scipy.sparse as sp
 
 from bogospec import fock_ed
-from bogospec.cli import main, parse_sectors, parse_vhat
+from bogospec.cli import _pot_from_dict, main, parse_sectors, parse_vhat
+from bogospec.model import Potential
 
 
 def run_cli(args, capsys):
@@ -25,6 +26,16 @@ def parse_csv(text):
     body = "\n".join(ln for ln in text.splitlines() if not ln.startswith("#"))
     rows = list(csv.reader(io.StringIO(body)))
     return header, rows[0], rows[1:]
+
+
+def test_potential_snapshot_reads_back_as_config():
+    # the header's potential dict is accepted by `ed --config`
+    for pot in (
+        Potential.gaussian(0.1, 5.0, 2),
+        Potential.table([(0, 0.3), (1.5, -0.2), (2.5, 0)], 1),
+    ):
+        snap = json.loads(json.dumps(pot.snapshot()))
+        assert _pot_from_dict(snap, 3) == pot
 
 
 def test_parse_vhat_forms():
@@ -254,6 +265,24 @@ GOLDEN_ED = [
      "3aa974ea3d44fddd3c0dbb27c9f2d58aff543cd0373f305c541b4712e5c27d2d"),
 ]
 
+# SHA-256 of `bogospec enumerate` / `figure` CSV output, captured before
+# the depth-first enumeration: exact energy ties (free gas), 2D, a table
+# potential and the weak-coupling figure
+GOLDEN_ENUMERATE = [
+    (["enumerate", "--vhat", "gaussian:0:1", "--L", repr(2 * math.pi),
+      "--kappa", "7.5", "--window", "3"],
+     "54d1ac4385359e0b8430a22f164eff0467bb4183b66aec40448551cf99698369"),
+    (["enumerate", "--vhat", "gaussian:0.1:5", "--dim", "2", "--L", "12",
+      "--kappa", "3", "--window", "2"],
+     "747a3ecc86b055b889efe931970feb23e33b3ccd4ff8111c92f548260cd118e3"),
+    (["enumerate", "--vhat", "table:0,0.3;1.5,0.1;2.5,0", "--L", "9",
+      "--kappa", "6", "--window", "3"],
+     "2827015be4b972f6a722125599f71c9fec0fc137bafa3c8a7d5a03784302c1c0"),
+    (["figure", "--vhat", "gaussian:0.1:5", "--L", "41.8879020479",
+      "--kappa", "1.2", "--window", "3"],
+     "57a4a6f1638655e739667552fa14097d204c2ce7e36592b255fccb99775856ea"),
+]
+
 
 @pytest.mark.parametrize("flags, digest", GOLDEN_ED)
 def test_ed_output_bytes_pinned(tmp_path, capsys, flags, digest):
@@ -263,5 +292,13 @@ def test_ed_output_bytes_pinned(tmp_path, capsys, flags, digest):
         + ["--out", str(out)],
         capsys,
     )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_ENUMERATE)
+def test_enumerate_output_bytes_pinned(tmp_path, capsys, args, digest):
+    out = tmp_path / "spectrum.csv"
+    code, _, _ = run_cli(args + ["--out", str(out)], capsys)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -157,6 +157,22 @@ def test_oracle_matches_main_interacting():
             assert em == pytest.approx(eo, abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(2 * math.pi, 4 * math.pi), st.floats(0.0, 0.5), st.floats(0.05, 1.0))
+def test_oracle_matches_main_property(L, amplitude, frac):
+    # kappa <= 8 e(2 pi / L) keeps the oracle's multiset-size guard
+    lat = LatticeSpec(L, 1)
+    pot = Potential.gaussian(amplitude, 5.0, 1)
+    kappa = frac * 8.0 * dispersion(lat.momentum(1), pot)
+    table = enumerate_below(lat, pot, kappa, momentum_window=5 * lat.spacing)
+    for key in ((0,), (1,), (-2,), (3,)):
+        main = [
+            (r.energy, tuple(m.n for m in r.constituents))
+            for r in table.sectors.get(key, [])
+        ]
+        assert oracle_enumerate(lat, pot, kappa, key) == main
+
+
 def test_oracle_matches_main_2d():
     lat2 = LatticeSpec(2 * math.pi, 2)
     z2 = Potential.zero(2)
@@ -174,6 +190,9 @@ def test_oracle_guards():
         oracle_enumerate(LAT, ZERO, 9.0, (1,))  # size bound 9 > 8
     with pytest.raises(ValueError):
         oracle_enumerate(LAT, ZERO, 40.0, (1,))  # shells beyond |n|=5
+    with pytest.raises(ValueError):
+        # 20 candidates, sizes <= 9: about 1e7 multisets
+        oracle_enumerate(LatticeSpec(2 * math.pi, 2), Potential.zero(2), 8.0, (1, 0))
 
 
 def test_oracle_empty_at_zero_cutoff():
