@@ -136,8 +136,12 @@ def cmd_energy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_constituents(rec) -> str:
-    return ";".join(" ".join(str(c) for c in m.n) for m in rec.constituents)
+class _Labels(dict):
+    """The "x y" label of each momentum coordinate tuple, built once per tuple."""
+
+    def __missing__(self, n: tuple[int, ...]) -> str:
+        self[n] = label = " ".join(map(str, n))
+        return label
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -145,12 +149,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     pot = parse_vhat(args.vhat, args.dim)
     table = enumerate_below(lattice, pot, args.kappa, args.window)
     rows = []
+    labels = _Labels()
     for key in sorted(table.sectors, key=lambda k: (sum(c * c for c in k), k)):
         for rec in table.sectors[key]:
-            rows.append(
-                list(key)
-                + [rec.rank, rec.energy, rec.n_quasi, _format_constituents(rec)]
-            )
+            text = ";".join([labels[m.n] for m in rec.constituents])
+            rows.append(list(key) + [rec.rank, rec.energy, rec.n_quasi, text])
     cols = [f"n{i + 1}" for i in range(args.dim)] + [
         "j",
         "energy",

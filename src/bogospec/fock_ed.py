@@ -2,10 +2,10 @@
 
 Basis states are occupation tuples over a finite symmetric mode set
 (|p| <= mode_radius, zero mode always kept) with the particle number fixed
-and the excited-particle count optionally capped.  Assembled matrices are
-exact compressions P H P of the second-quantized operators to that basis,
-so every operator inequality between the full operators survives as a
-matrix inequality on each sector.
+and the excited-particle count optionally capped; one pruned depth-first
+walk builds only the sectors asked for (`build_basis`).  Assembled matrices
+are exact compressions P H P of the second-quantized operators to that
+basis, so operator inequalities survive as matrix inequalities per sector.
 
 Every operator, number-conserving or not, is assembled on one
 representation of its basis: the (n_states, n_modes) occupation array,
@@ -17,6 +17,7 @@ per-state loop would, so the matrices equal that loop's bit for bit
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -113,43 +114,58 @@ class EDConfig:
         }
 
 
-def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def build_basis(
+    cfg: EDConfig, sectors: Iterable[Sequence[int]] | None = None
+) -> dict[tuple[int, ...], list[FockState]]:
+    """Occupation vectors with sum N and excited count <= cap, by sector.
 
-
-def build_basis(cfg: EDConfig) -> dict[tuple[int, ...], list[FockState]]:
-    """All occupation vectors with sum N and excited count <= cap, by sector."""
+    Returns exactly the requested sectors, deduplicated, each sorted (empty
+    if unreachable); None means every reachable sector.  One depth-first
+    walk gives each excited mode, in index order, 0..left particles (left:
+    what the cap still allows) and the zero mode the rest.  With sectors it
+    cuts a branch once none is in reach: per coordinate, the momentum still
+    needed must lie in [left * min(0, min n), left * max(0, max n)] over the
+    modes to come.  Only a requested sector over cfg.basis_cap raises
+    BasisSizeError; its suggestion, the largest max_excited at which all of
+    them fit, is bisected by trial walks that stop at their first overflow.
+    """
+    keys = None if sectors is None else list(dict.fromkeys(tuple(map(int, s)) for s in sectors))
     modes = cfg.modes()
-    zero_idx = _zero_index(modes)
-    excited = [i for i in range(len(modes)) if i != zero_idx]
-    cap = cfg.effective_max_excited
-    sectors: dict[tuple[int, ...], list[FockState]] = {}
-    for m_exc in range(cap + 1):
-        for comp in _compositions(m_exc, len(excited)):
-            occ = [0] * len(modes)
-            for idx, c in zip(excited, comp):
-                occ[idx] = c
-            occ[zero_idx] = cfg.n_particles - m_exc
-            total = tuple(
-                sum(occ[i] * modes[i].n[k] for i in range(len(modes)))
-                for k in range(cfg.lattice.d)
-            )
-            bucket = sectors.setdefault(total, [])
+    zero = _zero_index(modes)
+    excited = [i for i in range(len(modes)) if i != zero]
+    steps = [modes[i].n for i in excited] + [(0,) * cfg.lattice.d]
+    lo = [tuple(map(min, zip(*steps[j:]))) for j in range(len(steps))]
+    hi = [tuple(map(max, zip(*steps[j:]))) for j in range(len(steps))]
+    occ = [0] * len(modes)
+
+    def visit(buckets: dict, cap: int, j: int, left: int, total: tuple[int, ...]) -> bool:
+        # fills buckets below one node; True at the first bucket over the cap
+        if j == len(excited):
+            if keys is not None and total not in keys:
+                return False
+            occ[zero] = cfg.n_particles - cap + left
+            bucket = buckets.setdefault(total, [])
             bucket.append(tuple(occ))
-            if len(bucket) > cfg.basis_cap:
-                raise BasisSizeError(total, len(bucket), cfg.basis_cap, max(m_exc - 1, 0))
-    for key in sectors:
-        sectors[key].sort()
-    return sectors
+            return len(bucket) > cfg.basis_cap
+        if keys is not None and not any(
+            all(left * a <= t - s <= left * b for a, b, t, s in zip(lo[j], hi[j], k, total))
+            for k in keys
+        ):
+            return False
+        for c in range(left + 1):
+            occ[excited[j]] = c
+            child = tuple(s + c * n for s, n in zip(total, steps[j]))
+            if visit(buckets, cap, j + 1, left - c, child):
+                return True
+        return False
+
+    cap = cfg.effective_max_excited
+    buckets: dict[tuple[int, ...], list[FockState]] = {k: [] for k in keys or ()}
+    if cap >= 0 and visit(buckets, cap, 0, cap, steps[-1]):
+        first = bisect.bisect_left(range(cap), True, key=lambda m: visit({}, m, 0, m, steps[-1]))
+        key = next(k for k, b in buckets.items() if len(b) > cfg.basis_cap)
+        raise BasisSizeError(key, cfg.basis_cap + 1, cfg.basis_cap, max(first - 1, 0))
+    return {k: sorted(v) for k, v in buckets.items()}
 
 
 @dataclass
@@ -242,11 +258,9 @@ def _csr(
     return sp.csr_matrix((vals[perm], (rows[perm], cols[perm])), shape=(dim, dim))
 
 
-def _sector_basis(cfg: EDConfig, sector: Sequence[int], basis) -> list[FockState]:
-    if basis is not None:
-        return list(basis)
+def _sector_basis(cfg: EDConfig, sector: Sequence[int], basis) -> tuple[tuple[int, ...], list]:
     key = tuple(int(c) for c in sector)
-    return build_basis(cfg).get(key, [])
+    return key, list(basis) if basis is not None else build_basis(cfg, [key])[key]
 
 
 def assemble_hamiltonian(
@@ -273,8 +287,7 @@ def assemble_hamiltonian(
     are found by exact search over the occupation rows.  A basis that
     lists a state twice is rejected.
     """
-    key = tuple(int(c) for c in sector)
-    states = _sector_basis(cfg, key, basis)
+    key, states = _sector_basis(cfg, sector, basis)
     modes = cfg.modes()
     nmode = len(modes)
     n = len(states)
@@ -379,8 +392,7 @@ def assemble_estimating(
         raise ValueError("eps must be > 0")
     if sign < 0 and eps > 1.0:
         raise ValueError("lower estimate requires 0 < eps <= 1")
-    key = tuple(int(c) for c in sector)
-    states = _sector_basis(cfg, key, basis)
+    key, states = _sector_basis(cfg, sector, basis)
     modes = cfg.modes()
     nmode = len(modes)
     basis_occ = _Occupations(states, nmode)
@@ -435,8 +447,7 @@ def assemble_kinetic(
     cfg: EDConfig, sector: Sequence[int], basis: list[FockState] | None = None
 ) -> SectorMatrix:
     """Kinetic energy sum_p |p|^2 n_p (diagonal)."""
-    key = tuple(int(c) for c in sector)
-    states = _sector_basis(cfg, key, basis)
+    key, states = _sector_basis(cfg, sector, basis)
     modes = cfg.modes()
     diag = _Occupations(states, len(modes)).fsum(np.array([m.norm2 for m in modes]))
     idx = np.arange(len(states))
@@ -447,8 +458,7 @@ def assemble_excited_count(
     cfg: EDConfig, sector: Sequence[int], basis: list[FockState] | None = None
 ) -> SectorMatrix:
     """Excited-particle number N^> (diagonal)."""
-    key = tuple(int(c) for c in sector)
-    states = _sector_basis(cfg, key, basis)
+    key, states = _sector_basis(cfg, sector, basis)
     modes = cfg.modes()
     n0 = _Occupations(states, len(modes)).occ[:, _zero_index(modes)]
     diag = (cfg.n_particles - n0).astype(np.float64)
@@ -595,8 +605,8 @@ def many_body_excitations(
     zero = (0,) * cfg.lattice.d
     if zero not in keys:
         raise ValueError("the zero-momentum sector must be included")
-    basis_map = build_basis(cfg)
-    missing = [k for k in keys if not basis_map.get(k)]
+    basis_map = build_basis(cfg, keys)
+    missing = [k for k in keys if not basis_map[k]]
     if missing:
         raise ValueError(f"no basis states in sectors {missing}")
 

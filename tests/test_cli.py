@@ -244,7 +244,7 @@ def test_ground_sector_failure_exit_code(monkeypatch, capsys):
 
 
 def test_memory_error_exit_code(monkeypatch, capsys):
-    def exhausted(cfg):
+    def exhausted(cfg, sectors=None):
         raise MemoryError
 
     monkeypatch.setattr(fock_ed, "build_basis", exhausted)
@@ -264,6 +264,10 @@ GOLDEN_ED = [
     (["--dim", "2", "--N", "6", "--mode-radius", "1.5", "--sectors", "0 0;1 0;1 1"],
      "3aa974ea3d44fddd3c0dbb27c9f2d58aff543cd0373f305c541b4712e5c27d2d"),
 ]
+
+# SHA-256 of `bogospec verify --seed 23` CSV output, captured before the
+# per-sector basis walk; the suite makes 15 build_basis calls
+GOLDEN_VERIFY = "ed6afe1cf822439b79fa3c3156968c194906f41f4edb80fe616770da1e93f562"
 
 # SHA-256 of `bogospec enumerate` / `figure` CSV output, captured before
 # the depth-first enumeration: exact energy ties (free gas), 2D, a table
@@ -302,3 +306,10 @@ def test_enumerate_output_bytes_pinned(tmp_path, capsys, args, digest):
     code, _, _ = run_cli(args + ["--out", str(out)], capsys)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_verify_output_bytes_pinned(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    code, _, _ = run_cli(["verify", "--seed", "23", "--out", str(out)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_VERIFY

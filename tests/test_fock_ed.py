@@ -54,14 +54,106 @@ def test_build_basis_max_excited_zero():
     assert basis[(0,)] == [(0, 0, 5, 0, 0)]
 
 
+def _compositions(total, parts):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _reference_basis(cfg):
+    """Every sector, by compositions of each excited count over the excited modes."""
+    modes = cfg.modes()
+    zero_idx = next(i for i, m in enumerate(modes) if m.is_zero)
+    excited = [i for i in range(len(modes)) if i != zero_idx]
+    sectors = {}
+    for m_exc in range(cfg.effective_max_excited + 1):
+        for comp in _compositions(m_exc, len(excited)):
+            occ = [0] * len(modes)
+            for idx, c in zip(excited, comp):
+                occ[idx] = c
+            occ[zero_idx] = cfg.n_particles - m_exc
+            total = tuple(
+                sum(occ[i] * modes[i].n[k] for i in range(len(modes)))
+                for k in range(cfg.lattice.d)
+            )
+            sectors.setdefault(total, []).append(tuple(occ))
+    for key in sectors:
+        sectors[key].sort()
+    return sectors
+
+
+@pytest.mark.parametrize("cfg", [
+    EDConfig(5, LAT, V1, mode_radius=2.0, max_excited=4),
+    EDConfig(6, LAT, V1, mode_radius=3.0),
+    EDConfig(5, LAT, V1, mode_radius=2.0, max_excited=0),
+    EDConfig(3, LAT, V1, mode_radius=0.0),
+    EDConfig(3, LAT, V1, mode_radius=0.0, max_excited=-1),
+    EDConfig(6, LatticeSpec(2 * math.pi, 2), Potential.gaussian(0.1, 5.0, 2), mode_radius=1.5),
+    EDConfig(5, LatticeSpec(2 * math.pi, 2), Potential.gaussian(0.1, 5.0, 2), mode_radius=2.0,
+             max_excited=4),
+    EDConfig(4, LatticeSpec(2 * math.pi, 3), Potential.gaussian(0.1, 5.0, 3), mode_radius=1.5,
+             max_excited=3),
+    EDConfig(4, LatticeSpec(2 * math.pi, 3), Potential.gaussian(0.1, 5.0, 3), mode_radius=1.0),
+    EDConfig(3, LatticeSpec(2 * math.pi, 3), Potential.gaussian(0.1, 5.0, 3), mode_radius=1.5,
+             max_excited=0),
+])
+def test_build_basis_matches_reference(cfg):
+    ref = _reference_basis(cfg)
+    assert build_basis(cfg) == ref
+    d = cfg.lattice.d
+    zero, one, far = (0,) * d, (1,) + (0,) * (d - 1), (99,) * d
+    # each reachable sector on its own, then a request with repeats and an
+    # unreachable key, in request order
+    for key in ref:
+        assert build_basis(cfg, [key]) == {key: ref[key]}
+    wanted = [one, zero, far, one, list(zero)]
+    got = build_basis(cfg, wanted)
+    assert list(got) == [one, zero, far]
+    for key in got:
+        assert got[key] == ref.get(key, [])
+    assert build_basis(cfg, [far]) == {far: []}
+    assert build_basis(cfg, [zero + (0,)]) == {zero + (0,): []}  # wrong dimension
+    assert build_basis(cfg, []) == {}
+
+
 def test_build_basis_cap_error():
-    cfg = EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=8, basis_cap=5)
+    def cfg(max_excited):
+        return EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=max_excited, basis_cap=5)
+
     with pytest.raises(BasisSizeError) as err:
+        build_basis(cfg(8))
+    suggestion = err.value.suggestion
+    assert suggestion == 3
+    # the suggestion is the largest cap that builds under the same basis cap
+    build_basis(cfg(suggestion))
+    with pytest.raises(BasisSizeError):
+        build_basis(cfg(suggestion + 1))
+
+
+def test_build_basis_cap_counts_requested_sectors_only():
+    # at max_excited 8, sector (6,) has 21 states and sector (0,) has 33
+    cfg = EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=8, basis_cap=21)
+    assert len(build_basis(cfg, [(6,)])[(6,)]) == 21
+    with pytest.raises(BasisSizeError):
         build_basis(cfg)
-    assert err.value.suggestion < 8
-    # the suggested cap builds under the same basis cap
-    build_basis(EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=err.value.suggestion,
-                         basis_cap=5))
+    with pytest.raises(BasisSizeError) as err:
+        build_basis(cfg, [(6,), (0,)])
+    assert err.value.sector == (0,)
+    assert err.value.size == 22
+    suggestion = err.value.suggestion
+    assert suggestion == 6
+    small = EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=suggestion, basis_cap=21)
+    build_basis(small, [(6,), (0,)])
+    larger = EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=suggestion + 1, basis_cap=21)
+    with pytest.raises(BasisSizeError):
+        build_basis(larger, [(6,), (0,)])
 
 
 def test_default_max_excited():
