@@ -41,6 +41,7 @@ from .model import (
     TailBoundError,
     fourier_at,
     lattice_points,
+    lattice_shells,
     periodized_value,
     validate_potential,
 )

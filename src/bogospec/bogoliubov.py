@@ -11,7 +11,9 @@ so results reproduce bit-for-bit whatever the order of the terms.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 from scipy.integrate import simpson
@@ -116,7 +118,8 @@ def bogoliubov_energy(
 
     The sum runs over all lattice points within a radius chosen so that
     the omitted tail, each summand being at most vhat(p)^2/|p|^2, is
-    below tail_tol.
+    below tail_tol.  The points are grouped by |n|^2 and each shell's
+    summands are evaluated once and repeated by its point count.
     """
     # default honours tail_tol = 1e-10 * max(1, |e_bog|) >= 1e-10
     if tail_tol is None:
@@ -134,17 +137,19 @@ def bogoliubov_energy(
     else:
         radius = summation_radius(lattice, pot, 1.0, 1.0, tail_tol)
     pts = lattice_points(lattice, radius, include_zero=False)
-    direct: list[float] = []
-    rational: list[float] = []
-    for q in pts:
-        r = q.norm
+    h = lattice.spacing
+    direct = []
+    rational = []
+    # every summand depends on |n|^2 = k only: evaluate it once per shell
+    for k, count in Counter(q.norm2_int for q in pts).items():
+        r = h * math.sqrt(k)
         v = pot.vhat_extended(r)
         e = _radial_dispersion(r, v)
         a = r * r + v
-        direct.append(a - e)
-        rational.append(v * v / (a + e))
-    e_bog = -0.5 * math.fsum(direct)
-    e_bog_alt = -0.5 * math.fsum(rational)
+        direct.append(repeat(a - e, count))
+        rational.append(repeat(v * v / (a + e), count))
+    e_bog = -0.5 * math.fsum(chain.from_iterable(direct))
+    e_bog_alt = -0.5 * math.fsum(chain.from_iterable(rational))
     v0 = pot.vhat_extended(0.0)
     density = 0.5 * v0 * (1.0 - 1.0 / lattice.volume) + e_bog / lattice.volume
     return EnergySummary(

@@ -262,6 +262,8 @@ def _resolve_ed_config(args: argparse.Namespace) -> tuple[EDConfig, list, int, f
         max_excited = raw["max_excited"]
     else:
         max_excited = default_max_excited(n)
+    if max_excited is not None and max_excited < 0:
+        raise UsageError("--max-excited (or config key max_excited) must be >= 0")
     if args.sectors is not None:
         sectors = parse_sectors(args.sectors, dim)
     elif "sectors" in raw:

@@ -147,10 +147,7 @@ def build_basis(
             bucket = buckets.setdefault(total, [])
             bucket.append(tuple(occ))
             return len(bucket) > cfg.basis_cap
-        if keys is not None and not any(
-            all(left * a <= t - s <= left * b for a, b, t, s in zip(lo[j], hi[j], k, total))
-            for k in keys
-        ):
+        if keys is not None and not _in_reach(keys, total, left, lo[j], hi[j]):
             return False
         for c in range(left + 1):
             occ[excited[j]] = c
@@ -166,6 +163,18 @@ def build_basis(
         key = next(k for k, b in buckets.items() if len(b) > cfg.basis_cap)
         raise BasisSizeError(key, cfg.basis_cap + 1, cfg.basis_cap, max(first - 1, 0))
     return {k: sorted(v) for k, v in buckets.items()}
+
+
+def _in_reach(keys: list, total: tuple, left: int, lo: tuple, hi: tuple) -> bool:
+    """Whether left more particles, on modes whose coordinates span [lo, hi],
+    can carry the momentum total to some key."""
+    for k in keys:
+        for a, b, t, s in zip(lo, hi, k, total):
+            if not left * a <= t - s <= left * b:
+                break
+        else:
+            return True
+    return False
 
 
 @dataclass

@@ -2,9 +2,12 @@
 
 Momenta live on (2*pi/L)*Z^d and are stored through their integer
 coordinates, so squared norms and degeneracies are exact at the integer
-level.  Potentials enter only through their radial Fourier transform
-vhat >= 0; real-space values are recovered by periodized lattice sums
-with rigorously bounded Gaussian tails.
+level.  Lattice points within a radius are found by a walk over the
+ball, never the enclosing cube, and a radial sum is taken once per shell
+|n|^2 = k with the shell's exact integer point count.  Potentials enter
+only through their radial Fourier transform vhat >= 0; real-space values
+are recovered by periodized lattice sums with rigorously bounded
+Gaussian tails.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, repeat
+from operator import mul
 from typing import Iterable, Sequence, Union
 
+import numpy as np
 from scipy.special import erfc
 
 TAU = 2.0 * math.pi
@@ -87,7 +92,7 @@ class Momentum:
     @property
     def norm2_int(self) -> int:
         """|n|^2, exact."""
-        return sum(c * c for c in self.n)
+        return sum(map(mul, self.n, self.n))
 
     @property
     def norm2(self) -> float:
@@ -243,22 +248,78 @@ def fourier_at(pot: Potential, p: MomentumLike) -> float:
     return pot.vhat_radial(as_radius(p))
 
 
-def lattice_points(
-    lattice: LatticeSpec, radius: float, include_zero: bool = False
-) -> list[Momentum]:
-    """All momenta with |p| <= radius, in lexicographic order of n."""
+def _ball_bounds(lattice: LatticeSpec, radius: float) -> tuple[int, int]:
+    """Coordinate bound m and largest |n|^2 = K of a point with |p| <= radius.
+
+    A point of the cube [-m, m]^d lies in the ball iff |n|^2 <= K: the
+    test h * sqrt(|n|^2) <= radius is monotone in |n|^2, so K is found by
+    bisection over [0, d*m^2].  K may exceed m^2.
+    """
     if radius < 0.0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     h = lattice.spacing
     m = int(math.floor(radius / h + 1e-9))
+    lo, hi = 0, lattice.d * m * m  # h * sqrt(0) <= radius always holds
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if h * math.sqrt(mid) <= radius:
+            lo = mid
+        else:
+            hi = mid - 1
+    return m, lo
+
+
+def lattice_points(
+    lattice: LatticeSpec, radius: float, include_zero: bool = False
+) -> list[Momentum]:
+    """All momenta with |p| <= radius, in lexicographic order of n.
+
+    Coordinates are fixed one axis at a time; each ranges over
+    |c| <= min(m, isqrt(K - sum of the squares fixed so far)), so only
+    points of the ball are visited.
+    """
+    m, K = _ball_bounds(lattice, radius)
+    # (prefix, squared norm still allowed) over the first d - 1 axes, in order
+    level: list[tuple[tuple[int, ...], int]] = [((), K)]
+    for _ in range(lattice.d - 1):
+        level = [(prefix + (c,), left - c * c)
+                 for prefix, left in level for c in _axis_range(m, left)]
+    L = lattice.L
     pts: list[Momentum] = []
-    for n in product(range(-m, m + 1), repeat=lattice.d):
-        nn = sum(c * c for c in n)
-        if nn == 0 and not include_zero:
-            continue
-        if h * math.sqrt(nn) <= radius:
-            pts.append(Momentum(n, lattice.L))
+    for prefix, left in level:
+        # left == K only on the zero prefix, whose c = 0 is the zero point
+        pts += [Momentum(prefix + (c,), L) for c in _axis_range(m, left)
+                if c or include_zero or left != K]
     return pts
+
+
+def _axis_range(m: int, left: int) -> range:
+    """Coordinates c with |c| <= m and c^2 <= left."""
+    b = min(m, math.isqrt(left))
+    return range(-b, b + 1)
+
+
+def lattice_shells(
+    lattice: LatticeSpec, radius: float, include_zero: bool = False
+) -> list[tuple[int, int]]:
+    """(k, r(k)) for each nonempty shell |n|^2 = k with |p| <= radius.
+
+    r(k) counts exactly the points of lattice_points on the shell: the
+    1D square counts over [-m, m] (1 at 0, 2 at each c^2) convolved d
+    times in integers, cut at K.  Shells come in increasing k.
+    """
+    m, K = _ball_bounds(lattice, radius)
+    squares = [c * c for c in _axis_range(m, K) if c > 0]
+    counts = np.zeros(K + 1, dtype=np.int64)
+    counts[0] = 1
+    for _ in range(lattice.d):
+        # one more axis: its coordinate 0 keeps k, +-c moves k to k + c^2
+        nxt = counts.copy()
+        for s in squares:
+            nxt[s:] += 2 * counts[: K + 1 - s]
+        counts = nxt
+    return [(k, int(counts[k])) for k in np.flatnonzero(counts).tolist()
+            if k or include_zero]
 
 
 def gaussian_integral_tail(s: float, r: float, d: int) -> float:
@@ -328,6 +389,9 @@ def periodized_value(
 
     The sum runs over lattice points until the omitted tail is below
     tail_tol; the imaginary part must vanish to tail_tol by symmetry.
+    At x = 0 every phase is 1, so vhat is evaluated once per shell of
+    lattice_shells and repeated by the shell's point count; fsum rounds
+    the exact sum once, so this is the same float as the per-point sum.
     """
     if tail_tol is None:
         tail_tol = default_tail_tol(pot)
@@ -338,6 +402,14 @@ def periodized_value(
         raise ValueError(f"x must have {lattice.d} coordinates, got {len(xv)}")
     radius = summation_radius(lattice, pot, 1.0 / pot.width if pot.family == "gaussian" else 1.0,
                                1.0 / lattice.volume, tail_tol)
+    if not any(xv):
+        h = lattice.spacing
+        shells = []
+        for k, count in lattice_shells(lattice, radius, include_zero=True):
+            v = pot.vhat_extended(h * math.sqrt(k))
+            if v != 0.0:
+                shells.append(repeat(v, count))
+        return math.fsum(chain.from_iterable(shells)) / lattice.volume
     re_terms: list[float] = []
     im_terms: list[float] = []
     for p in lattice_points(lattice, radius, include_zero=True):

@@ -189,6 +189,20 @@ def test_ed_requires_potential(capsys):
     assert "potential" in err
 
 
+def test_ed_rejects_negative_max_excited(tmp_path, capsys):
+    msg = "--max-excited (or config key max_excited) must be >= 0"
+    base = ["ed", "--vhat", "gaussian:0.1:5", "--N", "4", "--mode-radius", "2"]
+    code, out, err = run_cli(base + ["--max-excited", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"bogospec: error: {msg}"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 4, "mode_radius": 2, "max_excited": -1}))
+    code, _, err = run_cli(["ed", "--vhat", "gaussian:0.1:5", "--config", str(path)], capsys)
+    assert code == 2
+    assert msg in err
+
+
 def test_invalid_vhat_exit_code(capsys):
     code, _, err = run_cli(
         ["dispersion", "--vhat", "bogus:1", "--window", "1"], capsys
@@ -288,6 +302,21 @@ GOLDEN_ENUMERATE = [
 ]
 
 
+# SHA-256 of `bogospec energy` CSV output, captured before the shell-wise
+# lattice sums: --vhat gaussian:0.1:5 in 3D at L = 10 (the lattice-3d
+# workload) and L = 20 and in 2D, and a compact table potential in 3D
+GOLDEN_ENERGY = [
+    (["--dim", "3", "--L", "10.0"],
+     "9ba6e4797c7281a83da143e433eec158019bf9d9301b0a6835727f6cbafecc1d"),
+    (["--dim", "3", "--L", "20"],
+     "747c7c503ce8227e3498564a3a818249f88cef9a76a72ea67cb8b1a23bc77446"),
+    (["--dim", "2", "--L", "7"],
+     "3e502f2effa41a631fccc3e6c1f01a9ecacad24c7ee8197c1305e9e0ad040bbf"),
+    (["--vhat", "table:0,1;1,0.5;2,0", "--dim", "3", "--L", "10"],
+     "5ef663250430fac0157361ec5bc92b50f5f5c58fdeed8d5d7589adaa6bdf0bc7"),
+]
+
+
 @pytest.mark.parametrize("flags, digest", GOLDEN_ED)
 def test_ed_output_bytes_pinned(tmp_path, capsys, flags, digest):
     out = tmp_path / "ed.csv"
@@ -304,6 +333,15 @@ def test_ed_output_bytes_pinned(tmp_path, capsys, flags, digest):
 def test_enumerate_output_bytes_pinned(tmp_path, capsys, args, digest):
     out = tmp_path / "spectrum.csv"
     code, _, _ = run_cli(args + ["--out", str(out)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("flags, digest", GOLDEN_ENERGY)
+def test_energy_output_bytes_pinned(tmp_path, capsys, flags, digest):
+    out = tmp_path / "energy.csv"
+    vhat = [] if "--vhat" in flags else ["--vhat", "gaussian:0.1:5"]
+    code, _, _ = run_cli(["energy"] + vhat + flags + ["--out", str(out)], capsys)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

@@ -1,6 +1,8 @@
 """Potential and lattice layer: Fourier values, periodization, point sets."""
 
 import math
+from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,12 @@ from bogospec.model import (
     Potential,
     PotentialRangeError,
     TailBoundError,
+    default_tail_tol,
     fourier_at,
     lattice_points,
+    lattice_shells,
     periodized_value,
+    summation_radius,
     validate_potential,
 )
 
@@ -112,14 +117,70 @@ def test_lattice_points_match_box_scan(L, radius, d):
     h = lat.spacing
     m = int(math.ceil(radius / h)) + 1
     count = 0
-    from itertools import product
-
     for n in product(range(-m, m + 1), repeat=d):
         nn = sum(c * c for c in n)
         if nn and h * math.sqrt(nn) <= radius:
             count += 1
     assert len(pts) == count
     assert len({p.n for p in pts}) == len(pts)
+
+
+def _reference_lattice_points(lattice, radius, include_zero=False):
+    """The cube scan over [-m, m]^d that lattice_points replaced."""
+    h = lattice.spacing
+    m = int(math.floor(radius / h + 1e-9))
+    pts = []
+    for n in product(range(-m, m + 1), repeat=lattice.d):
+        nn = sum(c * c for c in n)
+        if nn == 0 and not include_zero:
+            continue
+        if h * math.sqrt(nn) <= radius:
+            pts.append(Momentum(n, lattice.L))
+    return pts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("L", [1.0, 2 * math.pi, 7.0, 13.3])
+def test_lattice_points_and_shells_match_cube_scan(d, L):
+    lat = LatticeSpec(L, d)
+    h = lat.spacing
+    # 0; a radius exactly on the shell |n|^2 = 5; 1.9 h, where m = 1 but
+    # |n|^2 = 2 and 3 still lie inside for d >= 2; and larger radii
+    for radius in (0.0, h * math.sqrt(5), 1.9 * h, 3.5 * h, 5.2):
+        m = int(math.floor(radius / h + 1e-9))
+        for include_zero in (False, True):
+            ref = _reference_lattice_points(lat, radius, include_zero)
+            pts = lattice_points(lat, radius, include_zero)
+            assert pts == ref
+            shells = lattice_shells(lat, radius, include_zero)
+            assert shells == sorted(Counter(p.norm2_int for p in ref).items())
+            assert sum(count for _, count in shells) == len(pts)
+        if radius == h * math.sqrt(5) and d >= 2:
+            assert any(p.norm2_int == 5 for p in pts)
+        if radius == 1.9 * h and d >= 2:
+            assert m == 1 and max(p.norm2_int for p in pts) == d
+
+
+def _reference_periodized_at_zero(pot, lattice):
+    """(1/L^d) * fsum of vhat over the points of the cube scan, one per point."""
+    s = 1.0 / pot.width if pot.family == "gaussian" else 1.0
+    radius = summation_radius(lattice, pot, s, 1.0 / lattice.volume, default_tail_tol(pot))
+    terms = [pot.vhat_extended(p.norm)
+             for p in _reference_lattice_points(lattice, radius, include_zero=True)]
+    return math.fsum(terms) / lattice.volume
+
+
+@pytest.mark.parametrize("d, L", [(1, 40 * math.pi / 3), (2, 7.0), (3, 10.0)])
+def test_periodized_at_zero_matches_per_point_sum(d, L):
+    lat = LatticeSpec(L, d)
+    for pot in (
+        Potential.gaussian(0.1, 5.0, d),
+        Potential.gaussian(7.5, 2.0, d),
+        Potential.table([(0, 1), (1, 0.5), (2, 0)], d),
+    ):
+        ref = _reference_periodized_at_zero(pot, lat)
+        assert periodized_value(pot, lat, (0.0,) * d) == ref  # bit for bit
+        assert periodized_value(pot, lat, (-0.0,) * d) == ref
 
 
 def test_periodized_zero_potential():
