@@ -299,27 +299,33 @@ def _axis_range(m: int, left: int) -> range:
     return range(-b, b + 1)
 
 
-def lattice_shells(
-    lattice: LatticeSpec, radius: float, include_zero: bool = False
-) -> list[tuple[int, int]]:
+def lattice_shells(lattice: LatticeSpec, radius: float) -> list[tuple[int, int]]:
     """(k, r(k)) for each nonempty shell |n|^2 = k with |p| <= radius.
 
-    r(k) counts exactly the points of lattice_points on the shell: the
-    1D square counts over [-m, m] (1 at 0, 2 at each c^2) convolved d
-    times in integers, cut at K.  Shells come in increasing k.
+    r(k) counts exactly the points of lattice_points(..., include_zero=True)
+    on the shell, k = 0 included.  One axis gives 1 point at k = 0 and 2
+    at each c^2, c <= min(m, isqrt(K)); each further axis shifts only the
+    nonempty shells by c^2, in integers, cut at K.  Shells come in
+    increasing k.
     """
     m, K = _ball_bounds(lattice, radius)
-    squares = [c * c for c in _axis_range(m, K) if c > 0]
+    b = min(m, math.isqrt(K))
+    shells = [(0, 1)] + [(c * c, 2) for c in range(1, b + 1)]
+    if lattice.d == 1:
+        return shells
     counts = np.zeros(K + 1, dtype=np.int64)
-    counts[0] = 1
-    for _ in range(lattice.d):
+    for k, r in shells:
+        counts[k] = r
+    for _ in range(lattice.d - 1):
         # one more axis: its coordinate 0 keeps k, +-c moves k to k + c^2
+        nonempty = np.flatnonzero(counts)
         nxt = counts.copy()
-        for s in squares:
-            nxt[s:] += 2 * counts[: K + 1 - s]
+        for c in range(1, b + 1):
+            s = c * c
+            src = nonempty[: np.searchsorted(nonempty, K - s, side="right")]
+            nxt[src + s] += 2 * counts[src]
         counts = nxt
-    return [(k, int(counts[k])) for k in np.flatnonzero(counts).tolist()
-            if k or include_zero]
+    return [(k, int(counts[k])) for k in np.flatnonzero(counts).tolist()]
 
 
 def gaussian_integral_tail(s: float, r: float, d: int) -> float:
@@ -405,7 +411,7 @@ def periodized_value(
     if not any(xv):
         h = lattice.spacing
         shells = []
-        for k, count in lattice_shells(lattice, radius, include_zero=True):
+        for k, count in lattice_shells(lattice, radius):
             v = pot.vhat_extended(h * math.sqrt(k))
             if v != 0.0:
                 shells.append(repeat(v, count))

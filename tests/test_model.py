@@ -1,6 +1,7 @@
 """Potential and lattice layer: Fourier values, periodization, point sets."""
 
 import math
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -152,13 +153,31 @@ def test_lattice_points_and_shells_match_cube_scan(d, L):
             ref = _reference_lattice_points(lat, radius, include_zero)
             pts = lattice_points(lat, radius, include_zero)
             assert pts == ref
-            shells = lattice_shells(lat, radius, include_zero)
-            assert shells == sorted(Counter(p.norm2_int for p in ref).items())
-            assert sum(count for _, count in shells) == len(pts)
+        ref = _reference_lattice_points(lat, radius, include_zero=True)
+        shells = lattice_shells(lat, radius)
+        assert shells == sorted(Counter(p.norm2_int for p in ref).items())
+        assert sum(count for _, count in shells) == len(ref)
         if radius == h * math.sqrt(5) and d >= 2:
             assert any(p.norm2_int == 5 for p in pts)
         if radius == 1.9 * h and d >= 2:
             assert m == 1 and max(p.norm2_int for p in pts) == d
+
+
+def test_lattice_shells_1d_builds_no_array_over_k():
+    # the radius periodized_value sums V1 over at L = 400: m = 778 and
+    # K = m^2, so an int64 array indexed by k up to K would take 4.8 MB
+    lat = LatticeSpec(400.0, 1)
+    radius = summation_radius(lat, V1, 1.0 / V1.width, 1.0 / lat.volume, default_tail_tol(V1))
+    m = int(math.floor(radius / lat.spacing + 1e-9))
+    assert m == 778
+    tracemalloc.start()
+    try:
+        shells = lattice_shells(lat, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shells == [(0, 1)] + [(c * c, 2) for c in range(1, m + 1)]
+    assert peak < 1_000_000
 
 
 def _reference_periodized_at_zero(pot, lattice):
