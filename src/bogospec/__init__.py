@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .bogoliubov import (
     BogoCoefficients,
     EnergySummary,
-    QuadratureSpec,
     bogoliubov_energy,
     coefficients,
     dispersion,

@@ -178,18 +178,6 @@ def bogoliubov_energy_on_modes(modes: list[Momentum], pot: Potential) -> float:
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Fixed-step radial quadrature: composite Simpson with this step."""
-
-    step: float = 0.005
-    r_max: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.step > 0.0:
-            raise ValueError("quadrature step must be > 0")
-
-
-@dataclass(frozen=True)
 class DensityLimit:
     value: float
     error_estimate: float
@@ -197,23 +185,19 @@ class DensityLimit:
     step: float
 
 
-def energy_density_limit(
-    pot: Potential, quad: QuadratureSpec | None = None
-) -> DensityLimit:
+def energy_density_limit(pot: Potential, *, step: float = 0.005) -> DensityLimit:
     """Infinite-volume energy density.
 
     Returns vhat(0)/2 - (1/(2 (2 pi)^d)) * integral of
     |p|^2 + vhat(p) - |p| sqrt(|p|^2 + 2 vhat(p)) over R^d, in mean-field
-    units, together with a quadrature + tail error estimate.
+    units, together with a quadrature + tail error estimate.  The integral
+    is a composite Simpson rule of the given step, checked against half it.
     """
-    if quad is None:
-        quad = QuadratureSpec()
+    if not step > 0.0:
+        raise ValueError("quadrature step must be > 0")
     d = pot.dimension
-    if quad.r_max is not None:
-        r_max = quad.r_max
-        tail = _integrand_tail(pot, r_max)
-    elif pot.compactly_supported:
-        r_max = max(pot.support_radius, 4.0 * quad.step)
+    if pot.compactly_supported:
+        r_max = max(pot.support_radius, 4.0 * step)
         tail = 0.0
     elif pot.family == "table":
         raise TailBoundError("tabulated potential without decay: integrand tail unboundable")
@@ -229,8 +213,8 @@ def energy_density_limit(
         return f * r ** (d - 1)
 
     vals = []
-    for step in (quad.step, 0.5 * quad.step):
-        n = max(2, int(math.ceil(r_max / step)))
+    for h in (step, 0.5 * step):
+        n = max(2, int(math.ceil(r_max / h)))
         if n % 2:
             n += 1
         grid = np.linspace(0.0, r_max, n + 1)
@@ -239,7 +223,7 @@ def energy_density_limit(
     norm = 2.0 * TAU**d
     value = 0.5 * pot.vhat_extended(0.0) - SPHERE_AREA[d] * fine / norm
     err = (SPHERE_AREA[d] * (abs(coarse - fine) + tail)) / norm
-    return DensityLimit(value=value, error_estimate=err, r_max=r_max, step=quad.step)
+    return DensityLimit(value=value, error_estimate=err, r_max=r_max, step=step)
 
 
 def _integrand_tail(pot: Potential, r_max: float) -> float:

@@ -14,15 +14,10 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from . import __version__, fock_ed, verify
-from .bogoliubov import (
-    QuadratureSpec,
-    bogoliubov_energy,
-    coefficients,
-    energy_density_limit,
-)
+from .bogoliubov import bogoliubov_energy, coefficients, energy_density_limit
 from .excitations import classify_for_figure, dispersion, enumerate_below
 from .fock_ed import EDConfig, default_max_excited
 from .model import LatticeSpec, Potential, lattice_points
@@ -52,19 +47,20 @@ def parse_vhat(text: str, dimension: int) -> Potential:
 
 
 def parse_sectors(text: str, dimension: int) -> list[tuple[int, ...]]:
-    """Parse --sectors strings: "0;1;-1" (d=1) or "0 0;1 0" (d=2)."""
+    """Parse --sectors strings: "0;1;-1" (d=1) or "0 0;1 0" (d=2); blank is none."""
     out = []
     for chunk in text.split(";"):
         if not chunk.strip():
             continue
-        coords = tuple(int(t) for t in chunk.split())
+        try:
+            coords = tuple(int(t) for t in chunk.split())
+        except ValueError as exc:
+            raise UsageError(f"--sectors: cannot parse {chunk!r}: {exc}") from exc
         if len(coords) != dimension:
             raise UsageError(
                 f"--sectors: {chunk!r} has {len(coords)} coordinates, expected {dimension}"
             )
         out.append(coords)
-    if not out:
-        raise UsageError("--sectors: no sectors given")
     return out
 
 
@@ -116,7 +112,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
     lattice = LatticeSpec(args.L, args.dim)
     pot = parse_vhat(args.vhat, args.dim)
     summary = bogoliubov_energy(lattice, pot, tail_tol=args.tail_tol)
-    quad = energy_density_limit(pot, QuadratureSpec(step=args.quad_step))
+    quad = energy_density_limit(pot, step=args.quad_step)
     rows = [
         ["e_bog", summary.e_bog],
         ["e_bog_alt", summary.e_bog_alt],
@@ -207,94 +203,94 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_config_file(path: str) -> dict:
-    allowed = {
-        "N",
-        "L",
-        "dimension",
-        "mode_radius",
-        "max_excited",
-        "sectors",
-        "count",
-        "tol",
-        "seed",
-        "potential",
-        "family",
-        "amplitude",
-        "width",
-        "samples",
-    }
+#: the ed flag each --config key stands for; the potential may also be
+#: given flat, by the keys of _FLAT_POTENTIAL at the top level
+_CONFIG_FLAGS = {
+    "N": "--N", "L": "--L", "dimension": "--dim", "mode_radius": "--mode-radius",
+    "max_excited": "--max-excited", "sectors": "--sectors", "count": "--count",
+    "tol": "--tol", "seed": "--seed", "potential": "--vhat",
+}
+_FLAT_POTENTIAL = ("family", "amplitude", "width", "samples")
+
+
+def _vhat_text(pot: dict) -> str:
+    """The --vhat text of a potential dict as Potential.snapshot writes it."""
+    if pot["family"] == "table":
+        return "table:" + ";".join(",".join(map(json.dumps, s)) for s in pot["samples"])
+    return f"{pot['family']}:{json.dumps(pot['amplitude'])}:{json.dumps(pot['width'])}"
+
+
+def _parse_with_config(
+    parser: argparse.ArgumentParser, argv: list[str], cli: argparse.Namespace
+) -> argparse.Namespace:
+    """Parse argv again with the flags of the JSON file cli.config put first.
+
+    The flags go right after the ed command, so that flags given on the
+    command line win, in the --flag=value form, so that a sector list such
+    as "-1;1" is not read as an option.  Values keep their JSON spelling
+    ("3", 4.5, true, null), so the typed parser accepts exactly what it
+    accepts on the command line.
+    """
+    path = cli.config
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"--config: cannot read {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("--config: top level must be an object")
-    for key in raw:
-        if key not in allowed:
+    flat = {k: raw.pop(k) for k in _FLAT_POTENTIAL if k in raw}
+    if flat:
+        raw.setdefault("potential", flat)
+    flags = []
+    for key, value in raw.items():
+        flag = _CONFIG_FLAGS.get(key)
+        if flag is None:
             raise UsageError(f"--config: unknown key {key!r}")
-    return raw
-
-
-def _resolve_ed_config(args: argparse.Namespace) -> tuple[EDConfig, list, int, float, int]:
-    raw = _load_config_file(args.config) if args.config else {}
-    dim = int(raw.get("dimension", args.dim))
-    L = float(raw.get("L", args.L))
-    n = int(raw["N"] if args.N is None and "N" in raw else (args.N or 0))
-    if n < 1:
-        raise UsageError("--N (or config key N) is required and must be >= 1")
-    lattice = LatticeSpec(L, dim)
-    if args.vhat is not None:
-        pot = parse_vhat(args.vhat, dim)
-    elif "potential" in raw:
-        pd = dict(raw["potential"])
-        pot = _pot_from_dict(pd, dim)
-    elif "family" in raw:
-        pot = _pot_from_dict(raw, dim)
-    else:
-        raise UsageError("a potential is required (--vhat or config)")
-    mode_radius = args.mode_radius if args.mode_radius is not None else raw.get("mode_radius")
-    if mode_radius is None:
-        raise UsageError("--mode-radius (or config key mode_radius) is required")
-    if args.max_excited is not None:
-        max_excited = args.max_excited
-    elif "max_excited" in raw:
-        max_excited = raw["max_excited"]
-    else:
-        max_excited = default_max_excited(n)
-    if max_excited is not None and max_excited < 0:
-        raise UsageError("--max-excited (or config key max_excited) must be >= 0")
-    if args.sectors is not None:
-        sectors = parse_sectors(args.sectors, dim)
-    elif "sectors" in raw:
-        sectors = [tuple(int(c) for c in s) for s in raw["sectors"]]
-    else:
-        sectors = [(0,) * dim]
-    count = args.count if args.count is not None else int(raw.get("count", 3))
-    tol = args.tol if args.tol is not None else float(raw.get("tol", 1e-9))
-    seed = args.seed if args.seed is not None else int(raw.get("seed", fock_ed.DEFAULT_SEED))
-    cfg = EDConfig(n, lattice, pot, float(mode_radius), max_excited)
-    return cfg, sectors, count, tol, seed
-
-
-def _pot_from_dict(pd: dict, dimension: int) -> Potential:
-    family = pd.get("family")
-    dim = int(pd.get("dimension", dimension))
-    if family == "gaussian":
-        return Potential.gaussian(float(pd["amplitude"]), float(pd["width"]), dim)
-    if family == "table":
-        return Potential.table(pd["samples"], dim)
-    raise UsageError(f"potential config: unknown family {family!r}")
+        try:
+            if key == "potential":
+                text = _vhat_text(value)
+            elif key == "sectors":
+                text = ";".join(" ".join(map(json.dumps, s)) for s in value)
+            else:
+                text = json.dumps(value)
+        except KeyError as exc:
+            raise UsageError(f"--config: key {key!r} lacks {exc}") from exc
+        except TypeError as exc:
+            raise UsageError(f"--config: key {key!r} is not a {flag} value: {exc}") from exc
+        flags.append(f"{flag}={text}")
+    start = argv.index("ed") + 1
+    try:
+        args = parser.parse_args(argv[:start] + flags + argv[start:])
+    except UsageError as exc:
+        raise UsageError(f"--config: {exc}") from exc
+    if "potential" in raw and cli.vhat is None:
+        # a potential keeps the dimension it was written for; compared as
+        # JSON text, only the integer run dimension itself matches
+        pot_dim = json.dumps(raw["potential"].get("dimension", args.dim))
+        if pot_dim != str(args.dim):
+            raise UsageError(f"--config: potential dimension {pot_dim} differs from "
+                             f"the run's dimension {args.dim}")
+    return args
 
 
 def cmd_ed(args: argparse.Namespace) -> int:
-    cfg, sectors, count, tol, seed = _resolve_ed_config(args)
-    # the resolved values, for the failure messages of main
-    args.tol, args.max_excited = tol, cfg.effective_max_excited
-    zero = (0,) * cfg.lattice.d
+    if args.N is None or args.N < 1:
+        raise UsageError("--N (or config key N) is required and must be >= 1")
+    if args.vhat is None:
+        raise UsageError("a potential is required (--vhat or config)")
+    if args.mode_radius is None:
+        raise UsageError("--mode-radius (or config key mode_radius) is required")
+    max_excited = default_max_excited(args.N) if args.max_excited is None else args.max_excited
+    if max_excited < 0:
+        raise UsageError("--max-excited (or config key max_excited) must be >= 0")
+    pot = parse_vhat(args.vhat, args.dim)
+    cfg = EDConfig(args.N, LatticeSpec(args.L, args.dim), pot, args.mode_radius, max_excited)
+    args.max_excited = cfg.effective_max_excited  # for the out-of-memory message of main
+    sectors = parse_sectors(args.sectors, args.dim)
+    zero = (0,) * args.dim
     if zero not in sectors:
         sectors = [zero] + sectors
-    result = fock_ed.many_body_excitations(cfg, sectors, count, tol=tol, seed=seed)
+    result = fock_ed.many_body_excitations(cfg, sectors, args.count, tol=args.tol, seed=args.seed)
     rows = []
     for key in sorted(result.sector_values, key=lambda k: (sum(c * c for c in k), k)):
         vals = result.sector_values[key]
@@ -310,16 +306,15 @@ def cmd_ed(args: argparse.Namespace) -> int:
         "residual",
     ]
     header = dict(result.config)
-    header.update(sectors=[list(s) for s in sectors], count=count, tol=tol, seed=seed)
+    header.update(
+        sectors=[list(s) for s in sectors], count=args.count, tol=args.tol, seed=args.seed
+    )
     _emit(args.out, "ed", header, cols, rows)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tol = args.tol if args.tol is not None else 1e-9
-    seed = args.seed if args.seed is not None else fock_ed.DEFAULT_SEED
-    args.tol = tol
-    report = verify.run_default_suite(tol=tol, seed=seed)
+    report = verify.run_default_suite(tol=args.tol, seed=args.seed)
     csv_text = report.to_csv_text()
     summary = report.summary()
     if args.out:
@@ -332,8 +327,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.all_passed else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad flag as a UsageError, which main turns into one line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bogospec",
         description="Bogoliubov spectra and truncated-Fock-space diagonalization "
         "of a homogeneous Bose gas on a torus",
@@ -378,16 +380,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=None, help="particle number")
     p.add_argument("--mode-radius", type=float, default=None)
     p.add_argument("--max-excited", type=int, default=None)
-    p.add_argument("--sectors", default=None, help='e.g. "0;1;-1" (d=1), "0 0;1 0" (d=2)')
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--sectors", default="", help='e.g. "0;1;-1" (d=1), "0 0;1 0" (d=2)')
+    p.add_argument("--count", type=int, default=3)
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--seed", type=int, default=fock_ed.DEFAULT_SEED)
     p.set_defaults(func=cmd_ed)
 
     p = sub.add_parser("verify", help="run the verification suite; exit 0 iff all pass")
     p.add_argument("--out", default=None, help="report CSV path (summary goes to .txt)")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--seed", type=int, default=fock_ed.DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -419,8 +421,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     zero sector, 5 out of memory.
     """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            args = _parse_with_config(parser, argv, args)
         return args.func(args)
     except ValueError as exc:  # UsageError among them
         message, code = str(exc), EXIT_USAGE

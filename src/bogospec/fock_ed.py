@@ -138,28 +138,33 @@ def build_basis(
     hi = [tuple(map(max, zip(*steps[j:]))) for j in range(len(steps))]
     occ = [0] * len(modes)
 
-    def visit(buckets: dict, cap: int, j: int, left: int, total: tuple[int, ...]) -> bool:
-        # fills buckets below one node; True at the first bucket over the cap
-        if j == len(excited):
-            if keys is not None and total not in keys:
-                return False
-            occ[zero] = cfg.n_particles - cap + left
-            bucket = buckets.setdefault(total, [])
-            bucket.append(tuple(occ))
-            return len(bucket) > cfg.basis_cap
-        if keys is not None and not _in_reach(keys, total, left, lo[j], hi[j]):
-            return False
-        for c in range(left + 1):
-            occ[excited[j]] = c
-            child = tuple(s + c * n for s, n in zip(total, steps[j]))
-            if visit(buckets, cap, j + 1, left - c, child):
-                return True
+    def walk(buckets: dict, cap: int) -> bool:
+        # fills buckets; True at the first bucket over the cap.  A stack
+        # entry (i, c, j, left, total) puts c particles on mode i and stands
+        # for the subtree of the excited modes from j on; children are
+        # pushed so that they pop in increasing c, the order of a recursion
+        stack = [(zero, 0, 0, cap, steps[-1])]
+        while stack:
+            i, c, j, left, total = stack.pop()
+            occ[i] = c
+            if j == len(excited):
+                if keys is not None and total not in keys:
+                    continue
+                occ[zero] = cfg.n_particles - cap + left
+                bucket = buckets.setdefault(total, [])
+                bucket.append(tuple(occ))
+                if len(bucket) > cfg.basis_cap:
+                    return True
+            elif keys is None or _in_reach(keys, total, left, lo[j], hi[j]):
+                i, step = excited[j], steps[j]
+                stack += [(i, c, j + 1, left - c, tuple(s + c * n for s, n in zip(total, step)))
+                          for c in range(left, -1, -1)]
         return False
 
     cap = cfg.effective_max_excited
     buckets: dict[tuple[int, ...], list[FockState]] = {k: [] for k in keys or ()}
-    if cap >= 0 and visit(buckets, cap, 0, cap, steps[-1]):
-        first = bisect.bisect_left(range(cap), True, key=lambda m: visit({}, m, 0, m, steps[-1]))
+    if cap >= 0 and walk(buckets, cap):
+        first = bisect.bisect_left(range(cap), True, key=lambda m: walk({}, m))
         key = next(k for k, b in buckets.items() if len(b) > cfg.basis_cap)
         raise BasisSizeError(key, cfg.basis_cap + 1, cfg.basis_cap, max(first - 1, 0))
     return {k: sorted(v) for k, v in buckets.items()}
@@ -185,7 +190,6 @@ class SectorMatrix:
     basis: list[FockState]
     matrix: sp.csr_matrix
     kind: str
-    modes: list[Momentum]
 
     @property
     def dim(self) -> int:
@@ -261,10 +265,9 @@ class _Occupations:
 def _csr(
     rows: Sequence[np.ndarray], cols: Sequence[np.ndarray], vals: Sequence[np.ndarray], dim: int
 ) -> sp.csr_matrix:
-    """CSR matrix from distinct (row, col) entries; explicit zeros stay stored."""
+    """CSR matrix from distinct (row, col) entries in any order; explicit zeros stay stored."""
     rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    perm = np.lexsort((cols, rows))
-    return sp.csr_matrix((vals[perm], (rows[perm], cols[perm])), shape=(dim, dim))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
 def _sector_basis(cfg: EDConfig, sector: Sequence[int], basis) -> tuple[tuple[int, ...], list]:
@@ -379,7 +382,7 @@ def assemble_hamiltonian(
                 rows.append(target_rows)
                 cols.append(src[hit])
                 vals.append(entry)
-    return SectorMatrix(key, states, _csr(rows, cols, vals, n), "H", modes)
+    return SectorMatrix(key, states, _csr(rows, cols, vals, n), "H")
 
 
 def assemble_estimating(
@@ -449,7 +452,7 @@ def assemble_estimating(
         entries.append(basis_occ.pair_move(shift, lowering, p, q))
         entries.append(basis_occ.pair_move(-shift, raising, p, q))
     kind = "H+eps" if sign > 0 else "H-eps"
-    return SectorMatrix(key, states, _csr(*zip(*entries), n), kind, modes)
+    return SectorMatrix(key, states, _csr(*zip(*entries), n), kind)
 
 
 def assemble_kinetic(
@@ -460,7 +463,7 @@ def assemble_kinetic(
     modes = cfg.modes()
     diag = _Occupations(states, len(modes)).fsum(np.array([m.norm2 for m in modes]))
     idx = np.arange(len(states))
-    return SectorMatrix(key, states, _csr([idx], [idx], [diag], len(states)), "T", modes)
+    return SectorMatrix(key, states, _csr([idx], [idx], [diag], len(states)), "T")
 
 
 def assemble_excited_count(
@@ -472,7 +475,7 @@ def assemble_excited_count(
     n0 = _Occupations(states, len(modes)).occ[:, _zero_index(modes)]
     diag = (cfg.n_particles - n0).astype(np.float64)
     idx = np.arange(len(states))
-    return SectorMatrix(key, states, _csr([idx], [idx], [diag], len(states)), "Ngt", modes)
+    return SectorMatrix(key, states, _csr([idx], [idx], [diag], len(states)), "Ngt")
 
 
 def assemble_bogoliubov_quadratic(
@@ -518,7 +521,7 @@ def assemble_bogoliubov_quadratic(
         shift[[p, q]] = -1
         entries.append(basis_occ.pair_move(shift, lowering, p, q))
         entries.append(basis_occ.pair_move(-shift, raising, p, q))
-    return SectorMatrix(None, states, _csr(*zip(*entries), dim), "HBog", modes)
+    return SectorMatrix(None, states, _csr(*zip(*entries), dim), "HBog")
 
 
 @dataclass(frozen=True)

@@ -145,18 +145,12 @@ def check_ground_bounds(
     ]
 
 
-def check_sandwich(
-    cfg: EDConfig,
-    sector: Sequence[int],
-    eps_list: Sequence[float],
-    basis: list | None = None,
-) -> list[Check]:
+def check_sandwich(cfg: EDConfig, sector: Sequence[int], eps_list: Sequence[float]) -> list[Check]:
     """H_{N,-eps} <= H_N <= H_{N,+eps} as matrices on the sector."""
     if any(not 0.0 < e <= 1.0 for e in eps_list):
         raise ValueError("eps values must lie in (0, 1]")
     key = tuple(int(c) for c in sector)
-    if basis is None:
-        basis = fock_ed.build_basis(cfg, [key])[key]
+    basis = fock_ed.build_basis(cfg, [key])[key]
     if len(basis) > SANDWICH_DIM_LIMIT:
         raise ValueError(
             f"sector dimension {len(basis)} exceeds dense limit {SANDWICH_DIM_LIMIT}"
@@ -181,13 +175,10 @@ def check_sandwich(
     return checks
 
 
-def check_kinetic_bound(
-    cfg: EDConfig, sector: Sequence[int], basis: list | None = None
-) -> Check:
+def check_kinetic_bound(cfg: EDConfig, sector: Sequence[int]) -> Check:
     """T * L^2/(2 pi)^2 dominates N^> (both diagonal: per-state scalars)."""
     key = tuple(int(c) for c in sector)
-    if basis is None:
-        basis = fock_ed.build_basis(cfg, [key])[key]
+    basis = fock_ed.build_basis(cfg, [key])[key]
     t = fock_ed.assemble_kinetic(cfg, key, basis).matrix.diagonal()
     ngt = fock_ed.assemble_excited_count(cfg, key, basis).matrix.diagonal()
     factor = (cfg.lattice.L / (2.0 * math.pi)) ** 2

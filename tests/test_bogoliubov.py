@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bogospec.bogoliubov import (
-    QuadratureSpec,
     bogoliubov_energy,
     bogoliubov_energy_on_modes,
     coefficients,
@@ -166,8 +165,8 @@ def test_density_limit_zero_potential():
 
 
 def test_density_limit_step_halving_within_estimate():
-    coarse = energy_density_limit(V1, QuadratureSpec(step=0.02))
-    fine = energy_density_limit(V1, QuadratureSpec(step=0.01))
+    coarse = energy_density_limit(V1, step=0.02)
+    fine = energy_density_limit(V1, step=0.01)
     assert abs(fine.value - coarse.value) < coarse.error_estimate
 
 
@@ -180,7 +179,7 @@ def test_density_limit_matches_lattice_density():
 
 def test_density_limit_2d():
     pot = Potential.gaussian(0.2, 3.0, 2)
-    out = energy_density_limit(pot, QuadratureSpec(step=0.01))
+    out = energy_density_limit(pot, step=0.01)
     # value below the mean-field half-amplitude, correction negative
     assert out.value < 0.5 * 0.2
     assert out.error_estimate < 1e-8

@@ -11,8 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 from bogospec import fock_ed
-from bogospec.cli import _pot_from_dict, main, parse_sectors, parse_vhat
-from bogospec.model import Potential
+from bogospec.cli import main, parse_sectors, parse_vhat
 
 
 def run_cli(args, capsys):
@@ -26,16 +25,6 @@ def parse_csv(text):
     body = "\n".join(ln for ln in text.splitlines() if not ln.startswith("#"))
     rows = list(csv.reader(io.StringIO(body)))
     return header, rows[0], rows[1:]
-
-
-def test_potential_snapshot_reads_back_as_config():
-    # the header's potential dict is accepted by `ed --config`
-    for pot in (
-        Potential.gaussian(0.1, 5.0, 2),
-        Potential.table([(0, 0.3), (1.5, -0.2), (2.5, 0)], 1),
-    ):
-        snap = json.loads(json.dumps(pot.snapshot()))
-        assert _pot_from_dict(snap, 3) == pot
 
 
 def test_parse_vhat_forms():
@@ -167,10 +156,66 @@ def test_ed_config_file(tmp_path, capsys):
         "potential": {"family": "gaussian", "amplitude": 0.1, "width": 5.0},
     }
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(cfg))
-    code, out, _ = run_cli(["ed", "--config", str(path)], capsys)
-    assert code == 0
-    assert "eigenvalue" in out
+    # a sector list that starts with a negative number is no option
+    for sectors, run in (([[0], [1]], [[0], [1]]), ([[-1], [1]], [[0], [-1], [1]])):
+        path.write_text(json.dumps(dict(cfg, sectors=sectors)))
+        code, out, _ = run_cli(["ed", "--config", str(path)], capsys)
+        assert code == 0
+        assert "eigenvalue" in out
+        header, _, rows = parse_csv(out)
+        assert json.loads(header[2][len("# config: "):])["sectors"] == run
+        assert {r[0] for r in rows} == {str(s[0]) for s in run}
+
+
+def test_header_config_reproduces_csv(tmp_path, capsys):
+    # the `# config:` header of an ed run, fed back through --config,
+    # gives the same bytes: a 2D gaussian and a 1D table potential
+    for flags in (
+        ["--vhat", "gaussian:0.1:5", "--dim", "2", "--L", "7.1", "--N", "5",
+         "--mode-radius", "1.5", "--sectors", "1 0;0 0;1 1", "--count", "2", "--seed", "7"],
+        ["--vhat", "table:0,0.3;1.5,-0.2;2.5,0", "--L", "9", "--N", "6", "--mode-radius", "3",
+         "--max-excited", "3", "--sectors=-1;2", "--tol", "1e-10"],
+    ):
+        first, again, cfg = tmp_path / "first.csv", tmp_path / "again.csv", tmp_path / "cfg.json"
+        assert main(["ed"] + flags + ["--out", str(first)]) == 0
+        header = first.read_text().splitlines()[2]
+        assert header.startswith("# config: ")
+        cfg.write_text(header[len("# config: "):])
+        assert main(["ed", "--config", str(cfg), "--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+        # a flag given on the command line wins over the config's value
+        assert main(["ed", "--config", str(cfg), "--count", "1", "--out", str(again)]) == 0
+        assert main(["ed"] + flags + ["--count", "1", "--out", str(first)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+    # the 1D table is written for its dimension, unless --vhat replaces it
+    in_2d = ["ed", "--config", str(cfg), "--dim", "2", "--sectors", "0 0", "--out", str(again)]
+    assert main(in_2d) == 2
+    assert main(in_2d + ["--vhat", "table:0,0.3;1.5,-0.2;2.5,0"]) == 0
+
+
+GAUSS = {"family": "gaussian", "amplitude": 0.1, "width": 5.0}
+
+
+@pytest.mark.parametrize("extra, named", [
+    ({"max_excited": "3"}, "--max-excited"),
+    ({"N": [4]}, "--N"),
+    ({"sectors": 5}, "sectors"),
+    ({"potential": {"family": "gaussian", "width": 5.0}}, "amplitude"),
+    ({"potential": {"family": "table"}}, "samples"),
+    ({"potential": [1, 2]}, "potential"),
+    ({"N": 4.5}, "--N"),
+    ({"max_excited": None}, "--max-excited"),
+    ({"dimension": 1, "potential": dict(GAUSS, dimension=2)}, "dimension"),
+], ids=["max_excited-str", "N-list", "sectors-int", "gaussian-no-amplitude",
+        "table-no-samples", "potential-list", "N-float", "max_excited-null", "dimension-mismatch"])
+def test_ed_config_errors_exit_2(tmp_path, capsys, extra, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"N": 4, "mode_radius": 2, "potential": GAUSS, **extra}))
+    code, out, err = run_cli(["ed", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bogospec: error: --config: ") and err.count("\n") == 1
+    assert named in err
 
 
 def test_ed_config_rejects_unknown_key(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Basis construction, operator assembly, eigensolvers, many-body gaps."""
 
+import gc
 import itertools
 import math
 
@@ -135,6 +136,11 @@ def test_build_basis_cap_error():
     build_basis(cfg(suggestion))
     with pytest.raises(BasisSizeError):
         build_basis(cfg(suggestion + 1))
+    # both sectors overflow; the one named is the first the walk overfills,
+    # giving each mode 0, 1, ... particles in turn
+    with pytest.raises(BasisSizeError) as err:
+        build_basis(cfg(8), [(0,), (1,)])
+    assert err.value.sector == (1,)
 
 
 def test_build_basis_cap_counts_requested_sectors_only():
@@ -154,6 +160,26 @@ def test_build_basis_cap_counts_requested_sectors_only():
     larger = EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=suggestion + 1, basis_cap=21)
     with pytest.raises(BasisSizeError):
         build_basis(larger, [(6,), (0,)])
+
+
+def test_build_basis_leaves_no_reference_cycle():
+    # garbage the cyclic collector would have to free, after full walks,
+    # sector walks and an overflow with its bisected suggestion
+    cfg = EDConfig(4, LAT, V1, mode_radius=2.0)
+    over = EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=8, basis_cap=5)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            build_basis(cfg)
+            build_basis(cfg, [(0,), (1,)])
+            try:
+                build_basis(over, [(0,)])
+            except BasisSizeError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_default_max_excited():
