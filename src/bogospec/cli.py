@@ -86,9 +86,16 @@ def _emit(
         sys.stdout.write(text)
 
 
-def cmd_dispersion(args: argparse.Namespace) -> int:
+def _setup(args: argparse.Namespace, **extra) -> tuple[LatticeSpec, Potential, dict]:
+    """The lattice and potential of a lattice command, and its `# config:`
+    header: L, dimension and potential plus the command's own keys."""
     lattice = LatticeSpec(args.L, args.dim)
     pot = parse_vhat(args.vhat, args.dim)
+    return lattice, pot, dict(L=args.L, dimension=args.dim, potential=pot.snapshot(), **extra)
+
+
+def cmd_dispersion(args: argparse.Namespace) -> int:
+    lattice, pot, cfg = _setup(args, window=args.window)
     pts = sorted(
         lattice_points(lattice, args.window, include_zero=False),
         key=lambda p: (p.norm2_int, p.n),
@@ -98,19 +105,12 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
         co = coefficients(p, pot)
         rows.append(list(p.n) + [p.norm, co.e, co.alpha, co.c, co.s])
     cols = [f"n{i + 1}" for i in range(args.dim)] + ["abs_p", "energy", "alpha", "c", "s"]
-    cfg = {
-        "L": args.L,
-        "dimension": args.dim,
-        "window": args.window,
-        "potential": pot.snapshot(),
-    }
     _emit(args.out, "dispersion", cfg, cols, rows)
     return 0
 
 
 def cmd_energy(args: argparse.Namespace) -> int:
-    lattice = LatticeSpec(args.L, args.dim)
-    pot = parse_vhat(args.vhat, args.dim)
+    lattice, pot, cfg = _setup(args, tail_tol=args.tail_tol, quad_step=args.quad_step)
     summary = bogoliubov_energy(lattice, pot, tail_tol=args.tail_tol)
     quad = energy_density_limit(pot, step=args.quad_step)
     rows = [
@@ -121,13 +121,6 @@ def cmd_energy(args: argparse.Namespace) -> int:
         ["density_limit", quad.value],
         ["density_limit_error_estimate", quad.error_estimate],
     ]
-    cfg = {
-        "L": args.L,
-        "dimension": args.dim,
-        "tail_tol": args.tail_tol,
-        "quad_step": args.quad_step,
-        "potential": pot.snapshot(),
-    }
     _emit(args.out, "energy", cfg, ["quantity", "value"], rows)
     return 0
 
@@ -141,8 +134,7 @@ class _Labels(dict):
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    lattice = LatticeSpec(args.L, args.dim)
-    pot = parse_vhat(args.vhat, args.dim)
+    lattice, pot, cfg = _setup(args, kappa=args.kappa, window=args.window)
     table = enumerate_below(lattice, pot, args.kappa, args.window)
     rows = []
     labels = _Labels()
@@ -156,20 +148,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         "n_quasi",
         "constituents",
     ]
-    cfg = {
-        "L": args.L,
-        "dimension": args.dim,
-        "kappa": args.kappa,
-        "window": args.window,
-        "potential": pot.snapshot(),
-    }
     _emit(args.out, "enumerate", cfg, cols, rows)
     return 0
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    lattice = LatticeSpec(args.L, args.dim)
-    pot = parse_vhat(args.vhat, args.dim)
+    lattice, pot, cfg = _setup(args, kappa=args.kappa, window=args.window)
     table = enumerate_below(lattice, pot, args.kappa, args.window)
     if args.require_complete_1qp and args.kappa > 0.0:
         undetermined = [
@@ -192,13 +176,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
         + [f"p{i + 1}" for i in range(args.dim)]
         + ["energy", "n_quasi", "class"]
     )
-    cfg = {
-        "L": args.L,
-        "dimension": args.dim,
-        "kappa": args.kappa,
-        "window": args.window,
-        "potential": pot.snapshot(),
-    }
     _emit(args.out, "figure", cfg, cols, rows)
     return 0
 
@@ -287,14 +264,10 @@ def cmd_ed(args: argparse.Namespace) -> int:
     cfg = EDConfig(args.N, LatticeSpec(args.L, args.dim), pot, args.mode_radius, max_excited)
     args.max_excited = cfg.effective_max_excited  # for the out-of-memory message of main
     sectors = parse_sectors(args.sectors, args.dim)
-    zero = (0,) * args.dim
-    if zero not in sectors:
-        sectors = [zero] + sectors
     result = fock_ed.many_body_excitations(cfg, sectors, args.count, tol=args.tol, seed=args.seed)
     rows = []
     for key in sorted(result.sector_values, key=lambda k: (sum(c * c for c in k), k)):
         vals = result.sector_values[key]
-        gaps = result.sector_gaps[key]
         res = result.sector_residuals[key]
         for j, val in enumerate(vals):
             k_val = val - result.e_ground
@@ -305,10 +278,8 @@ def cmd_ed(args: argparse.Namespace) -> int:
         "K_N",
         "residual",
     ]
-    header = dict(result.config)
-    header.update(
-        sectors=[list(s) for s in sectors], count=args.count, tol=args.tol, seed=args.seed
-    )
+    header = dict(cfg.snapshot(), sectors=list(result.sector_values),
+                  count=args.count, tol=args.tol, seed=args.seed)
     _emit(args.out, "ed", header, cols, rows)
     return 0
 

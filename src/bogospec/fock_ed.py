@@ -552,10 +552,8 @@ def lowest_eigenvalues(
         raise ValueError(f"count must be in [1, {dim}], got {count}")
     norm_est = float(abs(mat).sum(axis=1).max()) if mat.nnz else 0.0
     if dim <= DENSE_FALLBACK_DIM or count >= dim - 1:
-        w, v = np.linalg.eigh(mat.toarray())
-        order = np.argsort(w)[:count]
-        vals = w[order]
-        vecs = v[:, order]
+        w, v = np.linalg.eigh(mat.toarray())  # ascending
+        vals, vecs = w[:count], v[:, :count]
         method = "dense"
     else:
         rng = np.random.default_rng(seed)
@@ -584,19 +582,14 @@ def lowest_eigenvalues(
 
 @dataclass
 class EDResult:
-    """Low spectrum per sector: raw eigenvalues and gaps over the ground state."""
+    """Low spectrum per sector of one configuration: raw eigenvalues and
+    gaps over the ground state, keyed by sector in the order solved."""
 
-    config: dict
+    cfg: EDConfig
     e_ground: float
     sector_values: dict[tuple[int, ...], np.ndarray]
     sector_gaps: dict[tuple[int, ...], np.ndarray]
     sector_residuals: dict[tuple[int, ...], np.ndarray]
-    seed: int
-    tol: float
-
-    @property
-    def n_particles(self) -> int:
-        return int(self.config["N"])
 
 
 def many_body_excitations(
@@ -608,15 +601,16 @@ def many_body_excitations(
 ) -> EDResult:
     """Diagonalize the requested sectors and report excitation gaps.
 
-    The zero sector must be included: it hosts the ground state, and a
+    Each sector is solved once, in request order; the zero sector, which
+    hosts the ground state, is solved first when it is not requested.  A
     ground state found elsewhere signals a truncation artifact.  For the
     zero sector the ground state itself is skipped and subsequent gaps
     are reported.
     """
-    keys = [tuple(int(c) for c in s) for s in sectors]
+    keys = list(dict.fromkeys(tuple(int(c) for c in s) for s in sectors))
     zero = (0,) * cfg.lattice.d
     if zero not in keys:
-        raise ValueError("the zero-momentum sector must be included")
+        keys.insert(0, zero)
     basis_map = build_basis(cfg, keys)
     missing = [k for k in keys if not basis_map[k]]
     if missing:
@@ -648,11 +642,9 @@ def many_body_excitations(
             raise GroundSectorError(f"negative excitation gap in sector {k}: {g.min()}")
         gaps[k] = g
     return EDResult(
-        config=cfg.snapshot(),
+        cfg=cfg,
         e_ground=float(e_ground),
         sector_values=values,
         sector_gaps=gaps,
         sector_residuals=residuals,
-        seed=seed,
-        tol=tol,
     )

@@ -193,6 +193,16 @@ def test_header_config_reproduces_csv(tmp_path, capsys):
     assert main(in_2d + ["--vhat", "table:0,0.3;1.5,-0.2;2.5,0"]) == 0
 
 
+def test_ed_repeated_sector_solved_and_listed_once(tmp_path):
+    # the header lists the sectors solved, so a repeat changes no byte
+    base = ["ed", "--vhat", "gaussian:0.1:5", "--N", "4", "--mode-radius", "2", "--count", "1"]
+    for repeated, plain in (("1;1", "1"), ("1;0;1", "1;0")):
+        first, again = tmp_path / "repeated.csv", tmp_path / "plain.csv"
+        assert main(base + ["--sectors", repeated, "--out", str(first)]) == 0
+        assert main(base + ["--sectors", plain, "--out", str(again)]) == 0
+        assert first.read_bytes() == again.read_bytes()
+
+
 GAUSS = {"family": "gaussian", "amplitude": 0.1, "width": 5.0}
 
 
@@ -330,7 +340,9 @@ GOLDEN_VERIFY = "ed6afe1cf822439b79fa3c3156968c194906f41f4edb80fe616770da1e93f56
 
 # SHA-256 of `bogospec enumerate` / `figure` CSV output, captured before
 # the depth-first enumeration: exact energy ties (free gas), 2D, a table
-# potential and the weak-coupling figure
+# potential and the weak-coupling figure; and of `dispersion` output in
+# 1D, 2D and for a table potential, captured before the shared header
+# builder of the lattice commands
 GOLDEN_ENUMERATE = [
     (["enumerate", "--vhat", "gaussian:0:1", "--L", repr(2 * math.pi),
       "--kappa", "7.5", "--window", "3"],
@@ -344,6 +356,15 @@ GOLDEN_ENUMERATE = [
     (["figure", "--vhat", "gaussian:0.1:5", "--L", "41.8879020479",
       "--kappa", "1.2", "--window", "3"],
      "57a4a6f1638655e739667552fa14097d204c2ce7e36592b255fccb99775856ea"),
+    (["dispersion", "--vhat", "gaussian:0.1:5", "--L", "41.8879020479", "--dim", "1",
+      "--window", "3"],
+     "769ede01ab6067aa06541cbb8bee71e386fd52ef26b73edd0b9f99d39160fcad"),
+    (["dispersion", "--vhat", "gaussian:0.1:5", "--dim", "2", "--L", "12.5663706144",
+      "--window", "2"],
+     "f44b601b09cbddeb870bf9f313358db2430334c98648025b066a39e3409a6868"),
+    (["dispersion", "--vhat", "table:0,0.3;1.5,0.1;3,0", "--L", "6.28318530718",
+      "--window", "2.5"],
+     "f998b1e9284e64ccbea0f99bf00d0129198ef845d746579a6b57f7d6a5569a20"),
 ]
 
 

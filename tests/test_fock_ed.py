@@ -695,10 +695,28 @@ def test_many_body_matches_bogoliubov_at_moderate_n():
     assert abs(k_n - k_bog) / k_bog < 0.05
 
 
-def test_many_body_requires_zero_sector():
+def test_many_body_solves_each_sector_once_zero_first(monkeypatch):
+    # a repeated sector is assembled once, and the zero sector, left out,
+    # is solved first; the values equal those of the plain request
+    import bogospec.fock_ed as fe
+
     cfg = EDConfig(4, LAT, V1, mode_radius=1.0)
-    with pytest.raises(ValueError):
-        many_body_excitations(cfg, [(1,)], count=1)
+    want = fe.many_body_excitations(cfg, [(0,), (1,)], count=1)
+    orig = fe.assemble_hamiltonian
+    assembled = []
+
+    def counting(cfg, sector, basis=None):
+        assembled.append(sector)
+        return orig(cfg, sector, basis)
+
+    monkeypatch.setattr(fe, "assemble_hamiltonian", counting)
+    got = fe.many_body_excitations(cfg, [(1,), (1,)], count=1)
+    assert assembled == [(0,), (1,)]
+    assert list(got.sector_values) == [(0,), (1,)]
+    assert got.e_ground == want.e_ground
+    for field in ("sector_values", "sector_gaps", "sector_residuals"):
+        for key in ((0,), (1,)):
+            np.testing.assert_array_equal(getattr(got, field)[key], getattr(want, field)[key])
 
 
 def test_many_body_rejects_empty_sector():

@@ -42,7 +42,7 @@ def test_check_margin_convention():
 def test_ground_bounds_k0_exact_case():
     cfg = EDConfig(4, LAT, K0_POT, mode_radius=2.0, max_excited=4)
     ed = many_body_excitations(cfg, SECTORS, count=2)
-    upper, lower = check_ground_bounds(ed, K0_POT, LAT)
+    upper, lower = check_ground_bounds(ed)
     # both margins vanish: the condensate trial state is exact
     assert abs(upper.margin) < 1e-12
     assert abs(lower.margin) < 1e-12
@@ -52,14 +52,14 @@ def test_ground_bounds_k0_exact_case():
 def test_ground_bounds_free_case():
     cfg = EDConfig(4, LAT, ZERO, mode_radius=2.0, max_excited=4)
     ed = many_body_excitations(cfg, SECTORS, count=2)
-    for c in check_ground_bounds(ed, ZERO, LAT):
+    for c in check_ground_bounds(ed):
         assert c.lhs == 0.0 and c.rhs == 0.0 and c.passed
 
 
 def test_ground_bounds_gaussian_strictly_inside():
     cfg = EDConfig(6, LAT, V1, mode_radius=2.0, max_excited=6)
     ed = many_body_excitations(cfg, SECTORS, count=2)
-    upper, lower = check_ground_bounds(ed, V1, LAT)
+    upper, lower = check_ground_bounds(ed)
     assert upper.margin > 1e-6
     assert lower.margin > 1e-3
     assert upper.passed and lower.passed
