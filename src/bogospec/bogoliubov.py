@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .model import (
     LatticeSpec,
@@ -218,12 +217,29 @@ def energy_density_limit(pot: Potential, *, step: float = 0.005) -> DensityLimit
         if n % 2:
             n += 1
         grid = np.linspace(0.0, r_max, n + 1)
-        vals.append(float(simpson(radial(grid), x=grid)))
+        vals.append(_simpson(radial(grid), grid))
     coarse, fine = vals
     norm = 2.0 * TAU**d
     value = 0.5 * pot.vhat_extended(0.0) - SPHERE_AREA[d] * fine / norm
     err = (SPHERE_AREA[d] * (abs(coarse - fine) + tail)) / norm
     return DensityLimit(value=value, error_estimate=err, r_max=r_max, step=step)
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson rule over an odd number of samples y at points x.
+
+    Takes the floating-point steps of scipy.integrate.simpson(y, x=x) for
+    sample points (its per-pair weights for unequal spacings), so results
+    match it bit for bit; np.linspace spacings are not exactly equal.
+    """
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    q = h0 / h1
+    tmp = hsum / 6.0 * (
+        y[:-2:2] * (2.0 - 1.0 / q) + y[1::2] * (hsum * (hsum / (h0 * h1))) + y[2::2] * (2.0 - q)
+    )
+    return float(np.sum(tmp))
 
 
 def _integrand_tail(pot: Potential, r_max: float) -> float:

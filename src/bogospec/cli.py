@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from . import __version__, fock_ed, verify
 from .bogoliubov import bogoliubov_energy, coefficients, energy_density_limit
@@ -305,6 +305,23 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _checked(kind: type, ok: Callable[[float], bool], rule: str) -> Callable[[str], float]:
+    """An argparse type: text read by kind, and kept only if ok(value)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: 'x'" names it
+    return parse
+
+
+_count = _checked(int, lambda v: v >= 1, ">= 1")
+_tol = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="bogospec",
@@ -352,14 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode-radius", type=float, default=None)
     p.add_argument("--max-excited", type=int, default=None)
     p.add_argument("--sectors", default="", help='e.g. "0;1;-1" (d=1), "0 0;1 0" (d=2)')
-    p.add_argument("--count", type=int, default=3)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--count", type=_count, default=3)
+    p.add_argument("--tol", type=_tol, default=1e-9)
     p.add_argument("--seed", type=int, default=fock_ed.DEFAULT_SEED)
     p.set_defaults(func=cmd_ed)
 
     p = sub.add_parser("verify", help="run the verification suite; exit 0 iff all pass")
     p.add_argument("--out", default=None, help="report CSV path (summary goes to .txt)")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tol, default=1e-9)
     p.add_argument("--seed", type=int, default=fock_ed.DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
     return parser

@@ -532,6 +532,11 @@ class EigenResult:
     seed: int
 
 
+def _require_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+
+
 def lowest_eigenvalues(
     m: SectorMatrix | sp.spmatrix,
     count: int,
@@ -546,6 +551,7 @@ def lowest_eigenvalues(
     degenerate multiplicities; use the dense path when exact
     multiplicities matter.
     """
+    _require_tol(tol)
     mat = m.matrix if isinstance(m, SectorMatrix) else sp.csr_matrix(m)
     dim = mat.shape[0]
     if count < 1 or count > dim:
@@ -607,6 +613,9 @@ def many_body_excitations(
     zero sector the ground state itself is skipped and subsequent gaps
     are reported.
     """
+    _require_tol(tol)
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     keys = list(dict.fromkeys(tuple(int(c) for c in s) for s in sectors))
     zero = (0,) * cfg.lattice.d
     if zero not in keys:

@@ -20,7 +20,6 @@ from operator import mul
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-from scipy.special import erfc
 
 TAU = 2.0 * math.pi
 
@@ -332,12 +331,12 @@ def gaussian_integral_tail(s: float, r: float, d: int) -> float:
     """Closed form of S_{d-1} * int_r^inf exp(-s t^2) t^(d-1) dt."""
     r = max(r, 0.0)
     if d == 1:
-        return math.sqrt(math.pi / s) * erfc(math.sqrt(s) * r)
+        return math.sqrt(math.pi / s) * math.erfc(math.sqrt(s) * r)
     if d == 2:
         return (math.pi / s) * math.exp(-s * r * r)
     return 2.0 * TAU * (
         r * math.exp(-s * r * r) / (2.0 * s)
-        + math.sqrt(math.pi) * erfc(math.sqrt(s) * r) / (4.0 * s**1.5)
+        + math.sqrt(math.pi) * math.erfc(math.sqrt(s) * r) / (4.0 * s**1.5)
     )
 
 

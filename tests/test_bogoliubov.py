@@ -2,11 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
 from bogospec.bogoliubov import (
+    _simpson,
     bogoliubov_energy,
     bogoliubov_energy_on_modes,
     coefficients,
@@ -175,6 +178,24 @@ def test_density_limit_matches_lattice_density():
     quad = energy_density_limit(V1)
     lat_sum = bogoliubov_energy(LatticeSpec(200.0, 1), V1)
     assert quad.value == pytest.approx(lat_sum.density_limit, abs=1e-5)
+
+
+@pytest.mark.parametrize("step", [0.005, 0.0025, 0.02, 100.0])
+@pytest.mark.parametrize("pot", [
+    V1, V2, Potential.gaussian(0.2, 3.0, 2), Potential.gaussian(1.0, 0.5, 3),
+    Potential.table([(0.0, 0.3), (0.5, 0.2), (2.0, 0.0)], 1),
+], ids=["gauss-1d", "gauss-1d-strong", "gauss-2d", "gauss-3d", "table-1d"])
+def test_simpson_matches_scipy_bit_for_bit(pot, step):
+    # the grids and integrand of energy_density_limit, at both of its steps
+    r_max = energy_density_limit(pot, step=step).r_max
+    for h in (step, 0.5 * step):
+        n = max(2, math.ceil(r_max / h))
+        grid = np.linspace(0.0, r_max, n + n % 2 + 1)
+        v = np.array([pot.vhat_extended(float(t)) for t in grid])
+        y = (grid * grid + v - grid * np.sqrt(grid * grid + 2.0 * v)) * grid ** (pot.dimension - 1)
+        assert _simpson(y, grid) == float(simpson(y, x=grid))
+        if step == 100.0 and not pot.compactly_supported:
+            assert len(grid) == 3
 
 
 def test_density_limit_2d():

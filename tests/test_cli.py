@@ -5,11 +5,16 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import bogospec
 from bogospec import fock_ed
 from bogospec.cli import main, parse_sectors, parse_vhat
 
@@ -216,8 +221,10 @@ GAUSS = {"family": "gaussian", "amplitude": 0.1, "width": 5.0}
     ({"N": 4.5}, "--N"),
     ({"max_excited": None}, "--max-excited"),
     ({"dimension": 1, "potential": dict(GAUSS, dimension=2)}, "dimension"),
+    ({"count": 0}, "--count"),
 ], ids=["max_excited-str", "N-list", "sectors-int", "gaussian-no-amplitude",
-        "table-no-samples", "potential-list", "N-float", "max_excited-null", "dimension-mismatch"])
+        "table-no-samples", "potential-list", "N-float", "max_excited-null", "dimension-mismatch",
+        "count-zero"])
 def test_ed_config_errors_exit_2(tmp_path, capsys, extra, named):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"N": 4, "mode_radius": 2, "potential": GAUSS, **extra}))
@@ -278,6 +285,44 @@ def test_verify_exit_zero_and_report_files(tmp_path, capsys):
 
 ED_1D = ["ed", "--vhat", "gaussian:0.1:5", "--L", repr(2 * math.pi), "--N", "3",
          "--mode-radius", "1", "--sectors", "0;1", "--count", "1"]
+
+
+ED_4 = ["ed", "--vhat", "gaussian:0.1:5", "--N", "4", "--mode-radius", "2"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (ED_4 + ["--count", "0"], "argument --count: must be >= 1, got 0"),
+    (ED_4 + ["--count", "-1"], "argument --count: must be >= 1, got -1"),
+    (ED_4 + ["--tol", "-1"], "argument --tol: must be finite and > 0, got -1"),
+    (ED_4 + ["--tol", "nan"], "argument --tol: must be finite and > 0, got nan"),
+    (["verify", "--tol", "0"], "argument --tol: must be finite and > 0, got 0"),
+], ids=["ed-count-0", "ed-count-negative", "ed-tol-negative", "ed-tol-nan", "verify-tol-0"])
+def test_count_and_tol_range_exit_2(capsys, args, message):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"bogospec: error: {message}\n"
+
+
+def _loaded_modules(imports):
+    src = str(Path(bogospec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import sys, {imports}; print(chr(10).join(sys.modules))"
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return set(run.stdout.split())
+
+
+def test_startup_imports_leave_out_integrate_special_optimize():
+    # measured against what numpy and scipy's sparse layer load themselves,
+    # so only modules that bogospec pulls in count
+    ours = _loaded_modules("bogospec, bogospec.cli, bogospec.model")
+    base = _loaded_modules("numpy, scipy, scipy.sparse, scipy.sparse.linalg")
+    heavy = {"scipy.integrate", "scipy.special", "scipy.optimize"}
+    extra = sorted(m for m in ours - base if ".".join(m.split(".")[:2]) in heavy)
+    assert extra == []
+    assert "bogospec.cli" in ours
 
 
 def test_eigensolver_failure_exit_code(monkeypatch, capsys):

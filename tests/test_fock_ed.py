@@ -662,6 +662,21 @@ def test_lowest_eigenvalues_count_validation():
         lowest_eigenvalues(m, 4)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_tol_must_be_finite_and_positive(tol):
+    cfg = EDConfig(2, LAT, ZERO, mode_radius=1.0)
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        many_body_excitations(cfg, [(0,)], count=1, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        lowest_eigenvalues(sp.csr_matrix(np.eye(3)), 1, tol=tol)
+
+
+def test_many_body_count_must_be_positive():
+    cfg = EDConfig(2, LAT, ZERO, mode_radius=1.0)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        many_body_excitations(cfg, [(0,)], count=0)
+
+
 def test_many_body_exact_k0_case():
     for n in (2, 4, 6):
         cfg = EDConfig(n, LAT, K0_POT, mode_radius=2.0, max_excited=min(n, 8))
