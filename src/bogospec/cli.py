@@ -33,7 +33,7 @@ def parse_vhat(text: str, dimension: int) -> Potential:
     try:
         if family == "gaussian":
             amp_s, _, width_s = rest.partition(":")
-            return Potential.gaussian(float(amp_s), float(width_s), dimension)
+            return Potential.gaussian(_nonnegative(amp_s), _positive(width_s), dimension)
         if family == "table":
             pairs = [
                 tuple(float(t) for t in chunk.split(","))
@@ -41,7 +41,7 @@ def parse_vhat(text: str, dimension: int) -> Potential:
                 if chunk
             ]
             return Potential.table(pairs, dimension)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"--vhat: cannot parse {text!r}: {exc}") from exc
     raise UsageError(f"--vhat: unknown family {family!r} (use gaussian or table)")
 
@@ -319,7 +319,9 @@ def _checked(kind: type, ok: Callable[[float], bool], rule: str) -> Callable[[st
 
 
 _count = _checked(int, lambda v: v >= 1, ">= 1")
-_tol = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
+_positive = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
+_nonnegative = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+_side = _checked(float, lambda v: 1.0 <= v < math.inf, "finite and >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,31 +335,32 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, need_vhat: bool = True) -> None:
         p.add_argument("--vhat", required=need_vhat, default=None,
                        help="potential, e.g. gaussian:0.1:5 or table:0,0.3;0.5,0;8,0")
-        p.add_argument("--L", type=float, default=2.0 * math.pi, help="torus side length")
+        p.add_argument("--L", type=_side, default=2.0 * math.pi, help="torus side length")
         p.add_argument("--dim", type=int, default=1, help="dimension (1, 2 or 3)")
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
     p = sub.add_parser("dispersion", help="elementary excitation curve over a window")
     common(p)
-    p.add_argument("--window", type=float, required=True, help="momentum window |p| <= window")
+    p.add_argument("--window", type=_nonnegative, required=True,
+                   help="momentum window |p| <= window")
     p.set_defaults(func=cmd_dispersion)
 
     p = sub.add_parser("energy", help="Bogoliubov energy and density limit")
     common(p)
-    p.add_argument("--tail-tol", type=float, default=None)
-    p.add_argument("--quad-step", type=float, default=0.005)
+    p.add_argument("--tail-tol", type=_positive, default=None)
+    p.add_argument("--quad-step", type=_positive, default=0.005)
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("enumerate", help="all excitations below an energy cutoff")
     common(p)
-    p.add_argument("--kappa", type=float, required=True, help="energy cutoff")
-    p.add_argument("--window", type=float, required=True)
+    p.add_argument("--kappa", type=_nonnegative, required=True, help="energy cutoff")
+    p.add_argument("--window", type=_nonnegative, required=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("figure", help="classified spectrum data (dots/triangles/squares)")
     common(p)
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--window", type=float, required=True)
+    p.add_argument("--kappa", type=_nonnegative, required=True)
+    p.add_argument("--window", type=_nonnegative, required=True)
     p.add_argument("--require-complete-1qp", action="store_true",
                    help="error out if the 1qp curve is not fully below kappa")
     p.set_defaults(func=cmd_figure)
@@ -366,17 +369,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, need_vhat=False)
     p.add_argument("--config", default=None, help="JSON run configuration")
     p.add_argument("--N", type=int, default=None, help="particle number")
-    p.add_argument("--mode-radius", type=float, default=None)
+    p.add_argument("--mode-radius", type=_nonnegative, default=None)
     p.add_argument("--max-excited", type=int, default=None)
     p.add_argument("--sectors", default="", help='e.g. "0;1;-1" (d=1), "0 0;1 0" (d=2)')
     p.add_argument("--count", type=_count, default=3)
-    p.add_argument("--tol", type=_tol, default=1e-9)
+    p.add_argument("--tol", type=_positive, default=1e-9)
     p.add_argument("--seed", type=int, default=fock_ed.DEFAULT_SEED)
     p.set_defaults(func=cmd_ed)
 
     p = sub.add_parser("verify", help="run the verification suite; exit 0 iff all pass")
     p.add_argument("--out", default=None, help="report CSV path (summary goes to .txt)")
-    p.add_argument("--tol", type=_tol, default=1e-9)
+    p.add_argument("--tol", type=_positive, default=1e-9)
     p.add_argument("--seed", type=int, default=fock_ed.DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
     return parser

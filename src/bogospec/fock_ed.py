@@ -13,6 +13,10 @@ searched exactly row by row (`_Occupations`).  Moves are vectorised over
 the states, and each entry adds the same terms in the same order as a
 per-state loop would, so the matrices equal that loop's bit for bit
 (see `assemble_hamiltonian`).
+
+scipy.sparse is imported where a sparse matrix is first built or solved
+(`_csr`, `lowest_eigenvalues`), not with this module, so the lattice
+commands, which import it but never diagonalize, load no scipy at all.
 """
 
 from __future__ import annotations
@@ -21,13 +25,15 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .model import LatticeSpec, Momentum, Potential, lattice_points, periodized_value
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: occupation vector over the mode list, basis element of a sector
 FockState = tuple[int, ...]
@@ -101,7 +107,17 @@ class EDConfig:
 
     def modes(self) -> list[Momentum]:
         """Symmetric mode set, zero mode included, lexicographic order."""
-        return lattice_points(self.lattice, self.mode_radius, include_zero=True)
+        return list(self._modes)
+
+    # computed once per configuration, however many sectors are assembled
+    @cached_property
+    def _modes(self) -> tuple[Momentum, ...]:
+        return tuple(lattice_points(self.lattice, self.mode_radius, include_zero=True))
+
+    @cached_property
+    def _v0real(self) -> float:
+        """The periodized potential at x = 0, which assemble_estimating needs."""
+        return periodized_value(self.pot, self.lattice, (0.0,) * self.lattice.d)
 
     def snapshot(self) -> dict:
         return {
@@ -266,6 +282,8 @@ def _csr(
     rows: Sequence[np.ndarray], cols: Sequence[np.ndarray], vals: Sequence[np.ndarray], dim: int
 ) -> sp.csr_matrix:
     """CSR matrix from distinct (row, col) entries in any order; explicit zeros stay stored."""
+    import scipy.sparse as sp
+
     rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
@@ -415,7 +433,7 @@ def assemble_estimating(
     vhat_m = np.array([cfg.pot.vhat_extended(m.norm) for m in modes])
     n_part = cfg.n_particles
     v0hat = cfg.pot.vhat_extended(0.0)
-    v0real = periodized_value(cfg.pot, cfg.lattice, (0.0,) * cfg.lattice.d)
+    v0real = cfg._v0real
     # the signed eps flips both the condensate-weighted term and the
     # coefficient (1 + 1/(sign*eps)) of the excited-pair repulsion
     eps_signed = sign * eps
@@ -551,6 +569,9 @@ def lowest_eigenvalues(
     degenerate multiplicities; use the dense path when exact
     multiplicities matter.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     _require_tol(tol)
     mat = m.matrix if isinstance(m, SectorMatrix) else sp.csr_matrix(m)
     dim = mat.shape[0]

@@ -296,7 +296,25 @@ ED_4 = ["ed", "--vhat", "gaussian:0.1:5", "--N", "4", "--mode-radius", "2"]
     (ED_4 + ["--tol", "-1"], "argument --tol: must be finite and > 0, got -1"),
     (ED_4 + ["--tol", "nan"], "argument --tol: must be finite and > 0, got nan"),
     (["verify", "--tol", "0"], "argument --tol: must be finite and > 0, got 0"),
-], ids=["ed-count-0", "ed-count-negative", "ed-tol-negative", "ed-tol-nan", "verify-tol-0"])
+    (["energy", "--vhat", "gaussian:0.1:5", "--L", "inf"],
+     "argument --L: must be finite and >= 1, got inf"),
+    (["enumerate", "--vhat", "gaussian:0.1:5", "--kappa", "nan", "--window", "2"],
+     "argument --kappa: must be finite and >= 0, got nan"),
+    (["dispersion", "--vhat", "gaussian:0.1:5", "--window", "nan"],
+     "argument --window: must be finite and >= 0, got nan"),
+    (["ed", "--vhat", "gaussian:0.1:5", "--N", "4", "--mode-radius", "nan"],
+     "argument --mode-radius: must be finite and >= 0, got nan"),
+    (["energy", "--vhat", "gaussian:nan:5"],
+     "--vhat: cannot parse 'gaussian:nan:5': must be finite and >= 0, got nan"),
+    (["energy", "--vhat", "gaussian:0.1:inf"],
+     "--vhat: cannot parse 'gaussian:0.1:inf': must be finite and > 0, got inf"),
+    (["energy", "--vhat", "gaussian:0.1:5", "--tail-tol", "0"],
+     "argument --tail-tol: must be finite and > 0, got 0"),
+    (["energy", "--vhat", "gaussian:0.1:5", "--quad-step", "nan"],
+     "argument --quad-step: must be finite and > 0, got nan"),
+], ids=["ed-count-0", "ed-count-negative", "ed-tol-negative", "ed-tol-nan", "verify-tol-0",
+        "energy-L-inf", "enumerate-kappa-nan", "dispersion-window-nan", "ed-mode-radius-nan",
+        "energy-amplitude-nan", "energy-width-inf", "energy-tail-tol-0", "energy-quad-step-nan"])
 def test_count_and_tol_range_exit_2(capsys, args, message):
     code, out, err = run_cli(args, capsys)
     assert code == 2
@@ -304,25 +322,41 @@ def test_count_and_tol_range_exit_2(capsys, args, message):
     assert err == f"bogospec: error: {message}\n"
 
 
-def _loaded_modules(imports):
+def _loaded_modules(code):
+    """The modules a fresh interpreter holds after running code."""
     src = str(Path(bogospec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys, {imports}; print(chr(10).join(sys.modules))"
+    code = f"import sys\n{code}\nprint(chr(10).join(sys.modules))"
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     return set(run.stdout.split())
 
 
-def test_startup_imports_leave_out_integrate_special_optimize():
-    # measured against what numpy and scipy's sparse layer load themselves,
-    # so only modules that bogospec pulls in count
-    ours = _loaded_modules("bogospec, bogospec.cli, bogospec.model")
-    base = _loaded_modules("numpy, scipy, scipy.sparse, scipy.sparse.linalg")
-    heavy = {"scipy.integrate", "scipy.special", "scipy.optimize"}
-    extra = sorted(m for m in ours - base if ".".join(m.split(".")[:2]) in heavy)
-    assert extra == []
-    assert "bogospec.cli" in ours
+def _scipy_modules(loaded):
+    return sorted(m for m in loaded if m.split(".")[0] == "scipy")
+
+
+def test_startup_imports_load_no_scipy():
+    loaded = _loaded_modules("import bogospec, bogospec.cli, bogospec.model")
+    assert "bogospec.cli" in loaded
+    assert _scipy_modules(loaded) == []
+
+
+@pytest.mark.parametrize("args, sparse", [
+    (["energy", "--vhat", "gaussian:0.1:5", "--dim", "3", "--L", "10"], False),
+    (["enumerate", "--vhat", "gaussian:0:1", "--kappa", "5.5", "--window", "2"], False),
+    (ED_4 + ["--sectors", "0;1"], True),
+], ids=["energy-3d", "enumerate", "ed"])
+def test_only_ed_loads_scipy(tmp_path, args, sparse):
+    out = tmp_path / "out.csv"
+    loaded = _loaded_modules(
+        f"from bogospec.cli import main\nassert main({args + ['--out', str(out)]!r}) == 0")
+    assert out.read_text().startswith("# bogospec")
+    if sparse:
+        assert "scipy.sparse.linalg" in loaded
+    else:
+        assert _scipy_modules(loaded) == []
 
 
 def test_eigensolver_failure_exit_code(monkeypatch, capsys):

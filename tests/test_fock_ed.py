@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bogospec import fock_ed
 from bogospec.excitations import enumerate_below
 from bogospec.fock_ed import (
     BasisSizeError,
@@ -555,6 +556,32 @@ def test_estimating_validates_eps():
         assemble_estimating(cfg, (0,), 1.5, -1)
     with pytest.raises(ValueError):
         assemble_estimating(cfg, (0,), 0.5, 2)
+
+
+def test_estimating_constants_computed_once_per_config(monkeypatch):
+    # the mode set and the periodized potential at 0 are per configuration:
+    # both estimates at every eps, and every sector, reuse them
+    calls = {"lattice_points": 0, "periodized_value": 0}
+    for name in calls:
+        orig = getattr(fock_ed, name)
+
+        def counted(*args, orig=orig, name=name, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(fock_ed, name, counted)
+    cfg = EDConfig(4, LAT, V1, mode_radius=1.0, max_excited=4)
+    first = assemble_estimating(cfg, (0,), 0.5, +1).matrix.toarray()
+    for sector in ((0,), (1,)):
+        for eps in (0.25, 1.0):
+            for sign in (+1, -1):
+                assemble_estimating(cfg, sector, eps, sign)
+    assert calls == {"lattice_points": 1, "periodized_value": 1}
+    modes = cfg.modes()
+    modes.clear()  # a caller's copy: the configuration's mode set is unchanged
+    assert cfg.modes() == fock_ed.lattice_points(LAT, 1.0, include_zero=True)
+    fresh = EDConfig(4, LAT, V1, mode_radius=1.0, max_excited=4)
+    assert np.array_equal(assemble_estimating(fresh, (0,), 0.5, +1).matrix.toarray(), first)
 
 
 def test_sandwich_at_unit_eps():
