@@ -18,6 +18,7 @@ Plotting recipe: scatter energy against p1, marker by `class`
 import argparse
 import csv
 import math
+import sys
 from pathlib import Path
 
 from bogospec.cli import main as cli_main
@@ -36,34 +37,33 @@ def write_vhat_curve(path: Path, amplitude: float, width: float, p_max: float) -
             w.writerow([p, amplitude * math.exp(-p * p / width)])
 
 
-def run(out_dir: Path) -> None:
+#: name, vhat amplitude and width, kappa, window of each figure
+FIGURES = [("weak", 0.1, 5.0, 1.2, 3.0), ("strong", 75.0, 2.0, 12.0, 6.0)]
+
+
+def run(out_dir: Path) -> int:
+    """Write the four files; returns the first nonzero exit code of a figure run, else 0."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    cli_main(
-        [
-            "figure",
-            "--vhat", "gaussian:0.1:5",
-            "--L", str(L),
-            "--kappa", "1.2",
-            "--window", "3",
-            "--out", str(out_dir / "weak_spectrum.csv"),
-        ]
-    )
-    write_vhat_curve(out_dir / "weak_vhat.csv", 0.1, 5.0, 3.0)
-    cli_main(
-        [
-            "figure",
-            "--vhat", "gaussian:75:2",
-            "--L", str(L),
-            "--kappa", "12",
-            "--window", "6",
-            "--out", str(out_dir / "strong_spectrum.csv"),
-        ]
-    )
-    write_vhat_curve(out_dir / "strong_vhat.csv", 75.0, 2.0, 6.0)
-    print(f"wrote 4 files to {out_dir}")
+    codes = []
+    for name, amplitude, width, kappa, window in FIGURES:
+        codes.append(cli_main(
+            [
+                "figure",
+                "--vhat", f"gaussian:{amplitude:g}:{width:g}",
+                "--L", str(L),
+                "--kappa", f"{kappa:g}",
+                "--window", f"{window:g}",
+                "--out", str(out_dir / f"{name}_spectrum.csv"),
+            ]
+        ))
+        write_vhat_curve(out_dir / f"{name}_vhat.csv", amplitude, width, window)
+    code = next((c for c in codes if c), 0)
+    if not code:
+        print(f"wrote 4 files to {out_dir}")
+    return code
 
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out-dir", type=Path, default=Path("out/figures"))
-    run(ap.parse_args().out_dir)
+    sys.exit(run(ap.parse_args().out_dir))

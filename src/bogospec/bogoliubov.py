@@ -24,7 +24,6 @@ from .model import (
     Potential,
     SPHERE_AREA,
     TAU,
-    TailBoundError,
     as_radius,
     gaussian_integral_tail,
     gaussian_lattice_tail,
@@ -125,18 +124,16 @@ def bogoliubov_energy(
         tail_tol = 1e-10
     if not tail_tol > 0.0:
         raise ValueError("tail_tol must be > 0")
-    if pot.family == "gaussian" and pot.amplitude > 0.0:
-        # summand <= amplitude^2 * exp(-2|p|^2/width) / R^2 beyond radius R
-        radius = lattice.spacing
-        for _ in range(200):
-            bound = 0.5 * gaussian_pair_tail(lattice, pot, radius)
-            if bound < tail_tol:
-                break
-            radius *= 1.5
-    else:
-        radius = summation_radius(lattice, pot, 1.0, 1.0, tail_tol)
-    pts = lattice_points(lattice, radius, include_zero=False)
     h = lattice.spacing
+    a2 = pot.amplitude * pot.amplitude
+
+    def tail(r: float) -> float:
+        # summand <= amplitude^2 * exp(-2|p|^2/width) / R^2 beyond radius R
+        r_eff = max(r, h)
+        return 0.5 * (gaussian_lattice_tail(lattice, a2, 2.0 / pot.width, r) / (r_eff * r_eff))
+
+    radius = summation_radius(pot, h, tail, tail_tol)
+    pts = lattice_points(lattice, radius, include_zero=False)
     direct = []
     rational = []
     # every summand depends on |n|^2 = k only: evaluate it once per shell
@@ -154,13 +151,6 @@ def bogoliubov_energy(
     return EnergySummary(
         e_bog=e_bog, e_bog_alt=e_bog_alt, n_terms=len(pts), density_limit=density
     )
-
-
-def gaussian_pair_tail(lattice: LatticeSpec, pot: Potential, radius: float) -> float:
-    """Bound on the Bogoliubov-energy tail sum over |p| > radius."""
-    r_eff = max(radius, lattice.spacing)
-    a2 = pot.amplitude * pot.amplitude
-    return gaussian_lattice_tail(lattice, a2, 2.0 / pot.width, radius) / (r_eff * r_eff)
 
 
 def bogoliubov_energy_on_modes(modes: list[Momentum], pot: Potential) -> float:
@@ -195,15 +185,11 @@ def energy_density_limit(pot: Potential, *, step: float = 0.005) -> DensityLimit
     if not step > 0.0:
         raise ValueError("quadrature step must be > 0")
     d = pot.dimension
+    r_max = summation_radius(
+        pot, 1.0, lambda r: _integrand_tail(pot, r), 1e-16 * max(1.0, pot.amplitude))
     if pot.compactly_supported:
-        r_max = max(pot.support_radius, 4.0 * step)
-        tail = 0.0
-    elif pot.family == "table":
-        raise TailBoundError("tabulated potential without decay: integrand tail unboundable")
+        r_max, tail = max(r_max, 4.0 * step), 0.0
     else:
-        r_max = 1.0
-        while _integrand_tail(pot, r_max) > 1e-16 * max(1.0, pot.amplitude):
-            r_max *= 1.5
         tail = _integrand_tail(pot, r_max)
 
     def radial(r: np.ndarray) -> np.ndarray:
@@ -245,12 +231,9 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
 def _integrand_tail(pot: Potential, r_max: float) -> float:
     """Bound on S_{d-1} * int_{r_max}^inf (A - e) r^(d-1) dr.
 
-    Uses A - e <= vhat^2 / r^2 <= amplitude^2 exp(-2 r^2/width) for r >= 1.
+    Uses A - e <= vhat^2 / r^2 <= amplitude^2 exp(-2 r^2/width) for r >= 1;
+    pot is a Gaussian.
     """
-    if pot.compactly_supported:
-        return 0.0
-    if pot.family == "table":
-        raise TailBoundError("tabulated potential without decay: tail unboundable")
     a2 = pot.amplitude * pot.amplitude
     r_eff = max(r_max, 1.0)
     return a2 / (r_eff * r_eff) * gaussian_integral_tail(2.0 / pot.width, r_max, pot.dimension)

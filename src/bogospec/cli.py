@@ -180,14 +180,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-#: the ed flag each --config key stands for; the potential may also be
-#: given flat, by the keys of _FLAT_POTENTIAL at the top level
+#: the ed flag each --config key stands for
 _CONFIG_FLAGS = {
     "N": "--N", "L": "--L", "dimension": "--dim", "mode_radius": "--mode-radius",
     "max_excited": "--max-excited", "sectors": "--sectors", "count": "--count",
     "tol": "--tol", "seed": "--seed", "potential": "--vhat",
 }
-_FLAT_POTENTIAL = ("family", "amplitude", "width", "samples")
 
 
 def _vhat_text(pot: dict) -> str:
@@ -215,9 +213,6 @@ def _parse_with_config(
         raise UsageError(f"--config: cannot read {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("--config: top level must be an object")
-    flat = {k: raw.pop(k) for k in _FLAT_POTENTIAL if k in raw}
-    if flat:
-        raw.setdefault("potential", flat)
     flags = []
     for key, value in raw.items():
         flag = _CONFIG_FLAGS.get(key)
@@ -319,6 +314,7 @@ def _checked(kind: type, ok: Callable[[float], bool], rule: str) -> Callable[[st
 
 
 _count = _checked(int, lambda v: v >= 1, ">= 1")
+_seed = _checked(int, lambda v: v >= 0, ">= 0")
 _positive = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
 _nonnegative = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 _side = _checked(float, lambda v: 1.0 <= v < math.inf, "finite and >= 1")
@@ -374,13 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sectors", default="", help='e.g. "0;1;-1" (d=1), "0 0;1 0" (d=2)')
     p.add_argument("--count", type=_count, default=3)
     p.add_argument("--tol", type=_positive, default=1e-9)
-    p.add_argument("--seed", type=int, default=fock_ed.DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=fock_ed.DEFAULT_SEED)
     p.set_defaults(func=cmd_ed)
 
     p = sub.add_parser("verify", help="run the verification suite; exit 0 iff all pass")
     p.add_argument("--out", default=None, help="report CSV path (summary goes to .txt)")
     p.add_argument("--tol", type=_positive, default=1e-9)
-    p.add_argument("--seed", type=int, default=fock_ed.DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=fock_ed.DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -8,6 +8,12 @@ ball, never the enclosing cube, and a radial sum is taken once per shell
 only through their radial Fourier transform vhat >= 0; real-space values
 are recovered by periodized lattice sums with rigorously bounded
 Gaussian tails.
+
+One rule, summation_radius, decides where every lattice sum and the
+density integral stop: a compactly supported potential at its support,
+anything else at the first radius start * 1.5^k whose tail bound is
+below the tolerance.  A table that does not decay, or a bound that stays
+above the tolerance for 200 growths, raises TailBoundError.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -33,6 +39,9 @@ class PotentialRangeError(ValueError):
 
 class TailBoundError(ValueError):
     """The tail of a lattice sum cannot be bounded for this potential."""
+
+
+_NO_DECAY = "tabulated potential does not decay to zero; cannot bound tail"
 
 
 @dataclass(frozen=True)
@@ -153,15 +162,17 @@ class Potential:
         if self.dimension not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
         if self.family == "gaussian":
-            if self.amplitude < 0.0:
-                raise ValueError("gaussian family requires amplitude >= 0")
-            if self.width <= 0.0:
-                raise ValueError("gaussian family requires width > 0")
+            if not 0.0 <= self.amplitude < math.inf:
+                raise ValueError("gaussian family requires a finite amplitude >= 0")
+            if not 0.0 < self.width < math.inf:
+                raise ValueError("gaussian family requires a finite width > 0")
         elif self.family == "table":
             if len(self.samples) < 2:
                 raise ValueError("table potential needs at least two samples")
             grid = tuple(float(p) for p, _ in self.samples)
             vals = tuple(float(v) for _, v in self.samples)
+            if not all(map(math.isfinite, grid + vals)):
+                raise ValueError("table sample momenta and values must be finite")
             if grid[0] != 0.0:
                 raise ValueError("table samples must start at |p| = 0")
             if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -236,9 +247,7 @@ class Potential:
         if self.family == "table" and r > self._grid[-1]:
             if self.compactly_supported:
                 return 0.0
-            raise TailBoundError(
-                "tabulated potential does not decay to zero; cannot bound tail"
-            )
+            raise TailBoundError(_NO_DECAY)
         return self.vhat_radial(r)
 
 
@@ -363,25 +372,25 @@ def default_tail_tol(pot: Potential) -> float:
 
 
 def summation_radius(
-    lattice: LatticeSpec, pot: Potential, s: float, weight: float, tail_tol: float
+    pot: Potential, start: float, tail: Callable[[float], float], tail_tol: float
 ) -> float:
-    """Smallest doubling radius R with weight * tail(|p| > R) < tail_tol.
+    """Where a lattice sum or radial integral of pot stops.
 
-    `s` is the Gaussian decay rate of the summand envelope and `weight`
-    a constant prefactor; compact tables need no tail at all.
+    A compactly supported potential stops at its support; a table that
+    does not decay raises TailBoundError.  Otherwise the radius is the
+    smallest start * 1.5^k, k < 200, whose tail bound tail(R) is below
+    tail_tol, and TailBoundError if none is.
     """
     if pot.compactly_supported:
         return pot.support_radius
     if pot.family == "table":
-        raise TailBoundError(
-            "tabulated potential does not decay to zero; cannot bound tail"
-        )
-    r = 4.0 * lattice.spacing
+        raise TailBoundError(_NO_DECAY)
+    r = start
     for _ in range(200):
-        if weight * gaussian_lattice_tail(lattice, pot.amplitude, s, r) < tail_tol:
+        if tail(r) < tail_tol:
             return r
         r *= 1.5
-    raise TailBoundError("tail bound did not converge")  # pragma: no cover
+    raise TailBoundError("tail bound did not converge")
 
 
 def periodized_value(
@@ -405,8 +414,11 @@ def periodized_value(
     xv = (float(x),) if isinstance(x, (int, float)) else tuple(float(c) for c in x)
     if len(xv) != lattice.d:
         raise ValueError(f"x must have {lattice.d} coordinates, got {len(xv)}")
-    radius = summation_radius(lattice, pot, 1.0 / pot.width if pot.family == "gaussian" else 1.0,
-                               1.0 / lattice.volume, tail_tol)
+    radius = summation_radius(
+        pot, 4.0 * lattice.spacing,
+        lambda r: (1.0 / lattice.volume) * gaussian_lattice_tail(
+            lattice, pot.amplitude, 1.0 / pot.width, r),
+        tail_tol)
     if not any(xv):
         h = lattice.spacing
         shells = []

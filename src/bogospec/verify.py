@@ -271,10 +271,11 @@ def compare_spectra(
             raise ValueError("series members use different lattice or potential")
         if {m.n for m in cfg.modes()} != mode_keys:
             raise ValueError("series members use different mode sets")
-    keys = [tuple(int(c) for c in s) for s in sectors]
+    # the sectors many_body_excitations solves: each once, zero first if missing
+    keys = list(dict.fromkeys(tuple(int(c) for c in s) for s in sectors))
     zero = (0,) * base.lattice.d
     if zero not in keys:
-        keys = [zero] + keys
+        keys.insert(0, zero)
 
     e_bog_trunc = bogoliubov_energy_on_modes(modes, base.pot)
     window = max(base.lattice.momentum(k).norm for k in keys)
@@ -293,16 +294,16 @@ def compare_spectra(
         (k, j): [] for k in keys for j in range(1, j_max + 1)
     }
     for cfg in cfg_series:
-        ed = fock_ed.many_body_excitations(cfg, keys, count=j_max + 1, tol=tol, seed=seed)
+        ed = fock_ed.many_body_excitations(cfg, keys, count=j_max, tol=tol, seed=seed)
         n = cfg.n_particles
         n_values.append(n)
         err = abs(ed.e_ground - 0.5 * v0hat * (n - 1) - e_bog_trunc)
         ground_errors.append(err)
         for k in keys:
             gaps = ed.sector_gaps[k]
-            recs = table.sectors.get(k, [])
+            recs = table.sectors[k]  # the kappa loop left at least j_max records
             for j in range(1, j_max + 1):
-                if j <= len(gaps) and j <= len(recs):
+                if j <= len(gaps):
                     gap_errors[(k, j)].append(abs(float(gaps[j - 1]) - recs[j - 1].energy))
                 else:
                     gap_errors[(k, j)].append(float("nan"))

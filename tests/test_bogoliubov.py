@@ -148,6 +148,14 @@ def test_bogoliubov_energy_rejects_nondecaying_table():
         bogoliubov_energy(LatticeSpec(2 * math.pi, 1), pot)
 
 
+def test_bogoliubov_energy_raises_when_tail_bound_never_converges():
+    # amplitude^2 overflows, so no radius bounds the tail; the sum used to
+    # go on at the radius of the 200th growth and never finish
+    pot = Potential.gaussian(1e200, 5.0)
+    with pytest.raises(TailBoundError, match="did not converge"):
+        bogoliubov_energy(LatticeSpec(2 * math.pi, 1), pot)
+
+
 def test_bogoliubov_energy_on_modes_matches_restriction():
     lat = LatticeSpec(2 * math.pi, 1)
     modes = [lat.momentum(n) for n in (-2, -1, 0, 1, 2)]

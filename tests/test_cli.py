@@ -222,9 +222,10 @@ GAUSS = {"family": "gaussian", "amplitude": 0.1, "width": 5.0}
     ({"max_excited": None}, "--max-excited"),
     ({"dimension": 1, "potential": dict(GAUSS, dimension=2)}, "dimension"),
     ({"count": 0}, "--count"),
+    ({"seed": -1}, "argument --seed: must be >= 0, got -1"),
 ], ids=["max_excited-str", "N-list", "sectors-int", "gaussian-no-amplitude",
         "table-no-samples", "potential-list", "N-float", "max_excited-null", "dimension-mismatch",
-        "count-zero"])
+        "count-zero", "seed-negative"])
 def test_ed_config_errors_exit_2(tmp_path, capsys, extra, named):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"N": 4, "mode_radius": 2, "potential": GAUSS, **extra}))
@@ -241,6 +242,16 @@ def test_ed_config_rejects_unknown_key(tmp_path, capsys):
     code, _, err = run_cli(["ed", "--config", str(path)], capsys)
     assert code == 2
     assert "wavelength" in err
+
+
+def test_ed_config_potential_is_nested_only(tmp_path, capsys):
+    # the potential has one spelling, the nested "potential" key
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"N": 4, "mode_radius": 2, **GAUSS}))
+    code, out, err = run_cli(["ed", "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "bogospec: error: --config: unknown key 'family'\n"
 
 
 def test_ed_requires_potential(capsys):
@@ -312,9 +323,21 @@ ED_4 = ["ed", "--vhat", "gaussian:0.1:5", "--N", "4", "--mode-radius", "2"]
      "argument --tail-tol: must be finite and > 0, got 0"),
     (["energy", "--vhat", "gaussian:0.1:5", "--quad-step", "nan"],
      "argument --quad-step: must be finite and > 0, got nan"),
+    (["energy", "--vhat", "table:0,nan;1,0"],
+     "--vhat: cannot parse 'table:0,nan;1,0': table sample momenta and values must be finite"),
+    (["enumerate", "--vhat", "table:0,0.3;1,nan", "--kappa", "2", "--window", "1"],
+     "--vhat: cannot parse 'table:0,0.3;1,nan': table sample momenta and values must be finite"),
+    (["dispersion", "--vhat", "table:0,inf;1,0", "--window", "1"],
+     "--vhat: cannot parse 'table:0,inf;1,0': table sample momenta and values must be finite"),
+    (ED_4 + ["--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["ed", "--vhat", "gaussian:0.1:5", "--N", "32", "--mode-radius", "4", "--max-excited", "8",
+      "--sectors", "0", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["verify", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
 ], ids=["ed-count-0", "ed-count-negative", "ed-tol-negative", "ed-tol-nan", "verify-tol-0",
         "energy-L-inf", "enumerate-kappa-nan", "dispersion-window-nan", "ed-mode-radius-nan",
-        "energy-amplitude-nan", "energy-width-inf", "energy-tail-tol-0", "energy-quad-step-nan"])
+        "energy-amplitude-nan", "energy-width-inf", "energy-tail-tol-0", "energy-quad-step-nan",
+        "energy-table-nan", "enumerate-table-nan", "dispersion-table-inf", "ed-seed-dense",
+        "ed-seed-lanczos", "verify-seed-negative"])
 def test_count_and_tol_range_exit_2(capsys, args, message):
     code, out, err = run_cli(args, capsys)
     assert code == 2

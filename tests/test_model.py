@@ -22,6 +22,7 @@ from bogospec.model import (
     default_tail_tol,
     fourier_at,
     gaussian_integral_tail,
+    gaussian_lattice_tail,
     lattice_points,
     lattice_shells,
     periodized_value,
@@ -86,6 +87,32 @@ def test_table_interpolation_and_range_error():
         pot.vhat_radial(2.5)
     # compact support: lattice sums may extend by zero
     assert pot.vhat_extended(2.5) == 0.0
+
+
+def test_potential_rejects_non_finite_parameters():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            Potential.table([(0.0, bad), (1.0, 0.0)])
+        with pytest.raises(ValueError, match="must be finite"):
+            Potential.table([(0.0, 0.3), (bad, 0.0)])
+        with pytest.raises(ValueError, match="finite amplitude"):
+            Potential.gaussian(bad, 5.0)
+        with pytest.raises(ValueError, match="finite width"):
+            Potential.gaussian(0.1, bad)
+
+
+def test_summation_radius_rule():
+    # compact support first, then the non-decaying table, then the growth
+    never = lambda r: pytest.fail("a tail bound was evaluated")
+    assert summation_radius(Potential.table([(0, 1), (1.5, 0)]), 1.0, never, 1e-9) == 1.5
+    assert summation_radius(Potential.zero(2), 1.0, never, 1e-9) == 0.0
+    with pytest.raises(TailBoundError, match="does not decay"):
+        summation_radius(Potential.table([(0, 1), (2, 0.5)]), 1.0, never, 1e-9)
+    # the first start * 1.5^k whose bound falls strictly below tail_tol:
+    # 1/4.5 ties with tail_tol at R = 4.5, so R grows once more
+    assert summation_radius(V1, 2.0, lambda r: 1.0 / r, 1.0 / 4.5) == 2.0 * 1.5**3
+    with pytest.raises(TailBoundError, match="did not converge"):
+        summation_radius(V1, 1.0, lambda r: 1.0, 1.0)
 
 
 def test_non_decaying_table_cannot_bound_tail():
@@ -172,7 +199,10 @@ def test_lattice_shells_1d_builds_no_array_over_k():
     # the radius periodized_value sums V1 over at L = 400: m = 778 and
     # K = m^2, so an int64 array indexed by k up to K would take 4.8 MB
     lat = LatticeSpec(400.0, 1)
-    radius = summation_radius(lat, V1, 1.0 / V1.width, 1.0 / lat.volume, default_tail_tol(V1))
+    radius = summation_radius(
+        V1, 4.0 * lat.spacing,
+        lambda r: (1.0 / lat.volume) * gaussian_lattice_tail(lat, V1.amplitude, 1.0 / V1.width, r),
+        default_tail_tol(V1))
     m = int(math.floor(radius / lat.spacing + 1e-9))
     assert m == 778
     tracemalloc.start()
@@ -187,8 +217,11 @@ def test_lattice_shells_1d_builds_no_array_over_k():
 
 def _reference_periodized_at_zero(pot, lattice):
     """(1/L^d) * fsum of vhat over the points of the cube scan, one per point."""
-    s = 1.0 / pot.width if pot.family == "gaussian" else 1.0
-    radius = summation_radius(lattice, pot, s, 1.0 / lattice.volume, default_tail_tol(pot))
+    radius = summation_radius(
+        pot, 4.0 * lattice.spacing,
+        lambda r: (1.0 / lattice.volume) * gaussian_lattice_tail(
+            lattice, pot.amplitude, 1.0 / pot.width, r),
+        default_tail_tol(pot))
     terms = [pot.vhat_extended(p.norm)
              for p in _reference_lattice_points(lattice, radius, include_zero=True)]
     return math.fsum(terms) / lattice.volume

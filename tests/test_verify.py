@@ -142,6 +142,18 @@ def test_compare_spectra_gaussian_series():
         assert np.allclose(a, b, atol=1e-9)
 
 
+def test_compare_spectra_solves_a_repeated_sector_once():
+    # the keys of many_body_excitations: each sector once, zero put first
+    series = [
+        EDConfig(n, LAT, V1, mode_radius=2.0, max_excited=8) for n in (4, 8, 16)
+    ]
+    twice = compare_spectra(series, [(1,), (1,)], j_max=1)
+    once = compare_spectra(series, [(1,)], j_max=1)
+    assert list(twice.gap_errors) == [((0,), 1), ((1,), 1)]
+    assert len(twice.gap_errors[((1,), 1)]) == 3
+    assert twice.gap_errors == once.gap_errors
+
+
 def test_compare_spectra_rejects_mismatched_modes():
     series = [
         EDConfig(4, LAT, V1, mode_radius=2.0),
