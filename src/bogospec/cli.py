@@ -20,7 +20,7 @@ from . import __version__, fock_ed, verify
 from .bogoliubov import bogoliubov_energy, coefficients, energy_density_limit
 from .excitations import classify_for_figure, dispersion, enumerate_below
 from .fock_ed import EDConfig, default_max_excited
-from .model import LatticeSpec, Potential, lattice_points
+from .model import LatticeSpec, Potential, TailBoundError, lattice_points
 
 
 class UsageError(ValueError):
@@ -246,15 +246,13 @@ def _parse_with_config(
 
 
 def cmd_ed(args: argparse.Namespace) -> int:
-    if args.N is None or args.N < 1:
-        raise UsageError("--N (or config key N) is required and must be >= 1")
+    if args.N is None:
+        raise UsageError("--N (or config key N) is required")
     if args.vhat is None:
         raise UsageError("a potential is required (--vhat or config)")
     if args.mode_radius is None:
         raise UsageError("--mode-radius (or config key mode_radius) is required")
     max_excited = default_max_excited(args.N) if args.max_excited is None else args.max_excited
-    if max_excited < 0:
-        raise UsageError("--max-excited (or config key max_excited) must be >= 0")
     pot = parse_vhat(args.vhat, args.dim)
     cfg = EDConfig(args.N, LatticeSpec(args.L, args.dim), pot, args.mode_radius, max_excited)
     args.max_excited = cfg.effective_max_excited  # for the out-of-memory message of main
@@ -314,7 +312,8 @@ def _checked(kind: type, ok: Callable[[float], bool], rule: str) -> Callable[[st
 
 
 _count = _checked(int, lambda v: v >= 1, ">= 1")
-_seed = _checked(int, lambda v: v >= 0, ">= 0")
+_natural = _checked(int, lambda v: v >= 0, ">= 0")
+_dimension = _checked(int, lambda v: v in (1, 2, 3), "1, 2 or 3")
 _positive = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
 _nonnegative = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 _side = _checked(float, lambda v: 1.0 <= v < math.inf, "finite and >= 1")
@@ -332,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--vhat", required=need_vhat, default=None,
                        help="potential, e.g. gaussian:0.1:5 or table:0,0.3;0.5,0;8,0")
         p.add_argument("--L", type=_side, default=2.0 * math.pi, help="torus side length")
-        p.add_argument("--dim", type=int, default=1, help="dimension (1, 2 or 3)")
+        p.add_argument("--dim", type=_dimension, default=1, help="dimension (1, 2 or 3)")
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
     p = sub.add_parser("dispersion", help="elementary excitation curve over a window")
@@ -364,19 +363,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ed", help="exact diagonalization of momentum sectors")
     common(p, need_vhat=False)
     p.add_argument("--config", default=None, help="JSON run configuration")
-    p.add_argument("--N", type=int, default=None, help="particle number")
+    p.add_argument("--N", type=_count, default=None, help="particle number")
     p.add_argument("--mode-radius", type=_nonnegative, default=None)
-    p.add_argument("--max-excited", type=int, default=None)
+    p.add_argument("--max-excited", type=_natural, default=None)
     p.add_argument("--sectors", default="", help='e.g. "0;1;-1" (d=1), "0 0;1 0" (d=2)')
     p.add_argument("--count", type=_count, default=3)
     p.add_argument("--tol", type=_positive, default=1e-9)
-    p.add_argument("--seed", type=_seed, default=fock_ed.DEFAULT_SEED)
+    p.add_argument("--seed", type=_natural, default=fock_ed.DEFAULT_SEED)
     p.set_defaults(func=cmd_ed)
 
     p = sub.add_parser("verify", help="run the verification suite; exit 0 iff all pass")
     p.add_argument("--out", default=None, help="report CSV path (summary goes to .txt)")
     p.add_argument("--tol", type=_positive, default=1e-9)
-    p.add_argument("--seed", type=_seed, default=fock_ed.DEFAULT_SEED)
+    p.add_argument("--seed", type=_natural, default=fock_ed.DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -414,6 +413,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "config", None):
             args = _parse_with_config(parser, argv, args)
         return args.func(args)
+    except TailBoundError as exc:  # always the potential's: a finite bound falls to 0
+        message, code = f"--vhat: {exc}", EXIT_USAGE
     except ValueError as exc:  # UsageError among them
         message, code = str(exc), EXIT_USAGE
     except fock_ed.EigenConvergenceError as exc:

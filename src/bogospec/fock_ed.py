@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -92,14 +92,6 @@ class EDConfig:
             raise ValueError("mode_radius must be >= 0")
 
     @property
-    def density(self) -> float:
-        return self.n_particles / self.lattice.volume
-
-    @property
-    def coupling(self) -> float:
-        return self.lattice.volume / self.n_particles
-
-    @property
     def effective_max_excited(self) -> int:
         if self.max_excited is None:
             return self.n_particles
@@ -115,8 +107,8 @@ class EDConfig:
         return tuple(lattice_points(self.lattice, self.mode_radius, include_zero=True))
 
     @cached_property
-    def _v0real(self) -> float:
-        """The periodized potential at x = 0, which assemble_estimating needs."""
+    def v0real(self) -> float:
+        """The periodized potential v(0) at x = 0, computed once per configuration."""
         return periodized_value(self.pot, self.lattice, (0.0,) * self.lattice.d)
 
     def snapshot(self) -> dict:
@@ -147,7 +139,7 @@ def build_basis(
     """
     keys = None if sectors is None else list(dict.fromkeys(tuple(map(int, s)) for s in sectors))
     modes = cfg.modes()
-    zero = _zero_index(modes)
+    zero = modes.index(cfg.lattice.zero)
     excited = [i for i in range(len(modes)) if i != zero]
     steps = [modes[i].n for i in excited] + [(0,) * cfg.lattice.d]
     lo = [tuple(map(min, zip(*steps[j:]))) for j in range(len(steps))]
@@ -221,10 +213,6 @@ class SectorMatrix:
         return float(abs(d).max()) if d.nnz else 0.0
 
 
-def _zero_index(modes: list[Momentum]) -> int:
-    return next(i for i, m in enumerate(modes) if m.is_zero)
-
-
 def _negation_index(modes: list[Momentum]) -> list[int]:
     """neg[i] is the index of the mode -modes[i]; the set must be symmetric."""
     index = {m.n: i for i, m in enumerate(modes)}
@@ -288,9 +276,13 @@ def _csr(
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
-def _sector_basis(cfg: EDConfig, sector: Sequence[int], basis) -> tuple[tuple[int, ...], list]:
+def sector_basis(
+    cfg: EDConfig, sector: Sequence[int], basis: list[FockState] | None = None
+) -> tuple[tuple[int, ...], list[FockState]]:
+    """(key, basis) of one sector: its integer coordinate tuple, and the
+    given basis unchanged or else the one build_basis builds for it."""
     key = tuple(int(c) for c in sector)
-    return key, list(basis) if basis is not None else build_basis(cfg, [key])[key]
+    return key, basis if basis is not None else build_basis(cfg, [key])[key]
 
 
 def assemble_hamiltonian(
@@ -317,7 +309,7 @@ def assemble_hamiltonian(
     are found by exact search over the occupation rows.  A basis that
     lists a state twice is rejected.
     """
-    key, states = _sector_basis(cfg, sector, basis)
+    key, states = sector_basis(cfg, sector, basis)
     modes = cfg.modes()
     nmode = len(modes)
     n = len(states)
@@ -422,18 +414,18 @@ def assemble_estimating(
         raise ValueError("eps must be > 0")
     if sign < 0 and eps > 1.0:
         raise ValueError("lower estimate requires 0 < eps <= 1")
-    key, states = _sector_basis(cfg, sector, basis)
+    key, states = sector_basis(cfg, sector, basis)
     modes = cfg.modes()
     nmode = len(modes)
     basis_occ = _Occupations(states, nmode)
-    zero_idx = _zero_index(modes)
+    zero_idx = modes.index(cfg.lattice.zero)
     neg_of = _negation_index(modes)
     excited = np.arange(nmode) != zero_idx
     norm2 = np.array([m.norm2 for m in modes])
     vhat_m = np.array([cfg.pot.vhat_extended(m.norm) for m in modes])
     n_part = cfg.n_particles
     v0hat = cfg.pot.vhat_extended(0.0)
-    v0real = cfg._v0real
+    v0real = cfg.v0real
     # the signed eps flips both the condensate-weighted term and the
     # coefficient (1 + 1/(sign*eps)) of the excited-pair repulsion
     eps_signed = sign * eps
@@ -477,7 +469,7 @@ def assemble_kinetic(
     cfg: EDConfig, sector: Sequence[int], basis: list[FockState] | None = None
 ) -> SectorMatrix:
     """Kinetic energy sum_p |p|^2 n_p (diagonal)."""
-    key, states = _sector_basis(cfg, sector, basis)
+    key, states = sector_basis(cfg, sector, basis)
     modes = cfg.modes()
     diag = _Occupations(states, len(modes)).fsum(np.array([m.norm2 for m in modes]))
     idx = np.arange(len(states))
@@ -488,9 +480,9 @@ def assemble_excited_count(
     cfg: EDConfig, sector: Sequence[int], basis: list[FockState] | None = None
 ) -> SectorMatrix:
     """Excited-particle number N^> (diagonal)."""
-    key, states = _sector_basis(cfg, sector, basis)
+    key, states = sector_basis(cfg, sector, basis)
     modes = cfg.modes()
-    n0 = _Occupations(states, len(modes)).occ[:, _zero_index(modes)]
+    n0 = _Occupations(states, len(modes)).occ[:, modes.index(cfg.lattice.zero)]
     diag = (cfg.n_particles - n0).astype(np.float64)
     idx = np.arange(len(states))
     return SectorMatrix(key, states, _csr([idx], [idx], [diag], len(states)), "Ngt")
@@ -547,7 +539,6 @@ class EigenResult:
     values: np.ndarray
     residuals: np.ndarray
     method: str
-    seed: int
 
 
 def _require_tol(tol: float) -> None:
@@ -596,15 +587,14 @@ def lowest_eigenvalues(
                 f"Lanczos did not converge ({len(got)}/{count} eigenpairs)", res
             ) from exc
         order = np.argsort(vals)
-        vals = vals[order]
-        vecs = vecs[:, order]
+        vals, vecs = vals[order], vecs[:, order]
         method = "lanczos"
     residuals = np.array(
         [float(np.linalg.norm(mat @ vecs[:, j] - vals[j] * vecs[:, j])) for j in range(count)]
     )
     if method == "lanczos" and norm_est > 0 and np.any(residuals > tol * norm_est):
         raise EigenConvergenceError("residuals exceed tolerance", residuals)
-    return EigenResult(values=vals, residuals=residuals, method=method, seed=seed)
+    return EigenResult(values=vals, residuals=residuals, method=method)
 
 
 @dataclass
@@ -665,16 +655,6 @@ def many_body_excitations(
                 f"lowest eigenvalue {v[0]} found in sector {k}, below sector-0 "
                 f"value {e_ground}: truncation artifact"
             )
-    gaps = {}
-    for k, v in values.items():
-        g = (v[1:] if k == zero else v) - e_ground
-        if np.any(g < -guard):
-            raise GroundSectorError(f"negative excitation gap in sector {k}: {g.min()}")
-        gaps[k] = g
-    return EDResult(
-        cfg=cfg,
-        e_ground=float(e_ground),
-        sector_values=values,
-        sector_gaps=gaps,
-        sector_residuals=residuals,
-    )
+    # no gap is below -guard: each v ascends, and v[0] >= e_ground - guard
+    gaps = {k: (v[1:] if k == zero else v) - e_ground for k, v in values.items()}
+    return EDResult(cfg, float(e_ground), values, gaps, residuals)

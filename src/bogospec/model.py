@@ -256,6 +256,14 @@ def fourier_at(pot: Potential, p: MomentumLike) -> float:
     return pot.vhat_radial(as_radius(p))
 
 
+def axis_bound(lattice: LatticeSpec, radius: float) -> int:
+    """Largest coordinate m = |c| of a point with |p| <= radius: the ball
+    lies in the cube [-m, m]^d of (2m + 1)^d points."""
+    if radius < 0.0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    return int(math.floor(radius / lattice.spacing + 1e-9))
+
+
 def _ball_bounds(lattice: LatticeSpec, radius: float) -> tuple[int, int]:
     """Coordinate bound m and largest |n|^2 = K of a point with |p| <= radius.
 
@@ -263,10 +271,8 @@ def _ball_bounds(lattice: LatticeSpec, radius: float) -> tuple[int, int]:
     test h * sqrt(|n|^2) <= radius is monotone in |n|^2, so K is found by
     bisection over [0, d*m^2].  K may exceed m^2.
     """
-    if radius < 0.0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
     h = lattice.spacing
-    m = int(math.floor(radius / h + 1e-9))
+    m = axis_bound(lattice, radius)
     lo, hi = 0, lattice.d * m * m  # h * sqrt(0) <= radius always holds
     while lo < hi:
         mid = (lo + hi + 1) // 2

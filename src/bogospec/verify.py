@@ -18,10 +18,14 @@ import numpy as np
 from . import fock_ed
 from .bogoliubov import bogoliubov_energy_on_modes
 from .excitations import enumerate_below
-from .fock_ed import EDConfig, EDResult
-from .model import LatticeSpec, Potential, periodized_value
+from .fock_ed import EDConfig, EDResult, default_max_excited
+from .model import LatticeSpec, Potential
 
 SANDWICH_DIM_LIMIT = 2000
+
+
+class UnresolvedRanksError(ValueError):
+    """compare_spectra found too few Bogoliubov records below kappa = 1e6."""
 
 
 def _tol(*values: float) -> float:
@@ -55,7 +59,6 @@ class ScalingFit:
     """Least-squares slope of log(error) against log(N)."""
 
     name: str
-    points: tuple[tuple[float, float], ...]
     slope: float
     slope_bound: float
     exact: bool
@@ -123,9 +126,8 @@ def check_ground_bounds(ed_result: EDResult) -> list[Check]:
     cfg = ed_result.cfg
     n, pot, lattice = cfg.n_particles, cfg.pot, cfg.lattice
     v0hat = pot.vhat_extended(0.0)
-    v0real = periodized_value(pot, lattice, (0.0,) * lattice.d)
     shift = ed_result.e_ground - 0.5 * v0hat * (n - 1)
-    lower = 0.5 * (v0hat - lattice.volume * v0real)
+    lower = 0.5 * (v0hat - lattice.volume * cfg.v0real)
     return [
         Check(
             "ground_energy_upper_bound",
@@ -148,8 +150,7 @@ def check_sandwich(cfg: EDConfig, sector: Sequence[int], eps_list: Sequence[floa
     """H_{N,-eps} <= H_N <= H_{N,+eps} as matrices on the sector."""
     if any(not 0.0 < e <= 1.0 for e in eps_list):
         raise ValueError("eps values must lie in (0, 1]")
-    key = tuple(int(c) for c in sector)
-    basis = fock_ed.build_basis(cfg, [key])[key]
+    key, basis = fock_ed.sector_basis(cfg, sector)
     if len(basis) > SANDWICH_DIM_LIMIT:
         raise ValueError(
             f"sector dimension {len(basis)} exceeds dense limit {SANDWICH_DIM_LIMIT}"
@@ -176,8 +177,7 @@ def check_sandwich(cfg: EDConfig, sector: Sequence[int], eps_list: Sequence[floa
 
 def check_kinetic_bound(cfg: EDConfig, sector: Sequence[int]) -> Check:
     """T * L^2/(2 pi)^2 dominates N^> (both diagonal: per-state scalars)."""
-    key = tuple(int(c) for c in sector)
-    basis = fock_ed.build_basis(cfg, [key])[key]
+    key, basis = fock_ed.sector_basis(cfg, sector)
     t = fock_ed.assemble_kinetic(cfg, key, basis).matrix.diagonal()
     ngt = fock_ed.assemble_excited_count(cfg, key, basis).matrix.diagonal()
     factor = (cfg.lattice.L / (2.0 * math.pi)) ** 2
@@ -201,10 +201,9 @@ def check_variational_monotonicity(
     seed: int = fock_ed.DEFAULT_SEED,
 ) -> list[Check]:
     """Enlarging the basis never raises any reported eigenvalue."""
-    key = tuple(int(c) for c in sector)
     vals = []
     for cfg in (cfg_small, cfg_large):
-        basis = fock_ed.build_basis(cfg, [key])[key]
+        key, basis = fock_ed.sector_basis(cfg, sector)
         mat = fock_ed.assemble_hamiltonian(cfg, key, basis)
         k = min(count, mat.dim)
         vals.append(fock_ed.lowest_eigenvalues(mat, k, tol=tol, seed=seed).values)
@@ -271,11 +270,11 @@ def compare_spectra(
             raise ValueError("series members use different lattice or potential")
         if {m.n for m in cfg.modes()} != mode_keys:
             raise ValueError("series members use different mode sets")
-    # the sectors many_body_excitations solves: each once, zero first if missing
-    keys = list(dict.fromkeys(tuple(int(c) for c in s) for s in sectors))
-    zero = (0,) * base.lattice.d
-    if zero not in keys:
-        keys.insert(0, zero)
+    eds = [
+        fock_ed.many_body_excitations(cfg, sectors, count=j_max, tol=tol, seed=seed)
+        for cfg in cfg_series
+    ]
+    keys = list(eds[0].sector_values)
 
     e_bog_trunc = bogoliubov_energy_on_modes(modes, base.pot)
     window = max(base.lattice.momentum(k).norm for k in keys)
@@ -284,7 +283,8 @@ def compare_spectra(
     while any(len(table.sectors.get(k, [])) < j_max for k in keys):
         kappa *= 2.0
         if kappa > 1e6:
-            raise RuntimeError("could not resolve requested Bogoliubov ranks")
+            raise UnresolvedRanksError(f"could not resolve Bogoliubov ranks j <= {j_max} "
+                                       f"in sectors {keys} below kappa 1e6")
         table = enumerate_below(base.lattice, base.pot, kappa, window, modes=modes)
 
     v0hat = base.pot.vhat_extended(0.0)
@@ -293,9 +293,8 @@ def compare_spectra(
     gap_errors: dict[tuple[tuple[int, ...], int], list[float]] = {
         (k, j): [] for k in keys for j in range(1, j_max + 1)
     }
-    for cfg in cfg_series:
-        ed = fock_ed.many_body_excitations(cfg, keys, count=j_max, tol=tol, seed=seed)
-        n = cfg.n_particles
+    for ed in eds:
+        n = ed.cfg.n_particles
         n_values.append(n)
         err = abs(ed.e_ground - 0.5 * v0hat * (n - 1) - e_bog_trunc)
         ground_errors.append(err)
@@ -348,7 +347,6 @@ def scaling_fit(
     if any(e == 0.0 for _, e in error_series):
         return ScalingFit(
             name=name,
-            points=tuple((float(n), float(e)) for n, e in error_series),
             slope=float("nan"),
             slope_bound=slope_bound,
             exact=True,
@@ -360,7 +358,6 @@ def scaling_fit(
     slope = float(np.polyfit(logn, loge, 1)[0])
     return ScalingFit(
         name=name,
-        points=tuple((float(n), float(e)) for n, e in error_series),
         slope=slope,
         slope_bound=slope_bound,
         exact=False,
@@ -392,7 +389,7 @@ def run_default_suite(
         ("free", zero_pot, 4),
         ("gaussian", gauss, 6),
     ):
-        cfg = EDConfig(n, lat, pot, mode_radius=2.0, max_excited=min(n, 8))
+        cfg = EDConfig(n, lat, pot, mode_radius=2.0, max_excited=default_max_excited(n))
         ed = fock_ed.many_body_excitations(cfg, sectors1, count=3, tol=tol, seed=seed)
         for c in check_ground_bounds(ed) + [check_ground_sector(ed)]:
             report.checks.append(replace(c, name=f"{label}:{c.name}"))

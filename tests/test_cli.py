@@ -223,9 +223,11 @@ GAUSS = {"family": "gaussian", "amplitude": 0.1, "width": 5.0}
     ({"dimension": 1, "potential": dict(GAUSS, dimension=2)}, "dimension"),
     ({"count": 0}, "--count"),
     ({"seed": -1}, "argument --seed: must be >= 0, got -1"),
+    ({"N": 0}, "argument --N: must be >= 1, got 0"),
+    ({"dimension": 4}, "argument --dim: must be 1, 2 or 3, got 4"),
 ], ids=["max_excited-str", "N-list", "sectors-int", "gaussian-no-amplitude",
         "table-no-samples", "potential-list", "N-float", "max_excited-null", "dimension-mismatch",
-        "count-zero", "seed-negative"])
+        "count-zero", "seed-negative", "N-zero", "dimension-4"])
 def test_ed_config_errors_exit_2(tmp_path, capsys, extra, named):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"N": 4, "mode_radius": 2, "potential": GAUSS, **extra}))
@@ -263,7 +265,7 @@ def test_ed_requires_potential(capsys):
 
 
 def test_ed_rejects_negative_max_excited(tmp_path, capsys):
-    msg = "--max-excited (or config key max_excited) must be >= 0"
+    msg = "argument --max-excited: must be >= 0, got -1"
     base = ["ed", "--vhat", "gaussian:0.1:5", "--N", "4", "--mode-radius", "2"]
     code, out, err = run_cli(base + ["--max-excited", "-1"], capsys)
     assert code == 2
@@ -333,11 +335,27 @@ ED_4 = ["ed", "--vhat", "gaussian:0.1:5", "--N", "4", "--mode-radius", "2"]
     (["ed", "--vhat", "gaussian:0.1:5", "--N", "32", "--mode-radius", "4", "--max-excited", "8",
       "--sectors", "0", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
     (["verify", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    (["energy", "--vhat", "gaussian:0.1:5", "--dim", "4"],
+     "argument --dim: must be 1, 2 or 3, got 4"),
+    (["ed", "--vhat", "gaussian:0.1:5", "--N", "4", "--mode-radius", "1", "--dim", "5"],
+     "argument --dim: must be 1, 2 or 3, got 5"),
+    (["ed", "--vhat", "gaussian:0.1:5", "--N", "0", "--mode-radius", "1"],
+     "argument --N: must be >= 1, got 0"),
+    (["energy", "--vhat", "gaussian:1e200:5"], "--vhat: tail bound did not converge"),
+    (["ed", "--vhat", "table:0,0.3;1,0.2", "--N", "4", "--mode-radius", "2"],
+     "--vhat: tabulated potential does not decay to zero; cannot bound tail"),
+    (["figure", "--vhat", "gaussian:0.1:5", "--kappa", "1e9", "--window", "0.5"],
+     "enumeration below kappa 1e+09 exceeds the cap of 2,500,000 multisets; lower kappa"),
+    (["enumerate", "--vhat", "gaussian:0.1:5", "--dim", "3", "--L", "10", "--kappa", "1e4",
+      "--window", "1"],
+     "enumeration below kappa 10000 exceeds the cap of 2,500,000 multisets; lower kappa"),
 ], ids=["ed-count-0", "ed-count-negative", "ed-tol-negative", "ed-tol-nan", "verify-tol-0",
         "energy-L-inf", "enumerate-kappa-nan", "dispersion-window-nan", "ed-mode-radius-nan",
         "energy-amplitude-nan", "energy-width-inf", "energy-tail-tol-0", "energy-quad-step-nan",
         "energy-table-nan", "enumerate-table-nan", "dispersion-table-inf", "ed-seed-dense",
-        "ed-seed-lanczos", "verify-seed-negative"])
+        "ed-seed-lanczos", "verify-seed-negative", "energy-dim-4", "ed-dim-5", "ed-N-0",
+        "energy-tail-overflow", "ed-table-no-decay", "figure-kappa-budget",
+        "enumerate-3d-budget"])
 def test_count_and_tol_range_exit_2(capsys, args, message):
     code, out, err = run_cli(args, capsys)
     assert code == 2

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bogospec import excitations
 from bogospec.excitations import (
+    EnumerationBudgetError,
     OutOfWindowError,
     classify_for_figure,
     damping_scan,
@@ -22,6 +24,7 @@ LAT = LatticeSpec(2 * math.pi, 1)
 ZERO = Potential.zero(1)
 V1 = Potential.gaussian(0.1, 5.0, 1)
 LAT_015 = LatticeSpec(40 * math.pi / 3, 1)
+LAT_1D_SPECTRUM = LatticeSpec(41.8879020479, 1)
 
 
 def _multisets(table, key):
@@ -197,6 +200,36 @@ def test_oracle_guards():
 
 def test_oracle_empty_at_zero_cutoff():
     assert oracle_enumerate(LAT, ZERO, 0.0, (1,)) == []
+
+
+def test_budget_counts_every_multiset_formed(monkeypatch):
+    # candidates -1, 1 below kappa 2; each multiset below kappa, the empty
+    # one included, is extended by every candidate from its last one on:
+    # {} by 2, {-1} by 2, {1} by 1, {-1,-1} by 2, {-1,1} by 1, {1,1} by 1
+    monkeypatch.setattr(excitations, "MAX_MULTISETS", 9)
+    assert len(enumerate_below(LAT, ZERO, 2.0, 2.0).sectors[(0,)]) == 1
+    monkeypatch.setattr(excitations, "MAX_MULTISETS", 8)
+    with pytest.raises(EnumerationBudgetError, match="kappa 2 exceeds the cap of 8 multisets"):
+        enumerate_below(LAT, ZERO, 2.0, 2.0)
+
+
+def test_budget_checks_candidates_before_allocating(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("lattice_points allocated the candidates")
+
+    monkeypatch.setattr(excitations, "lattice_points", unreachable)
+    # a 319^3 coordinate cube at L = 10, kappa 1e4; near the largest float
+    # the ball's squared norms would overflow math.sqrt
+    for kappa in (1e4, 1.7e308):
+        with pytest.raises(EnumerationBudgetError) as err:
+            enumerate_below(LatticeSpec(10.0, 3), Potential.gaussian(0.1, 5.0, 3), kappa, 1.0)
+        assert err.value.kappa == kappa and isinstance(err.value, ValueError)
+
+
+def test_budget_admits_the_1d_spectrum_at_kappa_2_4():
+    # 2,188,263 multisets formed; window 0 keeps only the zero sector's records
+    table = enumerate_below(LAT_1D_SPECTRUM, V1, 2.4, 0.0)
+    assert list(table.sectors) == [(0,)]
 
 
 def test_constituents_may_leave_window():

@@ -25,6 +25,7 @@ from bogospec.fock_ed import (
     default_max_excited,
     lowest_eigenvalues,
     many_body_excitations,
+    sector_basis,
 )
 from bogospec.model import LatticeSpec, Momentum, Potential, periodized_value
 
@@ -123,6 +124,15 @@ def test_build_basis_matches_reference(cfg):
     assert build_basis(cfg, [far]) == {far: []}
     assert build_basis(cfg, [zero + (0,)]) == {zero + (0,): []}  # wrong dimension
     assert build_basis(cfg, []) == {}
+
+
+def test_sector_basis_keeps_a_given_basis_or_builds_one():
+    cfg = EDConfig(4, LAT, V1, mode_radius=2.0, max_excited=4)
+    given = [(4, 0, 0, 0, 0)]
+    assert sector_basis(cfg, [0.0], given) == ((0,), given)
+    assert sector_basis(cfg, (0,), given)[1] is given
+    for sector in ((0,), (1,), (-2,), (99,)):
+        assert sector_basis(cfg, sector) == (sector, build_basis(cfg, [sector])[sector])
 
 
 def test_build_basis_cap_error():

@@ -8,8 +8,10 @@ import pytest
 import bogospec.fock_ed as fe
 from bogospec.fock_ed import EDConfig, many_body_excitations
 from bogospec.model import LatticeSpec, Potential
+from bogospec import model, verify
 from bogospec.verify import (
     Check,
+    UnresolvedRanksError,
     VerificationReport,
     check_ground_bounds,
     check_ground_sector,
@@ -54,6 +56,20 @@ def test_ground_bounds_free_case():
     ed = many_body_excitations(cfg, SECTORS, count=2)
     for c in check_ground_bounds(ed):
         assert c.lhs == 0.0 and c.rhs == 0.0 and c.passed
+
+
+def test_ground_bounds_read_the_configuration_v0real(monkeypatch):
+    cfg = EDConfig(6, LAT, V1, mode_radius=2.0, max_excited=6)
+    ed = many_body_excitations(cfg, SECTORS, count=1)
+    expected = check_ground_bounds(ed)
+    assert cfg.v0real == model.periodized_value(V1, LAT, (0.0,))
+    calls = []
+    for module in (model, fe, verify):
+        if hasattr(module, "periodized_value"):
+            monkeypatch.setattr(module, "periodized_value",
+                                lambda *args: calls.append(args) or math.nan)
+    assert check_ground_bounds(ed) == expected
+    assert calls == []
 
 
 def test_ground_bounds_gaussian_strictly_inside():
@@ -152,6 +168,21 @@ def test_compare_spectra_solves_a_repeated_sector_once():
     assert list(twice.gap_errors) == [((0,), 1), ((1,), 1)]
     assert len(twice.gap_errors[((1,), 1)]) == 3
     assert twice.gap_errors == once.gap_errors
+
+
+def test_compare_spectra_keys_are_the_solved_sectors():
+    series = [EDConfig(n, LAT, V1, mode_radius=2.0, max_excited=8) for n in (4, 8)]
+    requested = [(1,), (-1,), (1,)]
+    comp = compare_spectra(series, requested, j_max=1)
+    solved = list(many_body_excitations(series[0], requested, count=1).sector_values)
+    assert [k for k, _ in comp.gap_errors] == solved
+
+
+def test_compare_spectra_unresolved_ranks_are_typed():
+    # mode radius 0 keeps the zero mode only: no excitation exists at any kappa
+    series = [EDConfig(n, LAT, V1, mode_radius=0.0) for n in (2, 4)]
+    with pytest.raises(UnresolvedRanksError, match="below kappa 1e6"):
+        compare_spectra(series, [(0,)], j_max=1)
 
 
 def test_compare_spectra_rejects_mismatched_modes():
