@@ -20,7 +20,7 @@ from . import __version__, fock_ed, verify
 from .bogoliubov import bogoliubov_energy, coefficients, energy_density_limit
 from .excitations import classify_for_figure, dispersion, enumerate_below
 from .fock_ed import EDConfig, default_max_excited
-from .model import LatticeSpec, Potential, TailBoundError, lattice_points
+from .model import LatticeBudgetError, LatticeSpec, Potential, TailBoundError, lattice_points
 
 
 class UsageError(ValueError):
@@ -393,6 +393,13 @@ def _eigensolver_message(exc: fock_ed.EigenConvergenceError, tol: float) -> str:
     return f"eigensolver failed: {exc}; {worst} against tolerance {tol:g} x ||M||_inf"
 
 
+#: the flags that set the radius of a command's lattice ball
+_RADIUS_FLAGS = {
+    "dispersion": "--window", "figure": "--window", "enumerate": "--kappa",
+    "energy": "--L or the --vhat width", "ed": "--mode-radius",
+}
+
+
 def _memory_message(args: argparse.Namespace) -> str:
     if args.command == "ed" and args.max_excited is not None:
         return f"out of memory; try --max-excited below {args.max_excited}"
@@ -415,6 +422,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except TailBoundError as exc:  # always the potential's: a finite bound falls to 0
         message, code = f"--vhat: {exc}", EXIT_USAGE
+    except LatticeBudgetError as exc:
+        message, code = f"{exc}; lower {_RADIUS_FLAGS[args.command]}", EXIT_USAGE
     except ValueError as exc:  # UsageError among them
         message, code = str(exc), EXIT_USAGE
     except fock_ed.EigenConvergenceError as exc:

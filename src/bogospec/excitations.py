@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .bogoliubov import dispersion
-from .model import LatticeSpec, Momentum, Potential, axis_bound, lattice_points
+from .model import LatticeSpec, Momentum, Potential, cube_exceeds, lattice_points
 
 #: multisets one enumeration may form.  kappa = 2.4 on the 1D spectrum's
 #: lattice (L = 41.8879020479, Gaussian 0.1/5) forms 2,188,263 and keeps
@@ -91,7 +91,7 @@ def _candidates(
     if modes is None:
         radius = math.sqrt(kappa) if kappa > 0.0 else 0.0
         # the cube of the ball bounds the candidates before lattice_points lists them
-        if (2 * axis_bound(lattice, radius) + 1) ** lattice.d > MAX_MULTISETS:
+        if cube_exceeds(lattice, radius, MAX_MULTISETS):
             raise EnumerationBudgetError(kappa)
         modes = lattice_points(lattice, radius, include_zero=False)
     out = []
@@ -122,7 +122,8 @@ def enumerate_below(
     if momentum_window < 0.0:
         raise ValueError(f"momentum window must be >= 0, got {momentum_window}")
     cand = _candidates(lattice, pot, kappa, modes)
-    win2 = (momentum_window / lattice.spacing) ** 2 * (1.0 + 1e-12)
+    win = momentum_window / lattice.spacing
+    win2 = win * win * (1.0 + 1e-12)  # inf, not OverflowError, for a huge window
     found: dict[tuple[int, ...], list[tuple[float, int, tuple]]] = {}
     # stack entries: (energy, n_quasi, encoding, total n, next candidate index)
     stack = [(0.0, 0, (), (0,) * lattice.d, 0)]

@@ -2,8 +2,10 @@
 
 Basis states are occupation tuples over a finite symmetric mode set
 (|p| <= mode_radius, zero mode always kept) with the particle number fixed
-and the excited-particle count optionally capped; one pruned depth-first
-walk builds only the sectors asked for (`build_basis`).  Assembled matrices
+and the excited-particle count optionally capped; one depth-first walk
+builds only the sectors asked for (`build_basis`), pruned exactly by a
+reach table that gives, per mode and partial momentum, the fewest
+particles still needed to reach a requested sector.  Assembled matrices
 are exact compressions P H P of the second-quantized operators to that
 basis, so operator inequalities survive as matrix inequalities per sector.
 
@@ -26,6 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -131,19 +134,27 @@ def build_basis(
     if unreachable); None means every reachable sector.  One depth-first
     walk gives each excited mode, in index order, 0..left particles (left:
     what the cap still allows) and the zero mode the rest.  With sectors it
-    cuts a branch once none is in reach: per coordinate, the momentum still
-    needed must lie in [left * min(0, min n), left * max(0, max n)] over the
-    modes to come.  Only a requested sector over cfg.basis_cap raises
-    BasisSizeError; its suggestion, the largest max_excited at which all of
-    them fit, is bisected by trial walks that stop at their first overflow.
+    visits only nodes that reach one: the reach table (`_reach_table`)
+    tells whether the particles left, on the modes still to come, can
+    carry the momentum so far to a requested sector, and a child (the
+    root too) is pushed only if they can.  Only a requested sector over
+    cfg.basis_cap raises BasisSizeError; its suggestion, the largest
+    max_excited at which all of them fit, is bisected by trial walks that
+    stop at their first overflow.
     """
     keys = None if sectors is None else list(dict.fromkeys(tuple(map(int, s)) for s in sectors))
     modes = cfg.modes()
     zero = modes.index(cfg.lattice.zero)
     excited = [i for i in range(len(modes)) if i != zero]
-    steps = [modes[i].n for i in excited] + [(0,) * cfg.lattice.d]
-    lo = [tuple(map(min, zip(*steps[j:]))) for j in range(len(steps))]
-    hi = [tuple(map(max, zip(*steps[j:]))) for j in range(len(steps))]
+    origin = (0,) * cfg.lattice.d
+    steps = [modes[i].n for i in excited]
+    cap = cfg.effective_max_excited
+    # scaled[j][c]: the momentum of c particles on excited mode j
+    scaled = [[tuple(c * n for n in step) for c in range(cap + 1)] for step in steps]
+    # a key of another dimension is reached by no walk
+    reach = None if keys is None else _reach_table([k for k in keys if len(k) == len(origin)],
+                                                    steps, cap)
+    never = [-1] * (cap + 1)
     occ = [0] * len(modes)
 
     def walk(buckets: dict, cap: int) -> bool:
@@ -151,25 +162,26 @@ def build_basis(
         # entry (i, c, j, left, total) puts c particles on mode i and stands
         # for the subtree of the excited modes from j on; children are
         # pushed so that they pop in increasing c, the order of a recursion
-        stack = [(zero, 0, 0, cap, steps[-1])]
+        if reach is not None and reach.get(origin, never)[cap] < 0:
+            return False
+        stack = [(zero, 0, 0, cap, origin)]
         while stack:
             i, c, j, left, total = stack.pop()
             occ[i] = c
             if j == len(excited):
-                if keys is not None and total not in keys:
-                    continue
                 occ[zero] = cfg.n_particles - cap + left
                 bucket = buckets.setdefault(total, [])
                 bucket.append(tuple(occ))
                 if len(bucket) > cfg.basis_cap:
                     return True
-            elif keys is None or _in_reach(keys, total, left, lo[j], hi[j]):
-                i, step = excited[j], steps[j]
-                stack += [(i, c, j + 1, left - c, tuple(s + c * n for s, n in zip(total, step)))
-                          for c in range(left, -1, -1)]
+                continue
+            i, mult = excited[j], scaled[j]
+            for c in range(left, -1, -1):
+                t = tuple(map(add, total, mult[c]))
+                if reach is None or reach.get(t, never)[left - c] > j:
+                    stack.append((i, c, j + 1, left - c, t))
         return False
 
-    cap = cfg.effective_max_excited
     buckets: dict[tuple[int, ...], list[FockState]] = {k: [] for k in keys or ()}
     if cap >= 0 and walk(buckets, cap):
         first = bisect.bisect_left(range(cap), True, key=lambda m: walk({}, m))
@@ -178,16 +190,35 @@ def build_basis(
     return {k: sorted(v) for k, v in buckets.items()}
 
 
-def _in_reach(keys: list, total: tuple, left: int, lo: tuple, hi: tuple) -> bool:
-    """Whether left more particles, on modes whose coordinates span [lo, hi],
-    can carry the momentum total to some key."""
-    for k in keys:
-        for a, b, t, s in zip(lo, hi, k, total):
-            if not left * a <= t - s <= left * b:
-                break
-        else:
-            return True
-    return False
+def _reach_table(keys: list, steps: list, cap: int) -> dict[tuple[int, ...], list[int]]:
+    """reach[t][v]: the largest j such that v particles on the modes of
+    steps[j:] can carry the momentum t to some key, else -1; a t that no
+    v <= cap carries is left out.
+
+    The fewest particles that do so, need(j, t), can only fall as j falls,
+    so the row of t records the level at which it first drops to each v,
+    and a node at level j with left particles reaches a key iff
+    reach[t][left] >= j.  need is relaxed from the last mode down, one
+    level at a time: c particles on mode j take t - c * step to t at a
+    cost of c.  Only entries below cap can extend, and a chain stops at
+    an entry no dearer, whose own chain covers the rest.
+    """
+    best = dict.fromkeys(keys, 0)  # need(j, t) at the level being relaxed
+    reach = {k: [len(steps)] * (cap + 1) for k in keys}
+    cheap = dict(best) if cap > 0 else {}  # the entries of best below cap
+    for j in range(len(steps) - 1, -1, -1):
+        step = steps[j]
+        for t, cost in list(cheap.items()):
+            for v in range(cost + 1, cap + 1):
+                t = tuple(map(sub, t, step))
+                have = best.get(t, cap + 1)
+                if have <= v:
+                    break
+                best[t] = v
+                if v < cap:
+                    cheap[t] = v
+                reach.setdefault(t, [-1] * (cap + 1))[v:have] = [j] * (have - v)
+    return reach
 
 
 @dataclass

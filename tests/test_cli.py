@@ -349,13 +349,26 @@ ED_4 = ["ed", "--vhat", "gaussian:0.1:5", "--N", "4", "--mode-radius", "2"]
     (["enumerate", "--vhat", "gaussian:0.1:5", "--dim", "3", "--L", "10", "--kappa", "1e4",
       "--window", "1"],
      "enumeration below kappa 10000 exceeds the cap of 2,500,000 multisets; lower kappa"),
+    (["energy", "--vhat", "gaussian:0.1:1e9", "--dim", "3", "--L", "10"],
+     "lattice ball of radius 180721 exceeds the cap of 2,500,000 points; "
+     "lower --L or the --vhat width"),
+    (["dispersion", "--vhat", "gaussian:0.1:5", "--dim", "3", "--window", "1e3"],
+     "lattice ball of radius 1000 exceeds the cap of 2,500,000 points; lower --window"),
+    (["dispersion", "--vhat", "gaussian:0.1:5", "--dim", "3", "--window", "1.7e308"],
+     "lattice ball of radius 1.7e+308 exceeds the cap of 2,500,000 points; lower --window"),
+    (["figure", "--vhat", "gaussian:0.1:5", "--kappa", "1", "--window", "1.7e308",
+      "--require-complete-1qp"],
+     "lattice ball of radius 1.7e+308 exceeds the cap of 2,500,000 points; lower --window"),
+    (["ed", "--vhat", "gaussian:0.1:5", "--N", "4", "--mode-radius", "1e300"],
+     "lattice ball of radius 1e+300 exceeds the cap of 2,500,000 points; lower --mode-radius"),
 ], ids=["ed-count-0", "ed-count-negative", "ed-tol-negative", "ed-tol-nan", "verify-tol-0",
         "energy-L-inf", "enumerate-kappa-nan", "dispersion-window-nan", "ed-mode-radius-nan",
         "energy-amplitude-nan", "energy-width-inf", "energy-tail-tol-0", "energy-quad-step-nan",
         "energy-table-nan", "enumerate-table-nan", "dispersion-table-inf", "ed-seed-dense",
         "ed-seed-lanczos", "verify-seed-negative", "energy-dim-4", "ed-dim-5", "ed-N-0",
         "energy-tail-overflow", "ed-table-no-decay", "figure-kappa-budget",
-        "enumerate-3d-budget"])
+        "enumerate-3d-budget", "energy-3d-lattice-budget", "dispersion-3d-lattice-budget",
+        "dispersion-window-overflow", "figure-1qp-window-overflow", "ed-mode-radius-budget"])
 def test_count_and_tol_range_exit_2(capsys, args, message):
     code, out, err = run_cli(args, capsys)
     assert code == 2

@@ -224,6 +224,9 @@ def test_budget_checks_candidates_before_allocating(monkeypatch):
         with pytest.raises(EnumerationBudgetError) as err:
             enumerate_below(LatticeSpec(10.0, 3), Potential.gaussian(0.1, 5.0, 3), kappa, 1.0)
         assert err.value.kappa == kappa and isinstance(err.value, ValueError)
+    # sqrt(kappa) / spacing overflows to inf: over the cap before m is formed
+    with pytest.raises(EnumerationBudgetError):
+        enumerate_below(LatticeSpec(1e300, 1), V1, 1e300, 1.0)
 
 
 def test_budget_admits_the_1d_spectrum_at_kappa_2_4():

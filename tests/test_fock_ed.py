@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -124,6 +125,48 @@ def test_build_basis_matches_reference(cfg):
     assert build_basis(cfg, [far]) == {far: []}
     assert build_basis(cfg, [zero + (0,)]) == {zero + (0,): []}  # wrong dimension
     assert build_basis(cfg, []) == {}
+
+
+@pytest.mark.parametrize("d, n, radius", [(1, 5, 2.0), (2, 4, 1.5), (3, 3, 1.5)])
+def test_build_basis_requests_match_reference(d, n, radius):
+    # every cap from 0 to N; seeded requests of 1-3 keys drawn from the box
+    # the old per-coordinate interval test admitted, so most are unreachable
+    # though in that box, plus a fixed request with a repeated key, an
+    # unreachable key and keys whose fewest excited particles is the cap
+    rng = random.Random(20261018 + d)
+    lattice = LatticeSpec(2 * math.pi, d)
+    pot = Potential.gaussian(0.1, 5.0, d)
+    for cap in range(n + 1):
+        cfg = EDConfig(n, lattice, pot, mode_radius=radius, max_excited=cap)
+        ref = _reference_basis(cfg)
+        zero_idx = cfg.modes().index(lattice.zero)
+        fewest = {k: n - max(s[zero_idx] for s in v) for k, v in ref.items()}
+        at_cap = [k for k in ref if fewest[k] == cap]
+        assert at_cap
+        reach = cap * max(max(map(abs, m.n)) for m in cfg.modes())
+        box = range(-reach - 1, reach + 2)
+        requests = [at_cap[:2] + [(99,) * d, at_cap[0]]]
+        for _ in range(12):
+            keys = [tuple(rng.choice(box) for _ in range(d)) for _ in range(rng.randint(1, 3))]
+            requests.append(keys + [keys[0]] * rng.randint(0, 1))
+        for keys in requests:
+            got = build_basis(cfg, keys)
+            assert list(got) == list(dict.fromkeys(keys))
+            assert got == {k: ref.get(k, []) for k in keys}
+
+
+def test_build_basis_cap_error_two_keys_2d():
+    lattice = LatticeSpec(2 * math.pi, 2)
+    pot = Potential.gaussian(0.1, 5.0, 2)
+    for basis_cap, keys, sector, suggestion in [
+        (10, [(0, 0), (1, 1)], (1, 1), 3),
+        (20, [(1, -1), (2, 0)], (2, 0), 4),
+    ]:
+        cfg = EDConfig(6, lattice, pot, mode_radius=1.5, max_excited=6, basis_cap=basis_cap)
+        with pytest.raises(BasisSizeError) as err:
+            build_basis(cfg, keys)
+        assert (err.value.sector, err.value.size, err.value.suggestion) == (
+            sector, basis_cap + 1, suggestion)
 
 
 def test_sector_basis_keeps_a_given_basis_or_builds_one():

@@ -12,13 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc as scipy_erfc
 
+from bogospec import model
 from bogospec.model import (
     TAU,
+    LatticeBudgetError,
     LatticeSpec,
     Momentum,
     Potential,
     PotentialRangeError,
     TailBoundError,
+    cube_exceeds,
     default_tail_tol,
     fourier_at,
     gaussian_integral_tail,
@@ -156,6 +159,24 @@ def test_lattice_points_match_box_scan(L, radius, d):
             count += 1
     assert len(pts) == count
     assert len({p.n for p in pts}) == len(pts)
+
+
+def test_lattice_budget_checks_the_cube_first(monkeypatch):
+    lat = LatticeSpec(TAU, 2)  # spacing 1
+    monkeypatch.setattr(model, "MAX_LATTICE_POINTS", 25)
+    # radius 2: the cube 5^2 is at the cap and its ball of 13 points is listed
+    assert len(lattice_points(lat, 2.0, include_zero=True)) == 13
+    assert sum(r for _, r in lattice_shells(lat, 2.0)) == 13
+    for walk in (lattice_points, lattice_shells):
+        with pytest.raises(LatticeBudgetError, match="radius 3 exceeds the cap of 25 points"):
+            walk(lat, 3.0)
+    # the bisection over |n|^2 <= d*m^2 would overflow math.sqrt here, and
+    # radius / spacing overflows to inf at the largest side
+    for lattice, radius in [(LatticeSpec(TAU, 3), 1.7e308), (LatticeSpec(1e300, 1), 1e300)]:
+        assert cube_exceeds(lattice, radius, 10**9)
+        with pytest.raises(LatticeBudgetError) as err:
+            lattice_points(lattice, radius)
+        assert err.value.radius == radius and isinstance(err.value, ValueError)
 
 
 def _reference_lattice_points(lattice, radius, include_zero=False):
