@@ -393,9 +393,11 @@ def _eigensolver_message(exc: fock_ed.EigenConvergenceError, tol: float) -> str:
     return f"eigensolver failed: {exc}; {worst} against tolerance {tol:g} x ||M||_inf"
 
 
-#: the flags that set the radius of a command's lattice ball
+#: the flags that set the radius of the lattice_points ball a command
+#: lists.  enumerate meets its own EnumerationBudgetError first, and the
+#: shell sum of v(0) runs only in verify, on its fixed configurations
 _RADIUS_FLAGS = {
-    "dispersion": "--window", "figure": "--window", "enumerate": "--kappa",
+    "dispersion": "--window", "figure": "--window",
     "energy": "--L or the --vhat width", "ed": "--mode-radius",
 }
 

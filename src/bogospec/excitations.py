@@ -27,12 +27,20 @@ import math
 from dataclasses import dataclass
 
 from .bogoliubov import dispersion
-from .model import LatticeSpec, Momentum, Potential, cube_exceeds, lattice_points
+from .model import (
+    MAX_LATTICE_POINTS,
+    LatticeSpec,
+    Momentum,
+    Potential,
+    cube_exceeds,
+    lattice_points,
+)
 
 #: multisets one enumeration may form.  kappa = 2.4 on the 1D spectrum's
 #: lattice (L = 41.8879020479, Gaussian 0.1/5) forms 2,188,263 and keeps
-#: 284,944, of which 271,642 lie in window 3
-MAX_MULTISETS = 2_500_000
+#: 284,944, of which 271,642 lie in window 3.  The lattice cap itself, so
+#: the candidates' cube check below is the one lattice_points would make
+MAX_MULTISETS = MAX_LATTICE_POINTS
 
 
 class OutOfWindowError(ValueError):

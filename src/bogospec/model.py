@@ -41,22 +41,26 @@ class TailBoundError(ValueError):
     """The tail of a lattice sum cannot be bounded for this potential."""
 
 
-#: lattice points one ball may span, counted on the cube [-m, m]^d around
-#: it.  3D energy at L = 40 (803,142 points in a cube of 1,520,875) peaks
-#: at 171 MB RSS, about 180 bytes a point; dispersion, which also holds
-#: its rows, about 530.  The same number as excitations.MAX_MULTISETS,
-#: so that an enumeration meets its own cube check first
+#: lattice points one lattice_points ball may span, counted on the cube
+#: [-m, m]^d around it.  3D energy at L = 40 (803,142 points in a cube of
+#: 1,520,875) peaks at 171 MB RSS, about 180 bytes a point; dispersion,
+#: which also holds its rows, about 530
 MAX_LATTICE_POINTS = 2_500_000
+
+#: counters one lattice_shells call may hold: its m + 1 shells in 1D, an
+#: array over |n|^2 <= d*m^2 above.  3D at m = 912 (2,495,233 counters)
+#: takes 6 s and peaks at 103 MB traced; 3D v(0) of the Gaussian 0.1:5
+#: fits up to L = 400 (m = 778)
+MAX_SHELL_COUNTERS = 2_500_000
 
 
 class LatticeBudgetError(ValueError):
-    """The cube around a lattice ball holds more than MAX_LATTICE_POINTS points."""
+    """A lattice ball needs more than the cap of points or shell counters."""
 
-    def __init__(self, radius: float):
+    def __init__(self, radius: float, cap: int, unit: str):
         self.radius = radius
         super().__init__(
-            f"lattice ball of radius {radius:g} exceeds the cap of "
-            f"{MAX_LATTICE_POINTS:,} points"
+            f"lattice ball of radius {radius:g} exceeds the cap of {cap:,} {unit}"
         )
 
 
@@ -297,12 +301,10 @@ def _ball_bounds(lattice: LatticeSpec, radius: float) -> tuple[int, int]:
 
     A point of the cube [-m, m]^d lies in the ball iff |n|^2 <= K: the
     test h * sqrt(|n|^2) <= radius is monotone in |n|^2, so K is found by
-    bisection over [0, d*m^2].  K may exceed m^2.  A cube of more than
-    MAX_LATTICE_POINTS points raises LatticeBudgetError first, so neither
-    the bisection nor a caller's walk meets an overflowing m.
+    bisection over [0, d*m^2].  K may exceed m^2.  Both callers check
+    their budget first, which bounds m, so the bisection's squared norms
+    stay far below float overflow.
     """
-    if cube_exceeds(lattice, radius, MAX_LATTICE_POINTS):
-        raise LatticeBudgetError(radius)
     h = lattice.spacing
     m = axis_bound(lattice, radius)
     lo, hi = 0, lattice.d * m * m  # h * sqrt(0) <= radius always holds
@@ -325,6 +327,8 @@ def lattice_points(
     points of the ball are visited.  LatticeBudgetError if the cube around
     the ball holds more than MAX_LATTICE_POINTS points.
     """
+    if cube_exceeds(lattice, radius, MAX_LATTICE_POINTS):
+        raise LatticeBudgetError(radius, MAX_LATTICE_POINTS, "points")
     m, K = _ball_bounds(lattice, radius)
     # (prefix, squared norm still allowed) over the first d - 1 axes, in order
     level: list[tuple[tuple[int, ...], int]] = [((), K)]
@@ -353,8 +357,16 @@ def lattice_shells(lattice: LatticeSpec, radius: float) -> list[tuple[int, int]]
     on the shell, k = 0 included.  One axis gives 1 point at k = 0 and 2
     at each c^2, c <= min(m, isqrt(K)); each further axis shifts only the
     nonempty shells by c^2, in integers, cut at K.  Shells come in
-    increasing k.
+    increasing k.  No point is listed, so the budget is on the counters:
+    LatticeBudgetError past MAX_SHELL_COUNTERS of them.
     """
+    # a quotient radius / spacing over the cap, inf too, is over before m is formed
+    over = radius / lattice.spacing > MAX_SHELL_COUNTERS
+    if not over:
+        m = axis_bound(lattice, radius)
+        over = (m + 1 if lattice.d == 1 else lattice.d * m * m + 1) > MAX_SHELL_COUNTERS
+    if over:
+        raise LatticeBudgetError(radius, MAX_SHELL_COUNTERS, "shell counters")
     m, K = _ball_bounds(lattice, radius)
     b = min(m, math.isqrt(K))
     shells = [(0, 1)] + [(c * c, 2) for c in range(1, b + 1)]

@@ -166,10 +166,10 @@ def test_lattice_budget_checks_the_cube_first(monkeypatch):
     monkeypatch.setattr(model, "MAX_LATTICE_POINTS", 25)
     # radius 2: the cube 5^2 is at the cap and its ball of 13 points is listed
     assert len(lattice_points(lat, 2.0, include_zero=True)) == 13
-    assert sum(r for _, r in lattice_shells(lat, 2.0)) == 13
-    for walk in (lattice_points, lattice_shells):
-        with pytest.raises(LatticeBudgetError, match="radius 3 exceeds the cap of 25 points"):
-            walk(lat, 3.0)
+    with pytest.raises(LatticeBudgetError, match="radius 3 exceeds the cap of 25 points"):
+        lattice_points(lat, 3.0)
+    # lattice_shells lists no point: the point cap does not bind it
+    assert sum(r for _, r in lattice_shells(lat, 3.0)) == 29
     # the bisection over |n|^2 <= d*m^2 would overflow math.sqrt here, and
     # radius / spacing overflows to inf at the largest side
     for lattice, radius in [(LatticeSpec(TAU, 3), 1.7e308), (LatticeSpec(1e300, 1), 1e300)]:
@@ -177,6 +177,29 @@ def test_lattice_budget_checks_the_cube_first(monkeypatch):
         with pytest.raises(LatticeBudgetError) as err:
             lattice_points(lattice, radius)
         assert err.value.radius == radius and isinstance(err.value, ValueError)
+
+
+def test_lattice_shells_budget_counts_its_counters(monkeypatch):
+    monkeypatch.setattr(model, "MAX_SHELL_COUNTERS", 9)
+    # spacing 1: 1D holds m + 1 shells, 2D an array over |n|^2 <= 2m^2
+    for d, admitted, over in [(1, 8.0, 9.0), (2, 2.0, 3.0)]:
+        lat = LatticeSpec(TAU, d)
+        assert lattice_shells(lat, admitted)
+        with pytest.raises(LatticeBudgetError,
+                           match=f"radius {over:g} exceeds the cap of 9 shell counters"):
+            lattice_shells(lat, over)
+    # near the largest float the bisection would overflow math.sqrt
+    with pytest.raises(LatticeBudgetError) as err:
+        lattice_shells(LatticeSpec(TAU, 3), 1.7e308)
+    assert err.value.radius == 1.7e308
+
+
+@pytest.mark.parametrize("L", [30.0, 40.0])
+def test_periodized_value_at_3d_boxes_past_the_point_cap(L):
+    # the tail radius (about 16) spans a cube of 8.6M points at L = 40,
+    # past MAX_LATTICE_POINTS; the shell sum at x = 0 lists none of them
+    pot = Potential.gaussian(0.1, 5.0, 3)
+    assert periodized_value(pot, LatticeSpec(L, 3), (0.0, 0.0, 0.0)) == 0.025098063309714314
 
 
 def _reference_lattice_points(lattice, radius, include_zero=False):
