@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 from . import __version__, fock_ed, verify
 from .bogoliubov import bogoliubov_energy, coefficients, energy_density_limit
@@ -71,19 +70,34 @@ def _emit(
     columns: Sequence[str],
     rows: Iterable[Sequence],
 ) -> None:
-    buf = io.StringIO()
-    buf.write(f"# bogospec {__version__}\n")
-    buf.write(f"# command: {command}\n")
-    buf.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
+    """Write the header lines and the CSV rows to out, or to stdout.
+
+    Rows are written as they are produced.  If producing them raises, a
+    regular file at out is removed, so a failed run leaves no --out file;
+    on stdout the rows written before the failure stay.
+    """
+    if not out:
+        _write_csv(sys.stdout, command, config, columns, rows)
+        return
+    path = Path(out)
+    try:
+        with path.open("w") as fh:
+            _write_csv(fh, command, config, columns, rows)
+    except BaseException:
+        if path.is_file() and not path.is_symlink():
+            path.unlink()
+        raise
+
+
+def _write_csv(
+    fh: TextIO, command: str, config: dict, columns: Sequence[str], rows: Iterable[Sequence]
+) -> None:
+    fh.write(f"# bogospec {__version__}\n")
+    fh.write(f"# command: {command}\n")
+    fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow(row)
-    text = buf.getvalue()
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    writer.writerows(rows)
 
 
 def _setup(args: argparse.Namespace, **extra) -> tuple[LatticeSpec, Potential, dict]:
@@ -100,12 +114,14 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
         lattice_points(lattice, args.window, include_zero=False),
         key=lambda p: (p.norm2_int, p.n),
     )
-    rows = []
-    for p in pts:
-        co = coefficients(p, pot)
-        rows.append(list(p.n) + [p.norm, co.e, co.alpha, co.c, co.s])
+
+    def rows() -> Iterator[list]:
+        for p in pts:
+            co = coefficients(p, pot)
+            yield list(p.n) + [p.norm, co.e, co.alpha, co.c, co.s]
+
     cols = [f"n{i + 1}" for i in range(args.dim)] + ["abs_p", "energy", "alpha", "c", "s"]
-    _emit(args.out, "dispersion", cfg, cols, rows)
+    _emit(args.out, "dispersion", cfg, cols, rows())
     return 0
 
 

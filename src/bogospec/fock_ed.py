@@ -14,7 +14,11 @@ representation of its basis: the (n_states, n_modes) occupation array,
 searched exactly row by row (`_Occupations`).  Moves are vectorised over
 the states, and each entry adds the same terms in the same order as a
 per-state loop would, so the matrices equal that loop's bit for bit
-(see `assemble_hamiltonian`).
+(see `assemble_hamiltonian`).  The Hamiltonian's mode moves, with their
+coefficients and the square roots each term multiplies, form a move
+table (`_MoveTable`) that each EDConfig builds once; every sector then
+takes the moves in slices of at most PAIR_SLICE (state, move) pairs, a
+few numpy calls per slice, which bounds the memory a slice holds.
 
 scipy.sparse is imported where a sparse matrix is first built or solved
 (`_csr`, `lowest_eigenvalues`), not with this module, so the lattice
@@ -43,6 +47,15 @@ FockState = tuple[int, ...]
 
 DENSE_FALLBACK_DIM = 512
 DEFAULT_SEED = 1234
+
+#: the most (state, move) pairs one slice of `assemble_hamiltonian`
+#: handles; a sector of more states takes one move per slice.  Each pair
+#: holds a target row of n_modes int64 and 16 float64 roots, so a slice's
+#: arrays grow with this bound.  On the ed-1d benchmark sector (526
+#: states, 9 modes, 65.3 MB peak RSS) one unsliced batch added 8.7 MB
+#: and slices of 2**15 pairs 3.7 MB; 2**12 adds under 0.3 MB, and the
+#: small sectors of verify still take all their moves in one slice.
+PAIR_SLICE = 2**12
 
 
 class BasisSizeError(ValueError):
@@ -113,6 +126,11 @@ class EDConfig:
     def v0real(self) -> float:
         """The periodized potential v(0) at x = 0, computed once per configuration."""
         return periodized_value(self.pot, self.lattice, (0.0,) * self.lattice.d)
+
+    @cached_property
+    def _moves(self) -> _MoveTable:
+        # the interaction's move table, built once per configuration
+        return _move_table(self)
 
     def snapshot(self) -> dict:
         return {
@@ -297,6 +315,93 @@ class _Occupations:
         return rows, hit, (0.0 + term(x, p, q)) + term(x, q, p)
 
 
+@dataclass(frozen=True)
+class _MoveTable:
+    """The interaction's mode moves on one configuration's mode set.
+
+    A term is (inv2n * v, its four factors) of a+_{t2} a+_{t1} a_q a_p;
+    a factor is the row level * n_modes + m of the root array of
+    `assemble_hamiltonian`, which holds sqrt(n_m + level - 1), and the
+    four are multiplied in order.  Diagonal terms (t2 in {p, q}) come in
+    (p, q, t2) loop order.  An off-diagonal move {p <= q} -> {t1 <= t2}
+    carries the terms of its distinct ordered variants in loop order,
+    padded to four slots by zero coefficients; a move whose every
+    variant has v == 0 is left out.
+    """
+
+    diag_coef: np.ndarray  # (terms,)
+    diag_factor: np.ndarray  # (terms, 4)
+    source: np.ndarray  # (moves, 2): p, q
+    delta: np.ndarray  # (moves, n_modes) int8: the occupation change
+    coef: np.ndarray  # (moves, 4 slots)
+    factor: np.ndarray  # (moves, 16): slot j's factors at 4j..4j+3
+
+
+def _move_table(cfg: EDConfig) -> _MoveTable:
+    modes = cfg.modes()
+    nmode = len(modes)
+    mode_n = [m.n for m in modes]
+    inv2n = 1.0 / (2.0 * cfg.n_particles)
+    vcache: dict[tuple[int, ...], float] = {}
+
+    def vhat_transfer(t2: int, p: int) -> float:
+        kvec = tuple(map(sub, mode_n[t2], mode_n[p]))
+        v = vcache.get(kvec)
+        if v is None:
+            v = vcache[kvec] = cfg.pot.vhat_extended(Momentum(kvec, cfg.lattice.L).norm)
+        return v
+
+    def factors(p: int, q: int, t1: int, t2: int) -> tuple[int, int, int, int]:
+        # sqrt(a) sqrt(b) sqrt(c+1) sqrt(e+1) of a+_{t2} a+_{t1} a_q a_p
+        return (
+            nmode + p,
+            (1 - (q == p)) * nmode + q,
+            (2 - (t1 == p) - (t1 == q)) * nmode + t1,
+            (2 - (t2 == p) - (t2 == q) + (t2 == t1)) * nmode + t2,
+        )
+
+    diag = []
+    for p in range(nmode):
+        for q in range(nmode):
+            for t2 in sorted({p, q}):
+                v = vhat_transfer(t2, p)
+                if v != 0.0:
+                    diag.append((inv2n * v, factors(p, q, q if t2 == p else p, t2)))
+
+    pairs_by_total: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for t1 in range(nmode):
+        for t2 in range(t1, nmode):
+            pairs_by_total.setdefault(tuple(map(add, mode_n[t1], mode_n[t2])), []).append((t1, t2))
+    moves, terms = [], []
+    for p in range(nmode):
+        for q in range(p, nmode):
+            for t1, t2 in pairs_by_total[tuple(map(add, mode_n[p], mode_n[q]))]:
+                if {t1, t2} & {p, q}:
+                    continue
+                # ordered variants as (p, q, t1, t2), in (p, q, t2) loop order
+                variants = dict.fromkeys(
+                    [(p, q, t2, t1), (p, q, t1, t2), (q, p, t2, t1), (q, p, t1, t2)]
+                )
+                move = [(inv2n * v, factors(*w)) for w in variants
+                        if (v := vhat_transfer(w[3], w[0])) != 0.0]
+                if move:
+                    moves.append((p, q, t1, t2))
+                    terms.append(move + [(0.0, (0, 0, 0, 0))] * (4 - len(move)))
+    moves = np.array(moves, dtype=np.intp).reshape(-1, 4)
+    delta = np.zeros((len(moves), nmode), dtype=np.int8)
+    at = np.arange(len(moves))
+    for col, change in zip(moves.T, (-1, -1, 1, 1)):
+        delta[at, col] += change  # one statement per column: p == q and t1 == t2 add up
+    return _MoveTable(
+        np.array([c for c, _ in diag], dtype=np.float64),
+        np.array([f for _, f in diag], dtype=np.intp).reshape(-1, 4),
+        moves[:, :2],
+        delta,
+        np.array([[c for c, _ in t] for t in terms], dtype=np.float64).reshape(-1, 4),
+        np.array([[f for _, f in t] for t in terms], dtype=np.intp).reshape(-1, 16),
+    )
+
+
 def _csr(
     rows: Sequence[np.ndarray], cols: Sequence[np.ndarray], vals: Sequence[np.ndarray], dim: int
 ) -> sp.csr_matrix:
@@ -326,103 +431,63 @@ def assemble_hamiltonian(
     evaluated at exact lattice momenta (which may exceed the mode
     radius; only the modes themselves are truncated).
 
-    Assembly loops over the mode moves a_q a_p -> a+_{t2} a+_{t1}
-    (t1 = p + q - t2) and vectorises over the states.  Each entry is
-    still summed in the order of a loop over states, then (p, q, t2):
-    the kinetic fsum first, then each term
-    (v/2N) * (sqrt(a) sqrt(b) sqrt(c+1) sqrt(e+1)), its factors
-    multiplied in that order, terms with v == 0 left out.  Diagonal
-    terms (t2 in {p, q}) are added into one vector in (p, q, t2) order.
-    Off the diagonal, momentum conservation makes {p, q} and {t1, t2}
-    disjoint, so an entry comes from a single unordered move
-    {p <= q} -> {t1 <= t2}; its ordered variants (at most four) are
-    summed in loop order and the entry is written once.  Target states
-    are found by exact search over the occupation rows.  A basis that
-    lists a state twice is rejected.
+    The mode moves a_q a_p -> a+_{t2} a+_{t1} (t1 = p + q - t2) come from
+    the configuration's move table (`_MoveTable`), built once per
+    EDConfig; each call vectorises them over the states, in slices of at
+    most PAIR_SLICE (state, move) pairs.  Each entry is still summed in
+    the order of a loop over states, then (p, q, t2): the kinetic fsum
+    first, then each term (v/2N) * (sqrt(a) sqrt(b) sqrt(c+1) sqrt(e+1)),
+    its factors multiplied in that order, terms with v == 0 left out.
+    Diagonal terms (t2 in {p, q}) are added to the diagonal one at a time
+    in (p, q, t2) order; on a state that cannot make the move a root
+    factor is 0, so the term adds zero.  Off the diagonal, momentum
+    conservation makes {p, q} and {t1, t2} disjoint, so an entry comes
+    from a single unordered move {p <= q} -> {t1 <= t2}; its ordered
+    variants (at most four) are summed one slot at a time in loop order
+    and the entry is written once.  Target states are found by exact
+    search over the occupation rows.  A basis that lists a state twice
+    is rejected.
     """
     key, states = sector_basis(cfg, sector, basis)
     modes = cfg.modes()
     nmode = len(modes)
     n = len(states)
+    table = cfg._moves
     basis_occ = _Occupations(states, nmode)
     occ = basis_occ.occ
     occ_t = np.ascontiguousarray(occ.T)  # occ_t[m] = n_m over the states
-    # root[1 + s][m] = sqrt(n_m + s), s = -1..2: every square root a term
-    # takes, each rounded once as math.sqrt rounds it (n_m - 1 < 0 is
-    # clipped and never read)
+    # root[(1 + s) * nmode + m] = sqrt(n_m + s) over the states, s = -1..2:
+    # every square root a term takes, each rounded once as math.sqrt
+    # rounds it (n_m - 1 < 0 is clipped and read only by a zero term)
     root = np.sqrt(np.maximum(occ_t + np.arange(-1, 3)[:, None, None], 0).astype(np.float64))
-    mode_n = [m.n for m in modes]
-    L = cfg.lattice.L
-    inv2n = 1.0 / (2.0 * cfg.n_particles)
-    vcache: dict[tuple[int, int], float] = {}
+    root = root.reshape(4 * nmode, n)
+    step = max(1, PAIR_SLICE // max(n, 1))  # moves, or diagonal terms, per slice
 
-    def vhat_transfer(t2: int, p: int) -> float:
-        v = vcache.get((t2, p))
-        if v is None:
-            kvec = tuple(a - b for a, b in zip(mode_n[t2], mode_n[p]))
-            v = vcache[(t2, p)] = cfg.pot.vhat_extended(Momentum(kvec, L).norm)
-        return v
+    diag = basis_occ.fsum(np.array([m.norm2 for m in modes]))
+    for lo in range(0, len(table.diag_coef), step):
+        r = root.take(table.diag_factor[lo:lo + step], axis=0)  # (terms, factors, states)
+        amp = ((r[:, 0] * r[:, 1]) * r[:, 2]) * r[:, 3]
+        for term in table.diag_coef[lo:lo + step, None] * amp:
+            diag += term
 
-    def amplitude(r: np.ndarray, p: int, q: int, t1: int, t2: int) -> np.ndarray:
-        # sqrt(a) sqrt(b) sqrt(c+1) sqrt(e+1) of a+_{t2} a+_{t1} a_q a_p,
-        # multiplied in that order, on the states whose roots r holds
-        return (
-            r[1][p]
-            * r[1 - (q == p)][q]
-            * r[2 - (t1 == p) - (t1 == q)][t1]
-            * r[2 - (t2 == p) - (t2 == q) + (t2 == t1)][t2]
-        )
-
-    pairs_by_total: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for t1 in range(nmode):
-        for t2 in range(t1, nmode):
-            total = tuple(a + b for a, b in zip(mode_n[t1], mode_n[t2]))
-            pairs_by_total.setdefault(total, []).append((t1, t2))
-
-    norm2 = np.array([m.norm2 for m in modes])
-    diag = basis_occ.fsum(norm2)
     rows, cols, vals = [np.arange(n)], [np.arange(n)], [diag]
-    for p in range(nmode):
-        for q in range(nmode):
-            src = np.flatnonzero((occ_t[p] >= 1) & (occ_t[q] - (q == p) >= 1))
-            if not src.size:
-                continue
-            r_src = root[:, :, src]
-            for t2 in sorted({p, q}):
-                v = vhat_transfer(t2, p)
-                if v != 0.0:
-                    t1 = q if t2 == p else p
-                    diag[src] += (inv2n * v) * amplitude(r_src, p, q, t1, t2)
-            if q < p:
-                continue
-            removed = occ[src]
-            removed[:, p] -= 1
-            removed[:, q] -= 1
-            total = tuple(a + b for a, b in zip(mode_n[p], mode_n[q]))
-            for t1, t2 in pairs_by_total[total]:
-                if {t1, t2} & {p, q}:
-                    continue
-                # ordered variants as (p, q, t1, t2), in (p, q, t2) loop order
-                variants = dict.fromkeys(
-                    [(p, q, t2, t1), (p, q, t1, t2), (q, p, t2, t1), (q, p, t1, t2)]
-                )
-                terms = [(vhat_transfer(w[3], w[0]), w) for w in variants]
-                terms = [(inv2n * v, w) for v, w in terms if v != 0.0]
-                if not terms:
-                    continue
-                target = removed.copy()
-                target[:, t1] += 1
-                target[:, t2] += 1
-                hit, target_rows = basis_occ.find(target)
-                if not hit.size:
-                    continue
-                r_hit = r_src[:, :, hit]
-                entry = np.zeros(hit.size)
-                for c, w in terms:
-                    entry += c * amplitude(r_hit, *w)
-                rows.append(target_rows)
-                cols.append(src[hit])
-                vals.append(entry)
+    for lo in range(0, len(table.coef), step):
+        p, q = table.source[lo:lo + step].T
+        # (move, source) pairs whose source has a particle in p and another in q
+        move, src = np.nonzero((occ_t[p] >= 1) & (occ_t[q] >= 1 + (q == p)[:, None]))
+        target = occ.take(src, axis=0) + table.delta[lo:lo + step].take(move, axis=0)
+        hit, target_rows = basis_occ.find(target)
+        move, src = move[hit], src[hit]
+        # the 16 roots of each pair's four variant slots, in one flat take
+        r = root.take((table.factor[lo:lo + step] * n).take(move, axis=0) + src[:, None])
+        coef = table.coef[lo:lo + step].take(move, axis=0)
+        entry = np.zeros(len(hit))
+        for j in range(4):
+            f = 4 * j
+            entry += coef[:, j] * (((r[:, f] * r[:, f + 1]) * r[:, f + 2]) * r[:, f + 3])
+        rows.append(target_rows)
+        cols.append(src)
+        vals.append(entry)
     return SectorMatrix(key, states, _csr(rows, cols, vals, n), "H")
 
 

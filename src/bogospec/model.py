@@ -21,7 +21,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
@@ -444,6 +443,18 @@ def summation_radius(
     raise TailBoundError("tail bound did not converge")
 
 
+def _fsum_repeated(terms: Iterable[tuple[float, int]]) -> float:
+    """math.fsum of each finite value repeated count times, without the repeats.
+
+    Each v * count is an exact integer over v's power-of-two denominator;
+    the terms are summed as integers over their common denominator, and
+    one correctly rounded int / int division gives the float.
+    """
+    ratios = [v.as_integer_ratio() + (count,) for v, count in terms]
+    den = max((d for _, d, _ in ratios), default=1)
+    return sum(num * count * (den // d) for num, d, count in ratios) / den
+
+
 def periodized_value(
     pot: Potential,
     lattice: LatticeSpec,
@@ -455,8 +466,9 @@ def periodized_value(
     The sum runs over lattice points until the omitted tail is below
     tail_tol; the imaginary part must vanish to tail_tol by symmetry.
     At x = 0 every phase is 1, so vhat is evaluated once per shell of
-    lattice_shells and repeated by the shell's point count; fsum rounds
-    the exact sum once, so this is the same float as the per-point sum.
+    lattice_shells and weighted exactly by the shell's point count
+    (`_fsum_repeated`): the same float as the fsum of the per-point
+    terms, at a cost per shell rather than per point.
     """
     if tail_tol is None:
         tail_tol = default_tail_tol(pot)
@@ -472,12 +484,9 @@ def periodized_value(
         tail_tol)
     if not any(xv):
         h = lattice.spacing
-        shells = []
-        for k, count in lattice_shells(lattice, radius):
-            v = pot.vhat_extended(h * math.sqrt(k))
-            if v != 0.0:
-                shells.append(repeat(v, count))
-        return math.fsum(chain.from_iterable(shells)) / lattice.volume
+        shells = [(pot.vhat_extended(h * math.sqrt(k)), count)
+                  for k, count in lattice_shells(lattice, radius)]
+        return _fsum_repeated(shells) / lattice.volume
     re_terms: list[float] = []
     im_terms: list[float] = []
     for p in lattice_points(lattice, radius, include_zero=True):

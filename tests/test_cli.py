@@ -91,6 +91,20 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_failure_while_writing_rows_leaves_no_out_file(tmp_path, capsys):
+    # the rows at |p| = 1 are written before |p| = 2 falls outside the table
+    out = tmp_path / "dispersion.csv"
+    code, stdout, err = run_cli(
+        ["dispersion", "--vhat", "table:0,0.3;1,0.2", "--L", "6.28318530718", "--window", "3",
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == "bogospec: error: |p| = 1.9999999999998683 outside table range [0.0, 1.0]\n"
+    assert not out.exists()
+
+
 def test_enumerate_csv(capsys):
     code, out, _ = run_cli(
         ["enumerate", "--vhat", "gaussian:0:1", "--L", str(2 * math.pi),

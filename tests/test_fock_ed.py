@@ -483,6 +483,11 @@ ORACLE_CASES = [
     # another order; here reusing one of them for both changes the bits
     (EDConfig(9, LatticeSpec(7.3, 1), V1, mode_radius=3.0, max_excited=5), (1,)),
     (EDConfig(9, LatticeSpec(7.3, 1), V1, mode_radius=3.0, max_excited=5), (-2,)),
+    # 3D, 19 modes, the mode set of the 1,040-state sector CI solves
+    (EDConfig(4, LatticeSpec(2 * math.pi, 3), Potential.gaussian(0.1, 5.0, 3),
+              mode_radius=1.5), (0, 0, 0)),
+    (EDConfig(4, LatticeSpec(2 * math.pi, 3), Potential.gaussian(0.1, 5.0, 3),
+              mode_radius=1.5), (1, 0, 0)),
 ]
 
 
@@ -511,6 +516,38 @@ def test_assembly_matches_reference_bit_for_bit(cfg, sector):
     states = build_basis(cfg).get(sector, [])
     for assemble, reference in _sector_assemblies(cfg):
         _assert_same_csr(assemble(sector, states).matrix, reference(states))
+
+
+@pytest.mark.parametrize("bound", [1, 2**62])
+@pytest.mark.parametrize("cfg, sector", ORACLE_CASES)
+def test_assembly_does_not_depend_on_the_slice_bound(monkeypatch, cfg, sector, bound):
+    # one (state, move) pair per slice, so a move or diagonal term per
+    # slice, and every move of a sector in a single slice
+    monkeypatch.setattr(fock_ed, "PAIR_SLICE", bound)
+    states = build_basis(cfg).get(sector, [])
+    _assert_same_csr(assemble_hamiltonian(cfg, sector, states).matrix,
+                     _reference_hamiltonian(cfg, states))
+
+
+def test_move_table_built_once_per_config(monkeypatch):
+    calls = []
+    orig = fock_ed._move_table
+
+    def counted(cfg):
+        calls.append(cfg)
+        return orig(cfg)
+
+    monkeypatch.setattr(fock_ed, "_move_table", counted)
+    cfg = EDConfig(5, LAT, V1, mode_radius=2.0, max_excited=4)
+    first = assemble_hamiltonian(cfg, (0,)).matrix
+    for sector in ((0,), (1,), (-2,), (9,)):
+        assemble_hamiltonian(cfg, sector)
+    many_body_excitations(cfg, [(0,), (1,)], 2)
+    assert [c is cfg for c in calls] == [True]
+    # an equal configuration builds its own table, to the same matrix
+    fresh = EDConfig(5, LAT, V1, mode_radius=2.0, max_excited=4)
+    _assert_same_csr(assemble_hamiltonian(fresh, (0,)).matrix, first)
+    assert [c is fresh for c in calls] == [False, True]
 
 
 def test_assembly_matches_reference_on_any_basis_order():

@@ -1,10 +1,11 @@
 """Potential and lattice layer: Fourier values, periodization, point sets."""
 
 import math
+import random
 import tracemalloc
 from collections import Counter
 from decimal import Decimal, getcontext, localcontext
-from itertools import product
+from itertools import chain, product, repeat
 
 import numpy as np
 import pytest
@@ -282,6 +283,24 @@ def test_periodized_at_zero_matches_per_point_sum(d, L):
         ref = _reference_periodized_at_zero(pot, lat)
         assert periodized_value(pot, lat, (0.0,) * d) == ref  # bit for bit
         assert periodized_value(pot, lat, (-0.0,) * d) == ref
+
+
+def test_fsum_repeated_matches_fsum_of_the_repeats():
+    # 300 seeded shell lists: values of either sign at magnitudes 1e-300
+    # to 1e5 (subnormals included), counts up to 10^4, and sums
+    # that cancel to zero or to a few ulps
+    rng = random.Random(20261018)
+    cases = [[], [(0.0, 5)], [(0.1, 3), (-0.3, 1)], [(1e-300, 7), (-1e-300, 7)]]
+    for _ in range(296):
+        shells = [(rng.choice((-1, 1)) * 10.0 ** rng.uniform(-300, 5) * rng.random(),
+                   rng.randint(1, 10_000)) for _ in range(rng.randint(1, 12))]
+        if rng.random() < 0.2:
+            shells += [(-v, c) for v, c in shells[:2]]
+        cases.append(shells)
+    for shells in cases:
+        want = math.fsum(chain.from_iterable(repeat(v, c) for v, c in shells))
+        got = model._fsum_repeated(shells)
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want)), shells
 
 
 def test_periodized_zero_potential():
