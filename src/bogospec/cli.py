@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
@@ -72,21 +75,25 @@ def _emit(
 ) -> None:
     """Write the header lines and the CSV rows to out, or to stdout.
 
-    Rows are written as they are produced.  If producing them raises, a
-    regular file at out is removed, so a failed run leaves no --out file;
-    on stdout the rows written before the failure stay.
+    Rows are written as they are produced.  For out they go first to an
+    anonymous temporary file, copied to out only once every row is
+    written: a run that fails while producing rows leaves out as it was,
+    and out is opened for writing as a plain write would open it (links
+    followed, its mode kept).  On stdout the rows written before a
+    failure stay.
     """
     if not out:
         _write_csv(sys.stdout, command, config, columns, rows)
         return
-    path = Path(out)
-    try:
-        with path.open("w") as fh:
-            _write_csv(fh, command, config, columns, rows)
-    except BaseException:
-        if path.is_file() and not path.is_symlink():
-            path.unlink()
-        raise
+    with tempfile.TemporaryFile("w+") as staged:
+        _write_csv(staged, command, config, columns, rows)
+        staged.seek(0)
+        with Path(out).open("w") as fh:
+            shutil.copyfileobj(staged, fh)
+
+
+#: rows formatted in memory between two writes to the output
+ROWS_PER_WRITE = 4096
 
 
 def _write_csv(
@@ -95,9 +102,18 @@ def _write_csv(
     fh.write(f"# bogospec {__version__}\n")
     fh.write(f"# command: {command}\n")
     fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-    writer = csv.writer(fh, lineterminator="\n")
+    # csv.writer makes one write per row, which costs a file several times
+    # what it costs an in-memory buffer
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows(rows)
+    for count, row in enumerate(rows, 1):
+        writer.writerow(row)
+        if count % ROWS_PER_WRITE == 0:
+            fh.write(buf.getvalue())
+            buf.seek(0)
+            buf.truncate()
+    fh.write(buf.getvalue())
 
 
 def _setup(args: argparse.Namespace, **extra) -> tuple[LatticeSpec, Potential, dict]:

@@ -14,10 +14,11 @@ representation of its basis: the (n_states, n_modes) occupation array,
 searched exactly row by row (`_Occupations`).  Moves are vectorised over
 the states, and each entry adds the same terms in the same order as a
 per-state loop would, so the matrices equal that loop's bit for bit
-(see `assemble_hamiltonian`).  The Hamiltonian's mode moves, with their
-coefficients and the square roots each term multiplies, form a move
-table (`_MoveTable`) that each EDConfig builds once; every sector then
-takes the moves in slices of at most PAIR_SLICE (state, move) pairs, a
+(see `assemble_hamiltonian`).  The Hamiltonian's interaction
+coefficients and mode moves form a move table (`_MoveTable`) that each
+EDConfig builds once, vectorised, for its whole mode set.  A sector then
+lists the (state, mode pair) entries its states can empty and takes only
+those pairs' moves, in slices of about PAIR_SLICE (state, move) pairs, a
 few numpy calls per slice, which bounds the memory a slice holds.
 
 scipy.sparse is imported where a sparse matrix is first built or solved
@@ -37,7 +38,14 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .model import LatticeSpec, Momentum, Potential, lattice_points, periodized_value
+from .model import (
+    LatticeSpec,
+    Momentum,
+    Potential,
+    TailBoundError,
+    lattice_points,
+    periodized_value,
+)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -48,14 +56,16 @@ FockState = tuple[int, ...]
 DENSE_FALLBACK_DIM = 512
 DEFAULT_SEED = 1234
 
-#: the most (state, move) pairs one slice of `assemble_hamiltonian`
-#: handles; a sector of more states takes one move per slice.  Each pair
-#: holds a target row of n_modes int64 and 16 float64 roots, so a slice's
-#: arrays grow with this bound.  On the ed-1d benchmark sector (526
-#: states, 9 modes, 65.3 MB peak RSS) one unsliced batch added 8.7 MB
-#: and slices of 2**15 pairs 3.7 MB; 2**12 adds under 0.3 MB, and the
-#: small sectors of verify still take all their moves in one slice.
-PAIR_SLICE = 2**12
+#: about the most (state, move) pairs, or diagonal (state, pair) entries,
+#: one slice of `assemble_hamiltonian` handles (more only by the moves of
+#: one entry).  Each pair holds a target row of n_modes int64, its indices
+#: and its roots, a few hundred bytes, so a slice's arrays grow with this
+#: bound.  On the ed-1d benchmark sector (526 states, 9 modes, 18,476
+#: (state, move) pairs) slices of 2**15 raise peak RSS by 6%, past that
+#: benchmark's 5% bound, and 2**12 by 2.5%; 2**11 adds 1.4%, no more
+#: than 2**10, at the same speed.  The small sectors of verify still take
+#: all their moves in one slice.
+PAIR_SLICE = 2**11
 
 
 class BasisSizeError(ValueError):
@@ -317,88 +327,87 @@ class _Occupations:
 
 @dataclass(frozen=True)
 class _MoveTable:
-    """The interaction's mode moves on one configuration's mode set.
+    """The interaction's coefficients and mode moves on one mode set.
 
-    A term is (inv2n * v, its four factors) of a+_{t2} a+_{t1} a_q a_p;
-    a factor is the row level * n_modes + m of the root array of
-    `assemble_hamiltonian`, which holds sqrt(n_m + level - 1), and the
-    four are multiplied in order.  Diagonal terms (t2 in {p, q}) come in
-    (p, q, t2) loop order.  An off-diagonal move {p <= q} -> {t1 <= t2}
-    carries the terms of its distinct ordered variants in loop order,
-    padded to four slots by zero coefficients; a move whose every
-    variant has v == 0 is left out.
+    pair_coef[a, b] is inv2n * vhat(k) of the transfer k = mode b - mode
+    a, the coefficient of the diagonal terms (t2 in {p, q}).  The moves
+    {p <= q} -> {t1 <= t2} of one source pair, in (t1, t2) order, are
+    the rows [move_start[p * n_modes + q], move_start[p * n_modes + q + 1])
+    of target and coef; coef holds inv2n * v of the four ordered variants
+    (p, q, t2, t1), (p, q, t1, t2), (q, p, t2, t1), (q, p, t1, t2) in loop
+    order, 0.0 for a variant that repeats an earlier one.  A move whose
+    every variant has v == 0 is left out.  Where vhat_extended raised,
+    the coefficient is NaN and vhat_error holds the error, raised by the
+    first sector that needs such a transfer.
     """
 
-    diag_coef: np.ndarray  # (terms,)
-    diag_factor: np.ndarray  # (terms, 4)
-    source: np.ndarray  # (moves, 2): p, q
-    delta: np.ndarray  # (moves, n_modes) int8: the occupation change
-    coef: np.ndarray  # (moves, 4 slots)
-    factor: np.ndarray  # (moves, 16): slot j's factors at 4j..4j+3
+    pair_coef: np.ndarray  # (n_modes, n_modes)
+    move_start: np.ndarray  # (n_modes**2 + 1,)
+    target: np.ndarray  # (moves, 2): t1, t2
+    coef: np.ndarray  # (moves, 4 variant slots)
+    vhat_error: TailBoundError | None
+
+    def check(self, coef: np.ndarray, at: np.ndarray | tuple[np.ndarray, ...]) -> None:
+        """Raise vhat_error if one of the coefficients coef[at] a sector needs is NaN."""
+        if self.vhat_error is not None and np.isnan(coef[at]).any():
+            raise TailBoundError(*self.vhat_error.args)
 
 
 def _move_table(cfg: EDConfig) -> _MoveTable:
     modes = cfg.modes()
     nmode = len(modes)
-    mode_n = [m.n for m in modes]
+    d = cfg.lattice.d
+    mode_n = np.array([m.n for m in modes], dtype=np.int64).reshape(nmode, d)
+    # a sum or difference of two modes has coordinates in [-half, half]:
+    # one integer key per vector
+    half = 2 * int(np.abs(mode_n).max())
+    digits = (2 * half + 1) ** np.arange(d, dtype=np.int64)
+
+    def key(vectors: np.ndarray) -> np.ndarray:
+        return (vectors + half) @ digits
+
+    # vhat of every transfer mode b - mode a, evaluated once per distinct vector
+    transfer = (mode_n[None, :, :] - mode_n[:, None, :]).reshape(-1, d)
+    _, first_seen, kindex = np.unique(key(transfer), return_index=True, return_inverse=True)
+    kvals, error = [], None
+    for kvec in transfer[first_seen].tolist():
+        try:
+            kvals.append(cfg.pot.vhat_extended(Momentum(tuple(kvec), cfg.lattice.L).norm))
+        except TailBoundError as exc:
+            kvals.append(math.nan)
+            error = error or exc
+    vhat = np.array(kvals, dtype=np.float64)[kindex].reshape(nmode, nmode)
     inv2n = 1.0 / (2.0 * cfg.n_particles)
-    vcache: dict[tuple[int, ...], float] = {}
 
-    def vhat_transfer(t2: int, p: int) -> float:
-        kvec = tuple(map(sub, mode_n[t2], mode_n[p]))
-        v = vcache.get(kvec)
-        if v is None:
-            v = vcache[kvec] = cfg.pot.vhat_extended(Momentum(kvec, cfg.lattice.L).norm)
-        return v
-
-    def factors(p: int, q: int, t1: int, t2: int) -> tuple[int, int, int, int]:
-        # sqrt(a) sqrt(b) sqrt(c+1) sqrt(e+1) of a+_{t2} a+_{t1} a_q a_p
-        return (
-            nmode + p,
-            (1 - (q == p)) * nmode + q,
-            (2 - (t1 == p) - (t1 == q)) * nmode + t1,
-            (2 - (t2 == p) - (t2 == q) + (t2 == t1)) * nmode + t2,
-        )
-
-    diag = []
-    for p in range(nmode):
-        for q in range(nmode):
-            for t2 in sorted({p, q}):
-                v = vhat_transfer(t2, p)
-                if v != 0.0:
-                    diag.append((inv2n * v, factors(p, q, q if t2 == p else p, t2)))
-
-    pairs_by_total: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for t1 in range(nmode):
-        for t2 in range(t1, nmode):
-            pairs_by_total.setdefault(tuple(map(add, mode_n[t1], mode_n[t2])), []).append((t1, t2))
-    moves, terms = [], []
-    for p in range(nmode):
-        for q in range(p, nmode):
-            for t1, t2 in pairs_by_total[tuple(map(add, mode_n[p], mode_n[q]))]:
-                if {t1, t2} & {p, q}:
-                    continue
-                # ordered variants as (p, q, t1, t2), in (p, q, t2) loop order
-                variants = dict.fromkeys(
-                    [(p, q, t2, t1), (p, q, t1, t2), (q, p, t2, t1), (q, p, t1, t2)]
-                )
-                move = [(inv2n * v, factors(*w)) for w in variants
-                        if (v := vhat_transfer(w[3], w[0])) != 0.0]
-                if move:
-                    moves.append((p, q, t1, t2))
-                    terms.append(move + [(0.0, (0, 0, 0, 0))] * (4 - len(move)))
-    moves = np.array(moves, dtype=np.intp).reshape(-1, 4)
-    delta = np.zeros((len(moves), nmode), dtype=np.int8)
-    at = np.arange(len(moves))
-    for col, change in zip(moves.T, (-1, -1, 1, 1)):
-        delta[at, col] += change  # one statement per column: p == q and t1 == t2 add up
+    # two pairs of one total momentum are equal or disjoint, so the moves
+    # are the ordered (source, target) pairs of distinct pairs in a group
+    first, second = np.triu_indices(nmode)  # pairs p <= q in (p, q) order
+    _, group = np.unique(key(mode_n[first] + mode_n[second]), return_inverse=True)
+    members = np.argsort(group, kind="stable")  # each group's pairs in (p, q) order
+    group_size = np.bincount(group)
+    size = group_size[group]  # the size of each pair's group
+    group_start = (np.cumsum(group_size) - group_size)[group]
+    source = np.repeat(np.arange(len(group)), size)
+    run_start = np.cumsum(size) - size
+    target = members[np.arange(size.sum()) + np.repeat(group_start - run_start, size)]
+    keep = source != target
+    source, target = source[keep], target[keep]
+    p, q, t1, t2 = first[source], second[source], first[target], second[target]
+    same_p, same_t = p == q, t1 == t2
+    v = np.stack([
+        vhat[p, t1],
+        np.where(same_t, 0.0, vhat[p, t2]),
+        np.where(same_p, 0.0, vhat[q, t1]),
+        np.where(same_p | same_t, 0.0, vhat[q, t2]),
+    ], axis=1)
+    keep = (v != 0.0).any(axis=1)  # NaN counts as nonzero
+    pair = p[keep] * nmode + q[keep]
     return _MoveTable(
-        np.array([c for c, _ in diag], dtype=np.float64),
-        np.array([f for _, f in diag], dtype=np.intp).reshape(-1, 4),
-        moves[:, :2],
-        delta,
-        np.array([[c for c, _ in t] for t in terms], dtype=np.float64).reshape(-1, 4),
-        np.array([[f for _, f in t] for t in terms], dtype=np.intp).reshape(-1, 16),
+        inv2n * vhat,
+        np.concatenate([[0], np.cumsum(np.bincount(pair, minlength=nmode * nmode))]),
+        np.stack([t1[keep], t2[keep]], axis=1),
+        inv2n * v[keep],
+        error,
     )
 
 
@@ -421,6 +430,25 @@ def sector_basis(
     return key, basis if basis is not None else build_basis(cfg, [key])[key]
 
 
+def _occupied_pairs(occ: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(state, p, q, place_pq, place_qp) of every mode pair p <= q that
+    a_q a_p can empty on a state, a particle in p and another in q,
+    sorted by (state, p, q).  place_pq is the place of (p, q) among the
+    ordered pairs of the state's k occupied modes in (p, q) order, i * k + j
+    for the i-th and j-th of them, and place_qp that of (q, p)."""
+    st, md = np.nonzero(occ)  # occupied (state, mode), by state then mode
+    count = np.bincount(st, minlength=len(occ))
+    local = np.arange(len(st)) - (np.cumsum(count) - count)[st]  # i of each occupied mode
+    k = count[st]
+    rest = k - local  # the modes j >= i of its state that each pairs with
+    e = np.repeat(np.arange(len(st)), rest)
+    partner = np.arange(len(e)) - np.repeat(np.cumsum(rest) - rest - np.arange(len(st)), rest)
+    s, p, q = st[e], md[e], md[partner]
+    i, j, k = local[e], local[partner], k[e]
+    ok = (p != q) | (occ[s, p] >= 2)
+    return s[ok], p[ok], q[ok], (i * k + j)[ok], (j * k + i)[ok]
+
+
 def assemble_hamiltonian(
     cfg: EDConfig, sector: Sequence[int], basis: list[FockState] | None = None
 ) -> SectorMatrix:
@@ -433,62 +461,166 @@ def assemble_hamiltonian(
 
     The mode moves a_q a_p -> a+_{t2} a+_{t1} (t1 = p + q - t2) come from
     the configuration's move table (`_MoveTable`), built once per
-    EDConfig; each call vectorises them over the states, in slices of at
-    most PAIR_SLICE (state, move) pairs.  Each entry is still summed in
-    the order of a loop over states, then (p, q, t2): the kinetic fsum
-    first, then each term (v/2N) * (sqrt(a) sqrt(b) sqrt(c+1) sqrt(e+1)),
-    its factors multiplied in that order, terms with v == 0 left out.
-    Diagonal terms (t2 in {p, q}) are added to the diagonal one at a time
-    in (p, q, t2) order; on a state that cannot make the move a root
-    factor is 0, so the term adds zero.  Off the diagonal, momentum
-    conservation makes {p, q} and {t1, t2} disjoint, so an entry comes
-    from a single unordered move {p <= q} -> {t1 <= t2}; its ordered
-    variants (at most four) are summed one slot at a time in loop order
-    and the entry is written once.  Target states are found by exact
-    search over the occupation rows.  A basis that lists a state twice
-    is rejected.
+    EDConfig.  Each call lists the mode pairs p <= q each state can
+    empty (`_occupied_pairs`) and vectorises over those (state, pair)
+    entries and their moves, in slices of about PAIR_SLICE, so its work
+    follows the pairs the sector's states occupy, not the whole mode
+    set.  Each entry is
+    still summed in the order of a loop over states, then (p, q, t2): the
+    kinetic fsum first, then each term
+    (v/2N) * (sqrt(a) sqrt(b) sqrt(c+1) sqrt(e+1)), its factors
+    multiplied in that order, terms with v == 0 left out.  The diagonal
+    terms (t2 in {p, q}) of a state are added one at a time in (p, q, t2)
+    order (`_diagonal`); a term with v == 0 adds exactly zero there.  Off
+    the diagonal, momentum conservation makes {p, q} and {t1, t2}
+    disjoint, so an entry comes from a single unordered move
+    {p <= q} -> {t1 <= t2}; its ordered variants (at most four) are
+    summed one slot at a time in loop order and the entry is written
+    once.  Target states are found by exact search over the occupation
+    rows.  A basis that lists a state twice is rejected.  A transfer
+    whose vhat_extended raises raises only in a sector that needs it.
     """
     key, states = sector_basis(cfg, sector, basis)
+    rows, cols, vals = _hamiltonian_entries(cfg, _Occupations(states, len(cfg.modes())))
+    return SectorMatrix(key, states, _csr(rows, cols, vals, len(states)), "H")
+
+
+def _diagonal(
+    diag: np.ndarray,
+    table: _MoveTable,
+    root: Callable[[int | np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    s: np.ndarray,
+    p: np.ndarray,
+    q: np.ndarray,
+    place_pq: np.ndarray,
+    place_qp: np.ndarray,
+) -> np.ndarray:
+    """diag plus the diagonal terms (t2 in {p, q}) of the pairs
+    `_occupied_pairs` lists.
+
+    A state's row holds diag and then, at place r, the two terms of its
+    r-th ordered pair in (p, q, t2) order, zeros elsewhere, and
+    np.add.accumulate adds a row's cells strictly left to right: each
+    state sums its terms one at a time, as the per-state loop does, and a
+    zero adds exactly nothing (a sum that starts at diag >= 0 is never
+    -0.0).  (q, p) multiplies the roots of (p, q) in another order that
+    rounds the same, so a pair p < q gives the four terms of both.  Terms
+    are computed in slices of PAIR_SLICE pairs, and rows in blocks of at
+    most PAIR_SLICE pairs or one state.
+    """
+    if not len(s):
+        return diag
+    n = len(diag)
+    # cells: [t2 = p, t2 = q] of (p, q), then [t2 = p, t2 = q] of (q, p)
+    terms = np.zeros((len(s), 4))
+    for lo in range(0, len(s), PAIR_SLICE):
+        i, a, b = s[lo:lo + PAIR_SLICE], p[lo:lo + PAIR_SLICE], q[lo:lo + PAIR_SLICE]
+        table.check(table.pair_coef, (a, b))
+        ra, rb = root(1, a, i), root(1 - (a == b), b, i)
+        direct = ((ra * rb) * rb) * ra  # a+_p a+_q a_q a_p, and the exchange of (q, p)
+        exchange = ((ra * rb) * ra) * rb  # a+_q a+_p a_q a_p, and the direct term of (q, p)
+        same = table.pair_coef[a, a]  # vhat(0)
+        pq, qp = table.pair_coef[a, b], table.pair_coef[b, a]
+        terms[lo:lo + PAIR_SLICE, 0] = same * direct
+        terms[lo:lo + PAIR_SLICE, 1] = np.where(a == b, 0.0, pq * exchange)
+        terms[lo:lo + PAIR_SLICE, 2] = np.where(a == b, 0.0, qp * direct)
+        terms[lo:lo + PAIR_SLICE, 3] = np.where(a == b, 0.0, same * exchange)
+    count = np.bincount(s, minlength=n)
+    first = np.cumsum(count) - count
+    width = 1 + 2 * (max(int(place_pq.max()), int(place_qp.max())) + 1)
+    block = max(1, PAIR_SLICE // int(count.max()))  # states per block
+    swapped = np.flatnonzero(p != q)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        e0, e1 = first[lo], first[hi - 1] + count[hi - 1]  # the block's pairs
+        rows = np.zeros((hi - lo, width))
+        rows[:, 0] = diag[lo:hi]
+        at, col = s[e0:e1] - lo, 1 + 2 * place_pq[e0:e1]
+        rows[at, col] = terms[e0:e1, 0]
+        rows[at, col + 1] = terms[e0:e1, 1]
+        w = swapped[np.searchsorted(swapped, e0):np.searchsorted(swapped, e1)]
+        at, col = s[w] - lo, 1 + 2 * place_qp[w]
+        rows[at, col] = terms[w, 2]
+        rows[at, col + 1] = terms[w, 3]
+        diag[lo:hi] = np.add.accumulate(rows, axis=1)[:, -1]
+    return diag
+
+
+def _hamiltonian_entries(
+    cfg: EDConfig, basis_occ: _Occupations
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """(rows, cols, values) of `assemble_hamiltonian`'s entries: the
+    diagonal first, then the moves of each slice."""
     modes = cfg.modes()
     nmode = len(modes)
-    n = len(states)
-    table = cfg._moves
-    basis_occ = _Occupations(states, nmode)
     occ = basis_occ.occ
-    occ_t = np.ascontiguousarray(occ.T)  # occ_t[m] = n_m over the states
-    # root[(1 + s) * nmode + m] = sqrt(n_m + s) over the states, s = -1..2:
-    # every square root a term takes, each rounded once as math.sqrt
-    # rounds it (n_m - 1 < 0 is clipped and read only by a zero term)
-    root = np.sqrt(np.maximum(occ_t + np.arange(-1, 3)[:, None, None], 0).astype(np.float64))
-    root = root.reshape(4 * nmode, n)
-    step = max(1, PAIR_SLICE // max(n, 1))  # moves, or diagonal terms, per slice
+    n = len(occ)
+    table = cfg._moves
+    # roots[((1 + s) * nmode + m) * n + i] = sqrt(n_m + s) on state i,
+    # s = -1..2: every square root a term takes, each rounded once as
+    # math.sqrt rounds it (n_m - 1 < 0 is clipped and read only by a zero term)
+    roots = np.sqrt(np.maximum(occ.T + np.arange(-1, 3)[:, None, None], 0).astype(np.float64))
+    roots = roots.ravel()
 
-    diag = basis_occ.fsum(np.array([m.norm2 for m in modes]))
-    for lo in range(0, len(table.diag_coef), step):
-        r = root.take(table.diag_factor[lo:lo + step], axis=0)  # (terms, factors, states)
-        amp = ((r[:, 0] * r[:, 1]) * r[:, 2]) * r[:, 3]
-        for term in table.diag_coef[lo:lo + step, None] * amp:
-            diag += term
+    def root(level: int | np.ndarray, m: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """sqrt(n_m + level - 1) on states i."""
+        return roots.take((level * nmode + m) * n + i)
 
+    s, p, q, place_pq, place_qp = _occupied_pairs(occ)
+    kinetic = basis_occ.fsum(np.array([m.norm2 for m in modes]))
+    diag = _diagonal(kinetic, table, root, s, p, q, place_pq, place_qp)
+
+    # Off the diagonal: every (state, source pair p <= q) entry takes each
+    # move of its pair.  Entries go by source pair, then state, and a
+    # slice's (state, move) pairs by move, so the targets a slice searches
+    # come nearly in basis order.  Slices hold whole entries, so a slice
+    # holds about PAIR_SLICE (state, move) pairs, more only by one entry's moves
+    pair = p * nmode + q
+    by_pair = np.argsort(pair, kind="stable")
+    s, p, q, pair = s[by_pair], p[by_pair], q[by_pair], pair[by_pair]
+    start = table.move_start[pair]
+    count = table.move_start[pair + 1] - start
+    # sqrt(n_p) sqrt(n_q - [p == q]), the first two factors of every variant
+    # of an entry's moves: (q, p, ...) multiplies the same two roots in the
+    # other order, which rounds the same, and is a 0.0 slot when p == q
+    pair_root = root(1, p, s) * root(1 - (p == q), q, s)
+    end = np.cumsum(count)
+    cuts = np.searchsorted(end, np.arange(PAIR_SLICE, end[-1] if len(end) else 0, PAIR_SLICE),
+                           side="right")
+    bounds = [0, *cuts.tolist(), len(end)]
     rows, cols, vals = [np.arange(n)], [np.arange(n)], [diag]
-    for lo in range(0, len(table.coef), step):
-        p, q = table.source[lo:lo + step].T
-        # (move, source) pairs whose source has a particle in p and another in q
-        move, src = np.nonzero((occ_t[p] >= 1) & (occ_t[q] >= 1 + (q == p)[:, None]))
-        target = occ.take(src, axis=0) + table.delta[lo:lo + step].take(move, axis=0)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        c = count[lo:hi]
+        entry = np.repeat(np.arange(lo, hi), c)  # each (state, move) pair's entry
+        if not len(entry):
+            continue
+        move = np.arange(len(entry)) + np.repeat(start[lo:hi] - (np.cumsum(c) - c), c)
+        by_move = np.argsort(move, kind="stable")
+        entry, move = entry[by_move], move[by_move]
+        table.check(table.coef, move)
+        i = s.take(entry)
+        t1, t2 = table.target.take(move, axis=0).T
+        target = occ.take(i, axis=0)
+        flat, row_at = target.reshape(-1), np.arange(0, target.size, nmode)
+        for m, change in ((p.take(entry), -1), (q.take(entry), -1), (t1, 1), (t2, 1)):
+            flat[row_at + m] += change  # one statement per mode: p == q and t1 == t2 add up
         hit, target_rows = basis_occ.find(target)
-        move, src = move[hit], src[hit]
-        # the 16 roots of each pair's four variant slots, in one flat take
-        r = root.take((table.factor[lo:lo + step] * n).take(move, axis=0) + src[:, None])
-        coef = table.coef[lo:lo + step].take(move, axis=0)
-        entry = np.zeros(len(hit))
-        for j in range(4):
-            f = 4 * j
-            entry += coef[:, j] * (((r[:, f] * r[:, f + 1]) * r[:, f + 2]) * r[:, f + 3])
+        entry, move, i, t1, t2 = entry[hit], move[hit], i[hit], t1[hit], t2[hit]
+        # variants (., ., t2, t1) end sqrt(n_t2 + 1) sqrt(n_t1 + 1 + [t1 == t2]),
+        # variants (., ., t1, t2) the other way round
+        at = i + 2 * nmode * n  # root level 2 of mode 0 on state i
+        rise = (t1 == t2) * (nmode * n)
+        sources = pair_root.take(entry)
+        amp_21 = (sources * roots.take(at + t2 * n)) * roots.take(at + t1 * n + rise)
+        amp_12 = (sources * roots.take(at + t1 * n)) * roots.take(at + t2 * n + rise)
+        coef = table.coef.take(move, axis=0)
+        value = np.zeros(len(hit))
+        for j, amp in enumerate((amp_21, amp_12, amp_21, amp_12)):
+            value += coef[:, j] * amp
         rows.append(target_rows)
-        cols.append(src)
-        vals.append(entry)
-    return SectorMatrix(key, states, _csr(rows, cols, vals, n), "H")
+        cols.append(i)
+        vals.append(value)
+    return rows, cols, vals
 
 
 def assemble_estimating(

@@ -91,18 +91,48 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+# the rows at |p| = 1 are produced before |p| = 2 falls outside the table
+FAILING_DISPERSION = ["dispersion", "--vhat", "table:0,0.3;1,0.2", "--L", "6.28318530718",
+                      "--window", "3"]
+FAILING_DISPERSION_ERR = (
+    "bogospec: error: |p| = 1.9999999999998683 outside table range [0.0, 1.0]\n"
+)
+
+
 def test_failure_while_writing_rows_leaves_no_out_file(tmp_path, capsys):
-    # the rows at |p| = 1 are written before |p| = 2 falls outside the table
     out = tmp_path / "dispersion.csv"
-    code, stdout, err = run_cli(
-        ["dispersion", "--vhat", "table:0,0.3;1,0.2", "--L", "6.28318530718", "--window", "3",
-         "--out", str(out)],
-        capsys,
-    )
+    code, stdout, err = run_cli([*FAILING_DISPERSION, "--out", str(out)], capsys)
     assert code == 2
     assert stdout == ""
-    assert err == "bogospec: error: |p| = 1.9999999999998683 outside table range [0.0, 1.0]\n"
-    assert not out.exists()
+    assert err == FAILING_DISPERSION_ERR
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o444])
+def test_failure_while_writing_rows_leaves_an_existing_out_file_as_it_was(tmp_path, capsys, mode):
+    out = tmp_path / "dispersion.csv"
+    out.write_text("earlier results\n")
+    out.chmod(mode)
+    code, _, err = run_cli([*FAILING_DISPERSION, "--out", str(out)], capsys)
+    assert (code, err) == (2, FAILING_DISPERSION_ERR)
+    assert out.read_bytes() == b"earlier results\n"
+    assert out.stat().st_mode & 0o777 == mode
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("earlier results\n")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    code, _, _ = run_cli([*FAILING_DISPERSION, "--out", str(link)], capsys)
+    assert code == 2
+    assert link.is_symlink() and target.read_bytes() == b"earlier results\n"
+    args = ["dispersion", "--vhat", "gaussian:0.1:5", "--L", "6.28318530718", "--window", "2"]
+    assert run_cli([*args, "--out", str(link)], capsys)[0] == 0
+    code, stdout, _ = run_cli(args, capsys)
+    assert link.is_symlink() and target.read_text() == stdout
+    assert target.stat().st_mode & 0o777 == 0o640
 
 
 def test_enumerate_csv(capsys):

@@ -28,7 +28,7 @@ from bogospec.fock_ed import (
     many_body_excitations,
     sector_basis,
 )
-from bogospec.model import LatticeSpec, Momentum, Potential, periodized_value
+from bogospec.model import LatticeSpec, Momentum, Potential, TailBoundError, periodized_value
 
 LAT = LatticeSpec(2 * math.pi, 1)
 V1 = Potential.gaussian(0.1, 5.0, 1)
@@ -548,6 +548,20 @@ def test_move_table_built_once_per_config(monkeypatch):
     fresh = EDConfig(5, LAT, V1, mode_radius=2.0, max_excited=4)
     _assert_same_csr(assemble_hamiltonian(fresh, (0,)).matrix, first)
     assert [c is fresh for c in calls] == [False, True]
+
+
+def test_a_transfer_past_a_table_raises_only_in_a_sector_that_needs_it():
+    # a table that does not decay has no vhat past |k| = 1; the modes
+    # -1, 0, 1 reach |k| = 2 only through a state holding both -1 and 1
+    pot = Potential.table([(0.0, 0.3), (1.0, 0.2)])
+    cfg = EDConfig(2, LatticeSpec(2 * math.pi, 1), pot, mode_radius=1.0, max_excited=2)
+    basis = build_basis(cfg)
+    assert basis[(0,)] == [(0, 2, 0), (1, 0, 1)]
+    for sector, states in (((0,), [(0, 2, 0)]), ((1,), basis[(1,)])):
+        _assert_same_csr(assemble_hamiltonian(cfg, sector, states).matrix,
+                         _reference_hamiltonian(cfg, states))
+    with pytest.raises(TailBoundError):
+        assemble_hamiltonian(cfg, (0,))
 
 
 def test_assembly_matches_reference_on_any_basis_order():
