@@ -576,7 +576,8 @@ def _hamiltonian_entries(
     # come nearly in basis order.  Slices hold whole entries, so a slice
     # holds about PAIR_SLICE (state, move) pairs, more only by one entry's moves
     pair = p * nmode + q
-    by_pair = np.argsort(pair, kind="stable")
+    # numpy sorts keys of 16 bits or fewer stably by radix
+    by_pair = np.argsort(pair.astype(np.min_scalar_type(nmode * nmode)), kind="stable")
     s, p, q, pair = s[by_pair], p[by_pair], q[by_pair], pair[by_pair]
     start = table.move_start[pair]
     count = table.move_start[pair + 1] - start
@@ -595,7 +596,8 @@ def _hamiltonian_entries(
         if not len(entry):
             continue
         move = np.arange(len(entry)) + np.repeat(start[lo:hi] - (np.cumsum(c) - c), c)
-        by_move = np.argsort(move, kind="stable")
+        span = start[hi - 1] + c[-1] - start[lo]  # moves from start[lo] on
+        by_move = np.argsort((move - start[lo]).astype(np.min_scalar_type(span)), kind="stable")
         entry, move = entry[by_move], move[by_move]
         table.check(table.coef, move)
         i = s.take(entry)
