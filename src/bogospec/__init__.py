@@ -39,6 +39,7 @@ from .model import (
     PotentialRangeError,
     TailBoundError,
     fourier_at,
+    lattice_coords,
     lattice_points,
     lattice_shells,
     periodized_value,

@@ -15,6 +15,7 @@ import math
 import shutil
 import sys
 import tempfile
+from operator import mul
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
@@ -22,7 +23,15 @@ from . import __version__, fock_ed, verify
 from .bogoliubov import bogoliubov_energy, coefficients, energy_density_limit
 from .excitations import classify_for_figure, dispersion, enumerate_below
 from .fock_ed import EDConfig, default_max_excited
-from .model import LatticeBudgetError, LatticeSpec, Potential, TailBoundError, lattice_points
+from .model import (
+    LatticeBudgetError,
+    LatticeSpec,
+    Momentum,
+    Potential,
+    TailBoundError,
+    lattice_coords,
+    lattice_points,
+)
 
 
 class UsageError(ValueError):
@@ -126,15 +135,17 @@ def _setup(args: argparse.Namespace, **extra) -> tuple[LatticeSpec, Potential, d
 
 def cmd_dispersion(args: argparse.Namespace) -> int:
     lattice, pot, cfg = _setup(args, window=args.window)
-    pts = sorted(
-        lattice_points(lattice, args.window, include_zero=False),
-        key=lambda p: (p.norm2_int, p.n),
-    )
+    # rows in (|n|^2, n) order: lattice_coords lists n in lexicographic
+    # order and the sort by |n|^2 is stable.  A Momentum is built only as
+    # its row is written
+    coords = lattice_coords(lattice, args.window, include_zero=False)
+    coords.sort(key=lambda n: sum(map(mul, n, n)))
 
     def rows() -> Iterator[list]:
-        for p in pts:
+        for n in coords:
+            p = Momentum(n, lattice.L)
             co = coefficients(p, pot)
-            yield list(p.n) + [p.norm, co.e, co.alpha, co.c, co.s]
+            yield list(n) + [p.norm, co.e, co.alpha, co.c, co.s]
 
     cols = [f"n{i + 1}" for i in range(args.dim)] + ["abs_p", "energy", "alpha", "c", "s"]
     _emit(args.out, "dispersion", cfg, cols, rows())

@@ -21,9 +21,12 @@ lists the (state, mode pair) entries its states can empty and takes only
 those pairs' moves, in slices of about PAIR_SLICE (state, move) pairs, a
 few numpy calls per slice, which bounds the memory a slice holds.
 
-scipy.sparse is imported where a sparse matrix is first built or solved
-(`_csr`, `lowest_eigenvalues`), not with this module, so the lattice
-commands, which import it but never diagonalize, load no scipy at all.
+A SectorMatrix holds its own CSR arrays, built by numpy (`_csr`), and
+gives the dense matrix, its diagonal and a row-by-row product that sums
+as scipy's does, bit for bit.  scipy is imported only where a sector is
+solved by Lanczos, above DENSE_FALLBACK_DIM states, or where something
+reads `SectorMatrix.matrix`, a scipy view over the same arrays.  So the
+lattice commands, `verify` and the small `ed` runs load no scipy at all.
 """
 
 from __future__ import annotations
@@ -66,6 +69,11 @@ DEFAULT_SEED = 1234
 #: than 2**10, at the same speed.  The small sectors of verify still take
 #: all their moves in one slice.
 PAIR_SLICE = 2**11
+
+#: the most entries one row block of `SectorMatrix.matvec` takes (more only
+#: by one row); its arrays hold about 60 + 16 k bytes an entry for k
+#: vectors.  The ed-1d benchmark sector (14,810 entries) takes one block.
+MATVEC_ENTRIES = 2**16
 
 
 class BasisSizeError(ValueError):
@@ -251,25 +259,97 @@ def _reach_table(keys: list, steps: list, cap: int) -> dict[tuple[int, ...], lis
 
 @dataclass
 class SectorMatrix:
-    """Sparse symmetric operator block on one sector basis."""
+    """Sparse symmetric operator block on one sector basis, held as the
+    CSR arrays `_csr` builds: row i has the entries data[a:b] in the
+    columns indices[a:b], a = indptr[i] and b = indptr[i + 1], columns
+    increasing, explicit zeros kept."""
 
     sector: tuple[int, ...] | None
     basis: list[FockState]
-    matrix: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     kind: str
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.indptr) - 1
 
     @property
-    def scale(self) -> float:
-        return float(abs(self.matrix).max()) if self.matrix.nnz else 0.0
+    def nnz(self) -> int:
+        return len(self.data)
 
-    def asymmetry(self) -> float:
-        """Largest |M - M^T| entry; assembly keeps this near machine eps."""
-        d = self.matrix - self.matrix.T
-        return float(abs(d).max()) if d.nnz else 0.0
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """A scipy CSR matrix over the same arrays, built (and scipy.sparse
+        imported) when first read."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.dim, self.dim))
+
+    def _rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.dim), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix; each entry is added onto 0.0, as scipy's
+        toarray adds it, so a stored -0.0 reads +0.0."""
+        dense = np.zeros((self.dim, self.dim))
+        dense[self._rows(), self.indices] += self.data
+        return dense
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal, each entry added onto 0.0 as in toarray."""
+        on = self.indices == self._rows()
+        diag = np.zeros(self.dim)
+        diag[self.indices[on]] += self.data[on]
+        return diag
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """M @ x for a vector x, or for each column of a (dim, k) array,
+        bit for bit as scipy's CSR product: each row adds its products
+        data * x[col] one at a time, in storage order, onto 0.0
+        (`_row_sums`).  Rows go in blocks of at most MATVEC_ENTRIES
+        entries, or one row."""
+        x = np.asarray(x)
+        vecs = x.reshape(self.dim, -1).T  # (k, dim): each addition runs along the long axis
+        out = np.zeros((len(vecs), self.dim), dtype=np.result_type(self.data, x))
+        lo = 0
+        while lo < self.dim:
+            end = self.indptr[lo] + MATVEC_ENTRIES
+            hi = max(lo + 1, int(np.searchsorted(self.indptr, end, side="right")) - 1)
+            e0, e1 = self.indptr[lo], self.indptr[hi]
+            out[:, lo:hi] = _row_sums(self.indptr[lo:hi + 1] - e0, self.data[e0:e1],
+                                      self.indices[e0:e1], vecs)
+            lo = hi
+        return out.T.reshape(x.shape)
+
+
+def _row_sums(indptr: np.ndarray, data: np.ndarray, indices: np.ndarray,
+              vecs: np.ndarray) -> np.ndarray:
+    """sums[v, i]: the products data * vecs[v, indices] of CSR row i added
+    one at a time, in storage order, onto 0.0.
+
+    With the rows taken longest first, the j-th entries of the rows that
+    have one form run j, and run j is added onto the front of the sums
+    for j = 0, 1, ...: one numpy addition per position, for all rows and
+    vectors at once.
+    """
+    n = len(indptr) - 1
+    count = np.diff(indptr)
+    order = np.argsort(-count, kind="stable")  # the rows, longest first
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n)
+    longer = n - np.cumsum(np.bincount(count))[:-1]  # the rows with a j-th entry
+    start = np.cumsum(longer) - longer  # where run j starts
+    rows = np.repeat(np.arange(n), count)
+    entry = np.empty(len(rows), dtype=np.intp)  # the entries in run order
+    entry[start[np.arange(len(rows)) - indptr[rows]] + rank[rows]] = np.arange(len(rows))
+    prod = data[entry] * vecs.take(indices[entry], axis=1)
+    sums = np.zeros((len(vecs), n), dtype=prod.dtype)
+    for a, m in zip(start.tolist(), longer.tolist()):
+        sums[:, :m] += prod[:, a:a + m]
+    return sums[:, rank]
 
 
 def _negation_index(modes: list[Momentum]) -> list[int]:
@@ -413,12 +493,16 @@ def _move_table(cfg: EDConfig) -> _MoveTable:
 
 def _csr(
     rows: Sequence[np.ndarray], cols: Sequence[np.ndarray], vals: Sequence[np.ndarray], dim: int
-) -> sp.csr_matrix:
-    """CSR matrix from distinct (row, col) entries in any order; explicit zeros stay stored."""
-    import scipy.sparse as sp
-
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, data) of distinct (row, col) entries given in any
+    order: rows in order, each row's columns increasing, explicit zeros
+    kept.  These are the arrays scipy's COO -> CSR conversion gives, index
+    dtype included: int32 while dim and the entry count fit it."""
     rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    order = np.argsort(rows * dim + cols)  # distinct keys: any sort gives one order
+    index = np.int32 if max(dim, len(vals)) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=dim))])
+    return indptr.astype(index), cols[order].astype(index), vals[order]
 
 
 def sector_basis(
@@ -482,7 +566,7 @@ def assemble_hamiltonian(
     """
     key, states = sector_basis(cfg, sector, basis)
     rows, cols, vals = _hamiltonian_entries(cfg, _Occupations(states, len(cfg.modes())))
-    return SectorMatrix(key, states, _csr(rows, cols, vals, len(states)), "H")
+    return SectorMatrix(key, states, *_csr(rows, cols, vals, len(states)), "H")
 
 
 def _diagonal(
@@ -692,7 +776,7 @@ def assemble_estimating(
         entries.append(basis_occ.pair_move(shift, lowering, p, q))
         entries.append(basis_occ.pair_move(-shift, raising, p, q))
     kind = "H+eps" if sign > 0 else "H-eps"
-    return SectorMatrix(key, states, _csr(*zip(*entries), n), kind)
+    return SectorMatrix(key, states, *_csr(*zip(*entries), n), kind)
 
 
 def assemble_kinetic(
@@ -703,7 +787,7 @@ def assemble_kinetic(
     modes = cfg.modes()
     diag = _Occupations(states, len(modes)).fsum(np.array([m.norm2 for m in modes]))
     idx = np.arange(len(states))
-    return SectorMatrix(key, states, _csr([idx], [idx], [diag], len(states)), "T")
+    return SectorMatrix(key, states, *_csr([idx], [idx], [diag], len(states)), "T")
 
 
 def assemble_excited_count(
@@ -715,7 +799,7 @@ def assemble_excited_count(
     n0 = _Occupations(states, len(modes)).occ[:, modes.index(cfg.lattice.zero)]
     diag = (cfg.n_particles - n0).astype(np.float64)
     idx = np.arange(len(states))
-    return SectorMatrix(key, states, _csr([idx], [idx], [diag], len(states)), "Ngt")
+    return SectorMatrix(key, states, *_csr([idx], [idx], [diag], len(states)), "Ngt")
 
 
 def assemble_bogoliubov_quadratic(
@@ -761,7 +845,7 @@ def assemble_bogoliubov_quadratic(
         shift[[p, q]] = -1
         entries.append(basis_occ.pair_move(shift, lowering, p, q))
         entries.append(basis_occ.pair_move(-shift, raising, p, q))
-    return SectorMatrix(None, states, _csr(*zip(*entries), dim), "HBog")
+    return SectorMatrix(None, states, *_csr(*zip(*entries), dim), "HBog")
 
 
 @dataclass(frozen=True)
@@ -788,27 +872,35 @@ def lowest_eigenvalues(
     vector drawn from the fixed seed; residuals are checked against
     tol * ||M||_inf.  A single-vector Lanczos run may under-count
     degenerate multiplicities; use the dense path when exact
-    multiplicities matter.
+    multiplicities matter.  The norm, the dense matrix and the residuals
+    come from the CSR arrays, with scipy's own summation order, and only
+    Lanczos imports scipy.sparse.linalg.  A scipy sparse matrix is solved
+    through a SectorMatrix over its CSR arrays.
     """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     _require_tol(tol)
-    mat = m.matrix if isinstance(m, SectorMatrix) else sp.csr_matrix(m)
-    dim = mat.shape[0]
+    if not isinstance(m, SectorMatrix):
+        import scipy.sparse as sp
+
+        c = sp.csr_matrix(m)
+        m = SectorMatrix(None, [], c.indptr, c.indices, c.data, "csr")
+    dim = m.dim
     if count < 1 or count > dim:
         raise ValueError(f"count must be in [1, {dim}], got {count}")
-    norm_est = float(abs(mat).sum(axis=1).max()) if mat.nnz else 0.0
+    # the largest absolute row sum, each row summed as scipy's sum(axis=1) sums it
+    nonempty = np.flatnonzero(np.diff(m.indptr))
+    norm_est = float(np.add.reduceat(np.abs(m.data), m.indptr[nonempty]).max()) if m.nnz else 0.0
     if dim <= DENSE_FALLBACK_DIM or count >= dim - 1:
-        w, v = np.linalg.eigh(mat.toarray())  # ascending
+        w, v = np.linalg.eigh(m.toarray())  # ascending
         vals, vecs = w[:count], v[:, :count]
         method = "dense"
     else:
+        import scipy.sparse.linalg as spla
+
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(dim)
         try:
             vals, vecs = spla.eigsh(
-                mat, k=count, which="SA", tol=tol, v0=v0, maxiter=max(40 * dim, 1000)
+                m.matrix, k=count, which="SA", tol=tol, v0=v0, maxiter=max(40 * dim, 1000)
             )
         except spla.ArpackNoConvergence as exc:
             got = np.asarray(exc.eigenvalues, dtype=float)
@@ -819,8 +911,9 @@ def lowest_eigenvalues(
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         method = "lanczos"
+    product = m.matvec(vecs)
     residuals = np.array(
-        [float(np.linalg.norm(mat @ vecs[:, j] - vals[j] * vecs[:, j])) for j in range(count)]
+        [float(np.linalg.norm(product[:, j] - vals[j] * vecs[:, j])) for j in range(count)]
     )
     if method == "lanczos" and norm_est > 0 and np.any(residuals > tol * norm_est):
         raise EigenConvergenceError("residuals exceed tolerance", residuals)

@@ -319,7 +319,18 @@ def _ball_bounds(lattice: LatticeSpec, radius: float) -> tuple[int, int]:
 def lattice_points(
     lattice: LatticeSpec, radius: float, include_zero: bool = False
 ) -> list[Momentum]:
-    """All momenta with |p| <= radius, in lexicographic order of n.
+    """All momenta with |p| <= radius, in lexicographic order of n: the
+    points of lattice_coords.  LatticeBudgetError if the cube around the
+    ball holds more than MAX_LATTICE_POINTS points."""
+    L = lattice.L
+    return [Momentum(n, L) for n in lattice_coords(lattice, radius, include_zero)]
+
+
+def lattice_coords(
+    lattice: LatticeSpec, radius: float, include_zero: bool = False
+) -> list[tuple[int, ...]]:
+    """The integer coordinates n of every point with |p| <= radius, in
+    lexicographic order, with no Momentum built.
 
     Coordinates are fixed one axis at a time; each ranges over
     |c| <= min(m, isqrt(K - sum of the squares fixed so far)), so only
@@ -334,13 +345,12 @@ def lattice_points(
     for _ in range(lattice.d - 1):
         level = [(prefix + (c,), left - c * c)
                  for prefix, left in level for c in _axis_range(m, left)]
-    L = lattice.L
-    pts: list[Momentum] = []
+    coords: list[tuple[int, ...]] = []
     for prefix, left in level:
         # left == K only on the zero prefix, whose c = 0 is the zero point
-        pts += [Momentum(prefix + (c,), L) for c in _axis_range(m, left)
-                if c or include_zero or left != K]
-    return pts
+        coords += [prefix + (c,) for c in _axis_range(m, left)
+                   if c or include_zero or left != K]
+    return coords
 
 
 def _axis_range(m: int, left: int) -> range:

@@ -155,11 +155,11 @@ def check_sandwich(cfg: EDConfig, sector: Sequence[int], eps_list: Sequence[floa
         raise ValueError(
             f"sector dimension {len(basis)} exceeds dense limit {SANDWICH_DIM_LIMIT}"
         )
-    h = fock_ed.assemble_hamiltonian(cfg, key, basis).matrix.toarray()
+    h = fock_ed.assemble_hamiltonian(cfg, key, basis).toarray()
     checks = []
     for eps in eps_list:
-        upper = fock_ed.assemble_estimating(cfg, key, eps, +1, basis).matrix.toarray()
-        lower = fock_ed.assemble_estimating(cfg, key, eps, -1, basis).matrix.toarray()
+        upper = fock_ed.assemble_estimating(cfg, key, eps, +1, basis).toarray()
+        lower = fock_ed.assemble_estimating(cfg, key, eps, -1, basis).toarray()
         scale = max(1.0, float(np.abs(h).max(initial=0.0)),
                     float(np.abs(upper).max(initial=0.0)),
                     float(np.abs(lower).max(initial=0.0)))
@@ -178,8 +178,8 @@ def check_sandwich(cfg: EDConfig, sector: Sequence[int], eps_list: Sequence[floa
 def check_kinetic_bound(cfg: EDConfig, sector: Sequence[int]) -> Check:
     """T * L^2/(2 pi)^2 dominates N^> (both diagonal: per-state scalars)."""
     key, basis = fock_ed.sector_basis(cfg, sector)
-    t = fock_ed.assemble_kinetic(cfg, key, basis).matrix.diagonal()
-    ngt = fock_ed.assemble_excited_count(cfg, key, basis).matrix.diagonal()
+    t = fock_ed.assemble_kinetic(cfg, key, basis).diagonal()
+    ngt = fock_ed.assemble_excited_count(cfg, key, basis).diagonal()
     factor = (cfg.lattice.L / (2.0 * math.pi)) ** 2
     diff = factor * t - ngt
     w_min = float(diff.min()) if diff.size else 0.0

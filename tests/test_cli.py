@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import bogospec
 from bogospec import fock_ed
@@ -444,13 +443,20 @@ def test_startup_imports_load_no_scipy():
 @pytest.mark.parametrize("args, sparse", [
     (["energy", "--vhat", "gaussian:0.1:5", "--dim", "3", "--L", "10"], False),
     (["enumerate", "--vhat", "gaussian:0:1", "--kappa", "5.5", "--window", "2"], False),
-    (ED_4 + ["--sectors", "0;1"], True),
-], ids=["energy-3d", "enumerate", "ed"])
+    # sectors of 1-3 and 11 states, solved densely
+    (ED_4 + ["--sectors", "0;1"], False),
+    # 526 states, past fock_ed.DENSE_FALLBACK_DIM: solved by Lanczos
+    (["ed", "--vhat", "gaussian:0.1:5", "--N", "32", "--mode-radius", "4",
+      "--max-excited", "8", "--sectors", "0", "--count", "2"], True),
+    (["verify", "--seed", "23"], False),
+], ids=["energy-3d", "enumerate", "ed", "ed-lanczos", "verify"])
 def test_only_ed_loads_scipy(tmp_path, args, sparse):
+    # only a sector above the dense limit loads scipy, for its Lanczos solve
     out = tmp_path / "out.csv"
     loaded = _loaded_modules(
         f"from bogospec.cli import main\nassert main({args + ['--out', str(out)]!r}) == 0")
-    assert out.read_text().startswith("# bogospec")
+    # verify's CSV has no header lines
+    assert out.read_text().startswith("check," if args[0] == "verify" else "# bogospec")
     if sparse:
         assert "scipy.sparse.linalg" in loaded
     else:
@@ -478,7 +484,7 @@ def test_ground_sector_failure_exit_code(monkeypatch, capsys):
     def doctored(cfg, sector, basis=None):
         m = orig(cfg, sector, basis)
         if any(m.sector):
-            m.matrix = (m.matrix - 100.0 * sp.identity(m.dim, format="csr")).tocsr()
+            m.data[m.indices == np.repeat(np.arange(m.dim), np.diff(m.indptr))] -= 100.0
         return m
 
     monkeypatch.setattr(fock_ed, "assemble_hamiltonian", doctored)

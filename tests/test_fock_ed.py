@@ -589,6 +589,98 @@ def test_quadratic_matches_reference_bit_for_bit(pot, pairs, cutoff):
     _assert_same_csr(got.matrix, _reference_quadratic(modes, pot, cutoff))
 
 
+# the ed-1d benchmark sector: 526 states, solved by Lanczos
+ED_1D_CASE = (EDConfig(32, LatticeSpec(6.28318530718, 1), V1, mode_radius=4.0, max_excited=8),
+              (0,))
+
+
+def _assembled(cfg, sector):
+    """Every sector operator of the configuration on the sector, and the
+    quadratic Hamiltonian on its first +/- mode pair."""
+    states = build_basis(cfg).get(sector, [])
+    mats = [assemble(sector, states) for assemble, _ in _sector_assemblies(cfg)]
+    pair = [cfg.lattice.momentum((1,) + (0,) * (cfg.lattice.d - 1))]
+    return mats + [assemble_bogoliubov_quadratic(pair + [-pair[0]], cfg.pot, 3)]
+
+
+@pytest.mark.parametrize("cfg, sector", ORACLE_CASES + [ED_1D_CASE])
+def test_csr_arrays_match_scipy(monkeypatch, cfg, sector):
+    # _csr's arrays are scipy's COO -> CSR arrays of the same entries,
+    # index dtype included; the scipy view shares them, and the dense
+    # matrix and diagonal are scipy's, bit for bit
+    calls = []
+    orig = fock_ed._csr
+
+    def recording(rows, cols, vals, dim):
+        got = orig(rows, cols, vals, dim)
+        entries = [np.concatenate(a) for a in (rows, cols, vals)]
+        calls.append((got, entries, dim))
+        return got
+
+    monkeypatch.setattr(fock_ed, "_csr", recording)
+    mats = _assembled(cfg, sector)
+    assert len(calls) == len(mats)
+    for (indptr, indices, data), (rows, cols, vals), dim in calls:
+        want = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        _assert_same_csr(fock_ed.SectorMatrix(None, [], indptr, indices, data, ""), want)
+    for m in mats:
+        for name in ("indptr", "indices", "data"):
+            ours = getattr(m, name)
+            assert np.shares_memory(getattr(m.matrix, name), ours) or not ours.size, name
+        assert m.nnz == m.matrix.nnz
+        assert m.toarray().tobytes() == m.matrix.toarray().tobytes()
+        assert m.diagonal().tobytes() == m.matrix.diagonal().tobytes()
+
+
+def _handmade():
+    """A 6 x 6 SectorMatrix with an empty row (2), an explicit zero and a
+    stored -0.0, and a row (0) whose sum depends on its order."""
+    entries = {
+        (0, 0): 1.0, (0, 1): 1e16, (0, 2): -1e16,
+        (1, 1): 0.0, (1, 4): 0.75,
+        (3, 3): -0.0,
+        (4, 0): 0.1, (4, 1): -3e-17, (4, 2): 7.0, (4, 3): -0.3, (4, 4): 1e-3, (4, 5): 2.2,
+        (5, 5): 2.5,
+    }
+    keys = list(entries)[::-1]  # _csr takes its entries in any order
+    arrays = fock_ed._csr([np.array([k[0] for k in keys])], [np.array([k[1] for k in keys])],
+                          [np.array([entries[k] for k in keys])], 6)
+    return fock_ed.SectorMatrix(None, [], *arrays, "test")
+
+
+def test_matvec_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(7)
+    hand = _handmade()
+    assert hand.nnz == 13 and np.diff(hand.indptr)[2] == 0
+    assert hand.toarray().tobytes() == hand.matrix.toarray().tobytes()
+    mats = [hand] + _assembled(*ORACLE_CASES[3]) + _assembled(*ORACLE_CASES[5])
+    for m in mats:
+        xs = np.concatenate([np.ones((m.dim, 1)), rng.standard_normal((m.dim, 3)),
+                             np.exp(rng.uniform(-30, 30, (m.dim, 2)))], axis=1)
+        block = m.matvec(xs)
+        for j in range(xs.shape[1]):
+            want = (m.matrix @ xs[:, j]).tobytes()
+            assert m.matvec(xs[:, j]).tobytes() == want
+            assert block[:, j].copy().tobytes() == want
+    # the sums tell the order apart: row 0 summed right to left is 1.0,
+    # where scipy's left-to-right sum is 0.0
+    x = np.ones(6)
+    products = hand.data[:3] * x[hand.indices[:3]]
+    assert sum(reversed(products.tolist())) == 1.0
+    assert (hand.matrix @ x)[0] == 0.0 == hand.matvec(x)[0]
+
+
+def test_lowest_eigenvalues_reads_the_arrays_as_scipy_input():
+    # a SectorMatrix and the scipy matrix over its arrays give the same
+    # bits, on the dense path and on Lanczos
+    cfg = EDConfig(6, LAT, V1, mode_radius=2.0, max_excited=5)
+    for m, count in ((assemble_hamiltonian(cfg, (1,)), 3), (assemble_hamiltonian(*ED_1D_CASE), 2)):
+        got, want = lowest_eigenvalues(m, count), lowest_eigenvalues(m.matrix, count)
+        assert got.method == want.method
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.residuals.tobytes() == want.residuals.tobytes()
+
+
 def test_free_hamiltonian_is_diagonal():
     cfg = EDConfig(4, LAT, ZERO, mode_radius=2.0, max_excited=4)
     m = assemble_hamiltonian(cfg, (0,))
@@ -606,12 +698,18 @@ def test_k0_interaction_is_constant():
     assert np.abs(h - t - const * np.eye(len(h))).max() < 1e-12
 
 
+def _assert_hermitian(m):
+    """|M - M^T| <= 1e-13 max(max |M|, 1) entrywise; assembly keeps the
+    asymmetry near machine eps."""
+    a = m.toarray()
+    assert np.abs(a - a.T).max(initial=0.0) <= 1e-13 * max(np.abs(a).max(initial=0.0), 1.0)
+
+
 def test_hermiticity_and_momentum_blocks():
     cfg = EDConfig(5, LAT, V1, mode_radius=2.0, max_excited=4)
     basis = build_basis(cfg)
     for key in ((0,), (1,), (3,)):
-        m = assemble_hamiltonian(cfg, key, basis[key])
-        assert m.asymmetry() <= 1e-13 * max(m.scale, 1.0)
+        _assert_hermitian(assemble_hamiltonian(cfg, key, basis[key]))
     # assembling on the union of two sector bases stays block diagonal
     union = basis[(0,)] + basis[(2,)]
     m = assemble_hamiltonian(cfg, (0,), union)
@@ -631,9 +729,7 @@ def test_hermiticity_and_momentum_blocks():
 def test_hermiticity_property(n, amp, width, sector):
     pot = Potential.gaussian(amp, width, 1)
     cfg = EDConfig(n, LAT, pot, mode_radius=2.0, max_excited=min(n, 3))
-    m = assemble_hamiltonian(cfg, (sector,))
-    if m.dim:
-        assert m.asymmetry() <= 1e-13 * max(m.scale, 1.0)
+    _assert_hermitian(assemble_hamiltonian(cfg, (sector,)))
 
 
 def test_estimating_condensate_sector_is_scalar():
@@ -881,7 +977,7 @@ def test_ground_sector_violation_detected(monkeypatch):
     def doctored(cfg, sector, basis=None):
         m = orig(cfg, sector, basis)
         if any(m.sector):
-            m.matrix = (m.matrix - 100.0 * sp.identity(m.dim, format="csr")).tocsr()
+            m.data[m.indices == np.repeat(np.arange(m.dim), np.diff(m.indptr))] -= 100.0
         return m
 
     monkeypatch.setattr(fe, "assemble_hamiltonian", doctored)
