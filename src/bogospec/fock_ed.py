@@ -2,18 +2,22 @@
 
 Basis states are occupation tuples over a finite symmetric mode set
 (|p| <= mode_radius, zero mode always kept) with the particle number fixed
-and the excited-particle count optionally capped; one depth-first walk
-builds only the sectors asked for (`build_basis`), pruned exactly by a
-reach table that gives, per mode and partial momentum, the fewest
-particles still needed to reach a requested sector.  Assembled matrices
-are exact compressions P H P of the second-quantized operators to that
-basis, so operator inequalities survive as matrix inequalities per sector.
+and the excited-particle count optionally capped.  `build_basis` builds
+only the sectors asked for, by a walk over the excited modes that numpy
+runs one mode (level) at a time, pruned exactly by a reach table that
+gives, per mode and partial momentum, the fewest particles still needed
+to reach a requested sector.  Assembled matrices are exact compressions
+P H P of the second-quantized operators to that basis, so operator
+inequalities survive as matrix inequalities per sector.
 
 Every operator, number-conserving or not, is assembled on one
-representation of its basis: the (n_states, n_modes) occupation array,
-searched exactly row by row (`_Occupations`).  Moves are vectorised over
-the states, and each entry adds the same terms in the same order as a
-per-state loop would, so the matrices equal that loop's bit for bit
+representation of its basis: the (n_states, n_modes) occupation array
+and one packed integer key per state, its occupations as the digits of a
+mixed-radix number (`_Occupations`).  A move's target key is its source
+key plus the place values of the modes it fills, less those of the modes
+it empties, and is looked up in the sorted keys.  Moves are vectorised
+over the states, and each entry adds the same terms in the same order as
+a per-state loop would, so the matrices equal that loop's bit for bit
 (see `assemble_hamiltonian`).  The Hamiltonian's interaction
 coefficients and mode moves form a move table (`_MoveTable`) that each
 EDConfig builds once, vectorised, for its whole mode set.  A sector then
@@ -36,7 +40,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -61,18 +64,19 @@ DEFAULT_SEED = 1234
 
 #: about the most (state, move) pairs, or diagonal (state, pair) entries,
 #: one slice of `assemble_hamiltonian` handles (more only by the moves of
-#: one entry).  Each pair holds a target row of n_modes int64, its indices
-#: and its roots, a few hundred bytes, so a slice's arrays grow with this
-#: bound.  On the ed-1d benchmark sector (526 states, 9 modes, 18,476
-#: (state, move) pairs) slices of 2**15 raise peak RSS by 6%, past that
-#: benchmark's 5% bound, and 2**12 by 2.5%; 2**11 adds 1.4%, no more
-#: than 2**10, at the same speed.  The small sectors of verify still take
-#: all their moves in one slice.
+#: one entry).  Each pair holds its packed target key (8 bytes a key
+#: word), its indices, roots and coefficients: about 140 bytes at peak
+#: (tracemalloc, 1D N = 64 and 3D sectors of 13-17k states), so a
+#: slice's arrays grow with this bound.  On the ed-1d benchmark sector
+#: (526 states, 9 modes, 18,476 (state, move) pairs) slices of 2**13 hold
+#: 0.9 MB (1.3%) more peak RSS than 2**11 and run no faster (medians of
+#: 6 alternating benchmark runs each).  The small sectors of verify still
+#: take all their moves in one slice.
 PAIR_SLICE = 2**11
 
 #: the most entries one row block of `SectorMatrix.matvec` takes (more only
 #: by one row); its arrays hold about 60 + 16 k bytes an entry for k
-#: vectors.  The ed-1d benchmark sector (14,810 entries) takes one block.
+#: vectors.  `lowest_eigenvalues` calls matvec on its dense path only.
 MATVEC_ENTRIES = 2**16
 
 
@@ -167,69 +171,135 @@ def build_basis(
     """Occupation vectors with sum N and excited count <= cap, by sector.
 
     Returns exactly the requested sectors, deduplicated, each sorted (empty
-    if unreachable); None means every reachable sector.  One depth-first
-    walk gives each excited mode, in index order, 0..left particles (left:
-    what the cap still allows) and the zero mode the rest.  With sectors it
-    visits only nodes that reach one: the reach table (`_reach_table`)
-    tells whether the particles left, on the modes still to come, can
-    carry the momentum so far to a requested sector, and a child (the
-    root too) is pushed only if they can.  Only a requested sector over
-    cfg.basis_cap raises BasisSizeError; its suggestion, the largest
-    max_excited at which all of them fit, is bisected by trial walks that
-    stop at their first overflow.
+    if unreachable); None means every reachable sector, in the order the
+    walk first reaches them.  The walk gives each excited mode, in index
+    order, 0..left particles (left: what the cap still allows) and the
+    zero mode the rest.  It runs level by level in numpy: each level
+    expands the frontier of partial states by one excited mode, children
+    in increasing count, so the frontier keeps the order of a depth-first
+    walk, and holds only each child's parent and count; the states are
+    read back from the leaves at the end.  Momenta are single integers
+    (`_MomentumCode`).  With sectors the walk keeps only nodes that reach
+    one: the reach table (`_reach_table`) tells whether the particles
+    left, on the modes still to come, can carry the momentum so far to a
+    requested sector.
+
+    Only a requested sector over cfg.basis_cap raises BasisSizeError,
+    naming the sector the walk overfills first.  Every node kept owns at
+    least one leaf, so the first len(sectors) * basis_cap + 1 nodes of a
+    level own a prefix of the walk's leaves that overfills some sector;
+    each level is cut to that many (with sectors=None, times a bound on
+    the sector count), which bounds the memory and keeps the first
+    overflow.  Its suggestion, the largest max_excited at which all
+    sectors fit, is bisected by trial walks cut the same way.
     """
     keys = None if sectors is None else list(dict.fromkeys(tuple(map(int, s)) for s in sectors))
     modes = cfg.modes()
+    d = cfg.lattice.d
     zero = modes.index(cfg.lattice.zero)
     excited = [i for i in range(len(modes)) if i != zero]
-    origin = (0,) * cfg.lattice.d
-    steps = [modes[i].n for i in excited]
     cap = cfg.effective_max_excited
-    # scaled[j][c]: the momentum of c particles on excited mode j
-    scaled = [[tuple(c * n for n in step) for c in range(cap + 1)] for step in steps]
-    # a key of another dimension is reached by no walk
-    reach = None if keys is None else _reach_table([k for k in keys if len(k) == len(origin)],
-                                                    steps, cap)
-    never = [-1] * (cap + 1)
-    occ = [0] * len(modes)
+    if cap < 0:
+        return {k: [] for k in keys or ()}
+    # cap particles carry each coordinate at most span from 0
+    span = cap * max((abs(c) for i in excited for c in modes[i].n), default=0)
+    code = _MomentumCode(d, 2 * span)
+    origin = code((0,) * d)
+    steps = [code(modes[i].n) - origin for i in excited]
+    small = np.min_scalar_type(cfg.n_particles)  # holds every count and occupation
+    if keys is None:
+        reach = None
+        limit = (2 * span + 1) ** d * cfg.basis_cap + 1
+    else:
+        # a key of another dimension, or past span, is reached by no walk
+        near = [code(k) for k in keys if len(k) == d and max(map(abs, k)) <= span]
+        table = _reach_table(near, steps, cap)
+        # the table's momenta in order, then one past every momentum, which
+        # reaches no key
+        reach_at = np.array([*sorted(table), code.base**d], dtype=np.int64)
+        reach = np.array([*map(table.get, reach_at[:-1].tolist()), [-1] * (cap + 1)],
+                         dtype=np.int64)
+        limit = len(keys) * cfg.basis_cap + 1
 
-    def walk(buckets: dict, cap: int) -> bool:
-        # fills buckets; True at the first bucket over the cap.  A stack
-        # entry (i, c, j, left, total) puts c particles on mode i and stands
-        # for the subtree of the excited modes from j on; children are
-        # pushed so that they pop in increasing c, the order of a recursion
-        if reach is not None and reach.get(origin, never)[cap] < 0:
-            return False
-        stack = [(zero, 0, 0, cap, origin)]
-        while stack:
-            i, c, j, left, total = stack.pop()
-            occ[i] = c
-            if j == len(excited):
-                occ[zero] = cfg.n_particles - cap + left
-                bucket = buckets.setdefault(total, [])
-                bucket.append(tuple(occ))
-                if len(bucket) > cfg.basis_cap:
-                    return True
-                continue
-            i, mult = excited[j], scaled[j]
-            for c in range(left, -1, -1):
-                t = tuple(map(add, total, mult[c]))
-                if reach is None or reach.get(t, never)[left - c] > j:
-                    stack.append((i, c, j + 1, left - c, t))
-        return False
+    index = np.int32 if limit <= 2**31 else np.int64  # indexes a level's first limit nodes
 
-    buckets: dict[tuple[int, ...], list[FockState]] = {k: [] for k in keys or ()}
-    if cap >= 0 and walk(buckets, cap):
-        first = bisect.bisect_left(range(cap), True, key=lambda m: walk({}, m))
-        key = next(k for k, b in buckets.items() if len(b) > cfg.basis_cap)
-        raise BasisSizeError(key, cfg.basis_cap + 1, cfg.basis_cap, max(first - 1, 0))
-    return {k: sorted(v) for k, v in buckets.items()}
+    def kept(total: np.ndarray, left: np.ndarray, level: int) -> np.ndarray:
+        # the nodes whose left particles, on the modes from level on, reach a key
+        at = reach_at.searchsorted(total)
+        return (reach_at[at] == total) & (reach[at, left] >= level)
+
+    def grow(top: int) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+        # (total, left) of the leaves at excited cap top, in walk order, and
+        # each level's (parent, count), every level cut to its first limit nodes
+        total, left = np.array([origin], dtype=np.int64), np.array([top], dtype=np.int64)
+        if reach is not None:
+            on = kept(total, left, 0)
+            total, left = total[on], left[on]
+        levels = []
+        for j, step in enumerate(steps):
+            # every parent's children 0..left, parent by parent: walk order
+            width = left + 1
+            parent = np.arange(len(left), dtype=index).repeat(width)
+            c = np.arange(len(parent)) - (width.cumsum() - width).repeat(width)
+            total, left = total[parent] + c * step, left[parent] - c
+            on = slice(limit) if reach is None else kept(total, left, j + 1).nonzero()[0][:limit]
+            parent, c, total, left = parent[on], c[on], total[on], left[on]
+            levels.append((parent, c.astype(small)))
+        return total, left, levels
+
+    def overflows(total: np.ndarray) -> bool:
+        most = cfg.basis_cap
+        return len(total) > most and np.unique(total, return_counts=True)[1].max() > most
+
+    total, left, levels = grow(cap)
+    if overflows(total):
+        _, sector, size = np.unique(total, return_inverse=True, return_counts=True)
+        over = min(int(np.flatnonzero(sector == s)[cfg.basis_cap])
+                   for s in np.flatnonzero(size > cfg.basis_cap).tolist())
+        fits = bisect.bisect_left(range(cap), True, key=lambda m: overflows(grow(m)[0]))
+        key = code.decode(int(total[over]))
+        raise BasisSizeError(key, cfg.basis_cap + 1, cfg.basis_cap, max(fits - 1, 0))
+    occ = np.empty((len(modes), len(total)), dtype=small)
+    occ[zero] = cfg.n_particles - cap + left
+    at = np.arange(len(total))
+    for j in range(len(steps) - 1, -1, -1):
+        parent, c = levels[j]
+        occ[excited[j]] = c[at]
+        at = parent[at]
+    # by sector, then each sector's states in tuple order
+    order = np.lexsort((*occ[::-1], total))
+    states: list[FockState] = []
+    for lo in range(0, len(order), 2**14):  # no list of lists of the whole basis
+        states += map(tuple, occ[:, order[lo:lo + 2**14]].T.tolist())
+    total = total[order]
+    cut = ((total[1:] != total[:-1]).nonzero()[0] + 1).tolist()
+    built, first = {}, {}
+    for lo, hi in zip([0, *cut], [*cut, len(total)] if len(total) else []):
+        key = code.decode(int(total[lo]))
+        built[key], first[key] = states[lo:hi], int(order[lo:hi].min())
+    return {k: built.get(k, []) for k in (sorted(built, key=first.get) if keys is None else keys)}
 
 
-def _reach_table(keys: list, steps: list, cap: int) -> dict[tuple[int, ...], list[int]]:
+class _MomentumCode:
+    """A lattice momentum with coordinates in [-half, half] as one integer,
+    each coordinate offset by half as a digit in base 2 * half + 1, so
+    the code of a sum is the sum of the codes less the code of 0."""
+
+    def __init__(self, d: int, half: int):
+        self.d, self.half, self.base = d, half, 2 * half + 1
+
+    def __call__(self, t: Sequence[int]) -> int:
+        return sum((c + self.half) * self.base**a for a, c in enumerate(t))
+
+    def decode(self, code: int) -> tuple[int, ...]:
+        return tuple(code // self.base**a % self.base - self.half for a in range(self.d))
+
+
+def _reach_table(keys: list[int], steps: list[int], cap: int) -> dict[int, list[int]]:
     """reach[t][v]: the largest j such that v particles on the modes of
     steps[j:] can carry the momentum t to some key, else -1; a t that no
-    v <= cap carries is left out.
+    v <= cap carries is left out.  Momenta and steps are
+    `_MomentumCode` integers and their differences.
 
     The fewest particles that do so, need(j, t), can only fall as j falls,
     so the row of t records the level at which it first drops to each v,
@@ -246,7 +316,7 @@ def _reach_table(keys: list, steps: list, cap: int) -> dict[tuple[int, ...], lis
         step = steps[j]
         for t, cost in list(cheap.items()):
             for v in range(cost + 1, cap + 1):
-                t = tuple(map(sub, t, step))
+                t -= step
                 have = best.get(t, cap + 1)
                 if have <= v:
                     break
@@ -359,29 +429,64 @@ def _negation_index(modes: list[Momentum]) -> list[int]:
 
 
 class _Occupations:
-    """A basis as its (n_states, n_modes) int64 occupation array.
+    """A basis as its (n_states, n_modes) int64 occupation array and one
+    packed integer key per state.
 
-    Rows are looked up exactly: each is sorted and searched as one opaque
-    fixed-width key made of its bytes, so no integer encoding of a state
-    can overflow whatever the mode count.  A basis that lists a state
-    twice is rejected.
+    The key writes the occupations in mixed radix, the first mode the
+    most significant digit, so keys sort as the states do.  Mode m's
+    radix is its largest occupation in the basis + 3: a Hamiltonian move
+    adds at most 2 to a mode and empties only occupied modes
+    (`_occupied_pairs`), so no digit of a target carries or borrows, and
+    a target's key is its source's plus and minus the place values of the
+    modes moved (`place`).  The modes are split, in order, over as few
+    uint64 words as hold their digits: keys is (n_states, words), searched
+    as uint64 with one word and with more as words * 8-byte void, the
+    words big-endian, so that their bytes compare as the keys do and the
+    sorted keys stay in state order.  A basis that lists a state twice is
+    rejected.
     """
 
     def __init__(self, states: Sequence[FockState], nmode: int):
         self.occ = np.array(states, dtype=np.int64).reshape(len(states), nmode)
-        self._row_key = np.dtype((np.void, self.occ.itemsize * nmode))
-        keys = self._keys(self.occ)
-        self._order = np.argsort(keys)
-        self._sorted = keys[self._order]
+        self.radix = self.occ.max(axis=0, initial=0) + 3
+        radix = self.radix.tolist()
+        words: list[list[int]] = []
+        size = 2**64  # the digits the word being filled holds
+        for m, r in enumerate(radix):
+            if size * r > 2**64:
+                words.append([])
+                size = 1
+            words[-1].append(m)
+            size *= r
+        place = [[0] * len(words) for _ in range(nmode)]
+        for w, modes in enumerate(words):
+            value = 1
+            for m in reversed(modes):
+                place[m][w] = value
+                value *= radix[m]
+        #: place[m]: the key of one particle in mode m, one uint64 per word
+        self.place = np.array(place, dtype=np.uint64).reshape(nmode, len(words))
+        self._word = np.dtype(np.uint64 if len(words) == 1 else ">u8")
+        self._search = np.dtype(np.uint64 if len(words) == 1 else (np.void, 8 * len(words)))
+        self.keys = self.pack(self.occ)
+        searched = self._searched(self.keys)
+        self._order = np.argsort(searched)
+        self._sorted = searched[self._order]
         if np.any(self._sorted[1:] == self._sorted[:-1]):
             raise ValueError("basis lists a state twice")
 
-    def _keys(self, occ: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(occ).view(self._row_key).ravel()
+    def pack(self, occ: np.ndarray) -> np.ndarray:
+        """The keys of occupation rows, each digit in [0, radix)."""
+        if not ((occ >= 0) & (occ < self.radix)).all():
+            raise ValueError("an occupation lies outside its mode's radix")
+        return occ.astype(np.uint64) @ self.place
 
-    def find(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(hit, rows): target[hit] are basis states, at basis indices rows."""
-        keys = self._keys(target)
+    def _searched(self, keys: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(keys, dtype=self._word).view(self._search).ravel()
+
+    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(hit, rows): keys[hit] are basis states, at basis indices rows."""
+        keys = self._searched(keys)
         pos = np.searchsorted(self._sorted, keys)
         hit = np.flatnonzero(self._sorted[np.minimum(pos, len(self._sorted) - 1)] == keys)
         return hit, self._order[pos[hit]]
@@ -395,12 +500,16 @@ class _Occupations:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, entries) of moving every state by the occupation shift.
 
-        States whose target lies outside the basis are dropped.  The move
-        is one of a +/- pair, p < q = -p: term(x, m, -m) gives the term of
-        mode m on the source occupations x, and each entry adds the terms
-        of p and q in that order onto 0.0.
+        States whose target lies outside the basis are dropped, first
+        those with a digit outside [0, radix), which no key can hold.  The
+        move is one of a +/- pair, p < q = -p: term(x, m, -m) gives the
+        term of mode m on the source occupations x, and each entry adds
+        the terms of p and q in that order onto 0.0.
         """
-        hit, rows = self.find(self.occ + shift)
+        target = self.occ + shift
+        inside = np.flatnonzero(((target >= 0) & (target < self.radix)).all(axis=1))
+        hit, rows = self.find(self.pack(target[inside]))
+        hit = inside[hit]
         x = self.occ[hit]
         return rows, hit, (0.0 + term(x, p, q)) + term(x, q, p)
 
@@ -560,9 +669,10 @@ def assemble_hamiltonian(
     disjoint, so an entry comes from a single unordered move
     {p <= q} -> {t1 <= t2}; its ordered variants (at most four) are
     summed one slot at a time in loop order and the entry is written
-    once.  Target states are found by exact search over the occupation
-    rows.  A basis that lists a state twice is rejected.  A transfer
-    whose vhat_extended raises raises only in a sector that needs it.
+    once.  Target states are found by exact search of their packed keys
+    (`_Occupations`).  A basis that lists a state twice is rejected.  A
+    transfer whose vhat_extended raises raises only in a sector that
+    needs it.
     """
     key, states = sector_basis(cfg, sector, basis)
     rows, cols, vals = _hamiltonian_entries(cfg, _Occupations(states, len(cfg.modes())))
@@ -669,6 +779,10 @@ def _hamiltonian_entries(
     # of an entry's moves: (q, p, ...) multiplies the same two roots in the
     # other order, which rounds the same, and is a 0.0 slot when p == q
     pair_root = root(1, p, s) * root(1 - (p == q), q, s)
+    # each entry's source key less one particle in p and one in q; a move
+    # adds its t1 and t2 to give its target's key, no digit out of range
+    place = basis_occ.place
+    emptied = basis_occ.keys.take(s, axis=0) - place.take(p, axis=0) - place.take(q, axis=0)
     end = np.cumsum(count)
     cuts = np.searchsorted(end, np.arange(PAIR_SLICE, end[-1] if len(end) else 0, PAIR_SLICE),
                            side="right")
@@ -686,10 +800,7 @@ def _hamiltonian_entries(
         table.check(table.coef, move)
         i = s.take(entry)
         t1, t2 = table.target.take(move, axis=0).T
-        target = occ.take(i, axis=0)
-        flat, row_at = target.reshape(-1), np.arange(0, target.size, nmode)
-        for m, change in ((p.take(entry), -1), (q.take(entry), -1), (t1, 1), (t2, 1)):
-            flat[row_at + m] += change  # one statement per mode: p == q and t1 == t2 add up
+        target = emptied.take(entry, axis=0) + place.take(t1, axis=0) + place.take(t2, axis=0)
         hit, target_rows = basis_occ.find(target)
         entry, move, i, t1, t2 = entry[hit], move[hit], i[hit], t1[hit], t2[hit]
         # variants (., ., t2, t1) end sqrt(n_t2 + 1) sqrt(n_t1 + 1 + [t1 == t2]),
@@ -874,8 +985,10 @@ def lowest_eigenvalues(
     degenerate multiplicities; use the dense path when exact
     multiplicities matter.  The norm, the dense matrix and the residuals
     come from the CSR arrays, with scipy's own summation order, and only
-    Lanczos imports scipy.sparse.linalg.  A scipy sparse matrix is solved
-    through a SectorMatrix over its CSR arrays.
+    Lanczos imports scipy.sparse.linalg.  Its residuals take scipy's
+    product, which `SectorMatrix.matvec` matches bit for bit; the dense
+    path takes matvec and loads no scipy.  A scipy sparse matrix is
+    solved through a SectorMatrix over its CSR arrays.
     """
     _require_tol(tol)
     if not isinstance(m, SectorMatrix):
@@ -893,6 +1006,7 @@ def lowest_eigenvalues(
         w, v = np.linalg.eigh(m.toarray())  # ascending
         vals, vecs = w[:count], v[:, :count]
         method = "dense"
+        product = m.matvec(vecs)
     else:
         import scipy.sparse.linalg as spla
 
@@ -911,7 +1025,7 @@ def lowest_eigenvalues(
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
         method = "lanczos"
-    product = m.matvec(vecs)
+        product = m.matrix @ vecs  # scipy is loaded here, and sums as matvec does
     residuals = np.array(
         [float(np.linalg.norm(product[:, j] - vals[j] * vecs[:, j])) for j in range(count)]
     )

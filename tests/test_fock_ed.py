@@ -4,6 +4,8 @@ import gc
 import itertools
 import math
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +216,28 @@ def test_build_basis_cap_counts_requested_sectors_only():
     larger = EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=suggestion + 1, basis_cap=21)
     with pytest.raises(BasisSizeError):
         build_basis(larger, [(6,), (0,)])
+
+
+def test_build_basis_cap_error_on_a_huge_sector_builds_no_sector():
+    # sector 0 here holds 8,908,546 states; a full build would hold them
+    # all.  The error names the sector, size and suggestion of the
+    # depth-first walk that stops at its first overflow
+    cfg = EDConfig(64, LAT, V1, mode_radius=8.0, max_excited=16, basis_cap=1000)
+    for keys, sector in (([(0,)], (0,)), ([(3,), (0,), (-5,)], (3,))):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(BasisSizeError) as err:
+                build_basis(cfg, keys)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.sector, err.value.size, err.value.suggestion) == (sector, 1001, 5)
+        assert str(err.value) == (f"sector {sector} basis has 1001 states (cap 1000); "
+                                  "try max_excited <= 5")
+        assert elapsed < 1.0
+        assert peak < 20e6
 
 
 def test_build_basis_leaves_no_reference_cycle():
@@ -488,7 +512,13 @@ ORACLE_CASES = [
               mode_radius=1.5), (0, 0, 0)),
     (EDConfig(4, LatticeSpec(2 * math.pi, 3), Potential.gaussian(0.1, 5.0, 3),
               mode_radius=1.5), (1, 0, 0)),
+    # 3D, 33 modes: the packed keys need two uint64 words (TWO_WORD_CASES)
+    (EDConfig(3, LatticeSpec(2 * math.pi, 3), Potential.gaussian(0.1, 5.0, 3),
+              mode_radius=2.0), (0, 0, 0)),
+    (EDConfig(3, LatticeSpec(2 * math.pi, 3), Potential.gaussian(0.1, 5.0, 3),
+              mode_radius=2.0), (1, 0, 0)),
 ]
+TWO_WORD_CASES = ORACLE_CASES[-2:]
 
 
 # (eps, sign) of the estimating Hamiltonians checked against the reference
@@ -562,6 +592,23 @@ def test_a_transfer_past_a_table_raises_only_in_a_sector_that_needs_it():
                          _reference_hamiltonian(cfg, states))
     with pytest.raises(TailBoundError):
         assemble_hamiltonian(cfg, (0,))
+
+
+def test_two_word_cases_take_two_key_words():
+    for cfg, sector in TWO_WORD_CASES:
+        states = build_basis(cfg, [sector])[sector]
+        assert len(states) == {(0, 0, 0): 91, (1, 0, 0): 74}[sector]
+        assert fock_ed._Occupations(states, len(cfg.modes())).keys.shape == (len(states), 2)
+
+
+def test_assembly_matches_reference_on_a_mode_capped_basis():
+    # every occupation 0..2 of each mode, any particle number: a move that
+    # puts two particles into a mode holding 2 makes a digit of 4, which a
+    # radix of max + 2 would carry into a key that another state holds
+    cfg = EDConfig(6, LAT, V1, mode_radius=2.0)
+    states = list(itertools.product(range(3), repeat=len(cfg.modes())))
+    for assemble, reference in _sector_assemblies(cfg):
+        _assert_same_csr(assemble((0,), states).matrix, reference(states))
 
 
 def test_assembly_matches_reference_on_any_basis_order():
