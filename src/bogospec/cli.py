@@ -1,8 +1,12 @@
 """Command-line front end: compute, enumerate, diagonalize, verify.
 
-Every run echoes its fully resolved configuration into `# bogospec`
-header lines, and identical configurations produce byte-identical CSV
-output (fixed seeds, deterministic summation and ordering throughout).
+Every run but `verify` echoes its fully resolved configuration into
+`# bogospec` header lines.  `verify` writes a bare report, its column
+names and then one row per check, and so does not record its tolerance
+or seed: perfbench's verify parser (`perfbench/reference.py`) skips
+exactly one line, so a header waits for a benchmark-only change to that
+parser.  Identical configurations produce byte-identical CSV output
+(fixed seeds, deterministic summation and ordering throughout).
 """
 
 from __future__ import annotations

@@ -26,11 +26,15 @@ those pairs' moves, in slices of about PAIR_SLICE (state, move) pairs, a
 few numpy calls per slice, which bounds the memory a slice holds.
 
 A SectorMatrix holds its own CSR arrays, built by numpy (`_csr`), and
-gives the dense matrix, its diagonal and a row-by-row product that sums
-as scipy's does, bit for bit.  scipy is imported only where a sector is
-solved by Lanczos, above DENSE_FALLBACK_DIM states, or where something
-reads `SectorMatrix.matrix`, a scipy view over the same arrays.  So the
-lattice commands, `verify` and the small `ed` runs load no scipy at all.
+gives the dense matrix, its diagonal and a row-by-row product.  One
+kernel, `_row_sums`, adds each row's terms one at a time, in order, onto
+a start: the product's rows onto 0.0, as scipy sums them, and the
+Hamiltonian's diagonal terms onto each state's kinetic energy, as the
+per-state loop sums them, both bit for bit.  scipy is imported only
+where a sector is solved by Lanczos, above DENSE_FALLBACK_DIM states, or
+where something reads `SectorMatrix.matrix`, a scipy view over the same
+arrays.  So the lattice commands, `verify` and the small `ed` runs load
+no scipy at all.
 """
 
 from __future__ import annotations
@@ -64,20 +68,17 @@ DEFAULT_SEED = 1234
 
 #: about the most (state, move) pairs, or diagonal (state, pair) entries,
 #: one slice of `assemble_hamiltonian` handles (more only by the moves of
-#: one entry).  Each pair holds its packed target key (8 bytes a key
-#: word), its indices, roots and coefficients: about 140 bytes at peak
-#: (tracemalloc, 1D N = 64 and 3D sectors of 13-17k states), so a
-#: slice's arrays grow with this bound.  On the ed-1d benchmark sector
-#: (526 states, 9 modes, 18,476 (state, move) pairs) slices of 2**13 hold
-#: 0.9 MB (1.3%) more peak RSS than 2**11 and run no faster (medians of
-#: 6 alternating benchmark runs each).  The small sectors of verify still
-#: take all their moves in one slice.
+#: one entry); a block of `_row_sums` holds at most 4 * PAIR_SLICE cells
+#: (more only by one row).  Each pair holds its packed target key (8
+#: bytes a key word), its indices, roots and coefficients: about 140
+#: bytes at peak (tracemalloc, 1D N = 64 and 3D sectors of 13-17k
+#: states), so a slice's arrays grow with this bound.  On the ed-1d
+#: benchmark sector (526 states, 9 modes, 18,476 (state, move) pairs)
+#: slices of 2**13 hold 0.9 MB (1.3%) more peak RSS than 2**11 and run no
+#: faster (medians of 6 alternating benchmark runs each), and row-sum
+#: blocks of 2**16 cells 0.7 MB more than 2**13 (5 runs each).  The small
+#: sectors of verify still take all their moves in one slice.
 PAIR_SLICE = 2**11
-
-#: the most entries one row block of `SectorMatrix.matvec` takes (more only
-#: by one row); its arrays hold about 60 + 16 k bytes an entry for k
-#: vectors.  `lowest_eigenvalues` calls matvec on its dense path only.
-MATVEC_ENTRIES = 2**16
 
 
 class BasisSizeError(ValueError):
@@ -288,8 +289,10 @@ class _MomentumCode:
     def __init__(self, d: int, half: int):
         self.d, self.half, self.base = d, half, 2 * half + 1
 
-    def __call__(self, t: Sequence[int]) -> int:
-        return sum((c + self.half) * self.base**a for a, c in enumerate(t))
+    def __call__(self, t: Sequence[int] | np.ndarray) -> int | np.ndarray:
+        """The code of one momentum, or of each row of a (..., d) array."""
+        code = (np.asarray(t, dtype=np.int64) + self.half) @ self.base ** np.arange(self.d)
+        return code if code.ndim else int(code)
 
     def decode(self, code: int) -> tuple[int, ...]:
         return tuple(code // self.base**a % self.base - self.half for a in range(self.d))
@@ -379,47 +382,39 @@ class SectorMatrix:
         """M @ x for a vector x, or for each column of a (dim, k) array,
         bit for bit as scipy's CSR product: each row adds its products
         data * x[col] one at a time, in storage order, onto 0.0
-        (`_row_sums`).  Rows go in blocks of at most MATVEC_ENTRIES
-        entries, or one row."""
+        (`_row_sums`)."""
         x = np.asarray(x)
-        vecs = x.reshape(self.dim, -1).T  # (k, dim): each addition runs along the long axis
-        out = np.zeros((len(vecs), self.dim), dtype=np.result_type(self.data, x))
-        lo = 0
-        while lo < self.dim:
-            end = self.indptr[lo] + MATVEC_ENTRIES
-            hi = max(lo + 1, int(np.searchsorted(self.indptr, end, side="right")) - 1)
-            e0, e1 = self.indptr[lo], self.indptr[hi]
-            out[:, lo:hi] = _row_sums(self.indptr[lo:hi + 1] - e0, self.data[e0:e1],
-                                      self.indices[e0:e1], vecs)
-            lo = hi
-        return out.T.reshape(x.shape)
+        vecs = np.ascontiguousarray(x.reshape(self.dim, -1).T)  # (k, dim): a row per vector
+        terms = self.data * vecs.take(self.indices, axis=1)
+        start = np.zeros((len(vecs), self.dim), dtype=terms.dtype)
+        return _row_sums(start, np.diff(self.indptr), terms).T.reshape(x.shape)
 
 
-def _row_sums(indptr: np.ndarray, data: np.ndarray, indices: np.ndarray,
-              vecs: np.ndarray) -> np.ndarray:
-    """sums[v, i]: the products data * vecs[v, indices] of CSR row i added
-    one at a time, in storage order, onto 0.0.
+def _row_sums(start: np.ndarray, count: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sums[..., i]: start[..., i] plus the count[i] terms of row i added
+    one at a time, in order; terms holds the rows' terms one row after
+    another along its last axis.
 
-    With the rows taken longest first, the j-th entries of the rows that
-    have one form run j, and run j is added onto the front of the sums
-    for j = 0, 1, ...: one numpy addition per position, for all rows and
-    vectors at once.
+    A block of rows is laid out as one padded (..., rows, 1 + widest row)
+    array: a row's start, then its terms, then -0.0, which added to any x
+    gives x.  np.add.accumulate adds each row's cells strictly left to
+    right, and the last column holds the sums.  A block holds at most
+    4 * PAIR_SLICE cells, or one row.
     """
-    n = len(indptr) - 1
-    count = np.diff(indptr)
-    order = np.argsort(-count, kind="stable")  # the rows, longest first
-    rank = np.empty_like(order)
-    rank[order] = np.arange(n)
-    longer = n - np.cumsum(np.bincount(count))[:-1]  # the rows with a j-th entry
-    start = np.cumsum(longer) - longer  # where run j starts
-    rows = np.repeat(np.arange(n), count)
-    entry = np.empty(len(rows), dtype=np.intp)  # the entries in run order
-    entry[start[np.arange(len(rows)) - indptr[rows]] + rank[rows]] = np.arange(len(rows))
-    prod = data[entry] * vecs.take(indices[entry], axis=1)
-    sums = np.zeros((len(vecs), n), dtype=prod.dtype)
-    for a, m in zip(start.tolist(), longer.tolist()):
-        sums[:, :m] += prod[:, a:a + m]
-    return sums[:, rank]
+    sums = np.empty(start.shape, dtype=np.result_type(start, terms))
+    end = np.cumsum(count)
+    col = np.arange(1 + int(count.max(initial=0)))
+    block = max(1, 4 * PAIR_SLICE // (len(col) * math.prod(start.shape[:-1])))  # rows
+    for lo in range(0, len(count), block):
+        c = count[lo:lo + block]
+        e0, e1 = end[lo] - c[0], end[lo + len(c) - 1]  # the block's terms
+        cells = np.full((*start.shape[:-1], len(c), len(col)), -0.0, dtype=sums.dtype)
+        cells[..., 0] = start[..., lo:lo + block]
+        # np.place fills the masked cells in order: each row's first c after its start
+        mask = (col > 0) & (col <= c[:, None])
+        np.place(cells, np.broadcast_to(mask, cells.shape), terms[..., e0:e1])
+        sums[..., lo:lo + block] = np.add.accumulate(cells, axis=-1)[..., -1]
+    return sums
 
 
 def _negation_index(modes: list[Momentum]) -> list[int]:
@@ -549,11 +544,7 @@ def _move_table(cfg: EDConfig) -> _MoveTable:
     mode_n = np.array([m.n for m in modes], dtype=np.int64).reshape(nmode, d)
     # a sum or difference of two modes has coordinates in [-half, half]:
     # one integer key per vector
-    half = 2 * int(np.abs(mode_n).max())
-    digits = (2 * half + 1) ** np.arange(d, dtype=np.int64)
-
-    def key(vectors: np.ndarray) -> np.ndarray:
-        return (vectors + half) @ digits
+    key = _MomentumCode(d, 2 * int(np.abs(mode_n).max()))
 
     # vhat of every transfer mode b - mode a, evaluated once per distinct vector
     transfer = (mode_n[None, :, :] - mode_n[:, None, :]).reshape(-1, d)
@@ -623,23 +614,18 @@ def sector_basis(
     return key, basis if basis is not None else build_basis(cfg, [key])[key]
 
 
-def _occupied_pairs(occ: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(state, p, q, place_pq, place_qp) of every mode pair p <= q that
-    a_q a_p can empty on a state, a particle in p and another in q,
-    sorted by (state, p, q).  place_pq is the place of (p, q) among the
-    ordered pairs of the state's k occupied modes in (p, q) order, i * k + j
-    for the i-th and j-th of them, and place_qp that of (q, p)."""
+def _occupied_pairs(occ: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(state, p, q) of every ordered mode pair (p, q) that a_q a_p can
+    empty on a state, a particle in p and another in q, sorted by
+    (state, p, q)."""
     st, md = np.nonzero(occ)  # occupied (state, mode), by state then mode
     count = np.bincount(st, minlength=len(occ))
-    local = np.arange(len(st)) - (np.cumsum(count) - count)[st]  # i of each occupied mode
-    k = count[st]
-    rest = k - local  # the modes j >= i of its state that each pairs with
-    e = np.repeat(np.arange(len(st)), rest)
-    partner = np.arange(len(e)) - np.repeat(np.cumsum(rest) - rest - np.arange(len(st)), rest)
+    k = count[st]  # each occupied mode pairs with the k occupied modes of its state
+    e = np.repeat(np.arange(len(st)), k)
+    partner = np.arange(len(e)) + np.repeat((np.cumsum(count) - count)[st] - (np.cumsum(k) - k), k)
     s, p, q = st[e], md[e], md[partner]
-    i, j, k = local[e], local[partner], k[e]
     ok = (p != q) | (occ[s, p] >= 2)
-    return s[ok], p[ok], q[ok], (i * k + j)[ok], (j * k + i)[ok]
+    return s[ok], p[ok], q[ok]
 
 
 def assemble_hamiltonian(
@@ -664,15 +650,15 @@ def assemble_hamiltonian(
     (v/2N) * (sqrt(a) sqrt(b) sqrt(c+1) sqrt(e+1)), its factors
     multiplied in that order, terms with v == 0 left out.  The diagonal
     terms (t2 in {p, q}) of a state are added one at a time in (p, q, t2)
-    order (`_diagonal`); a term with v == 0 adds exactly zero there.  Off
-    the diagonal, momentum conservation makes {p, q} and {t1, t2}
-    disjoint, so an entry comes from a single unordered move
-    {p <= q} -> {t1 <= t2}; its ordered variants (at most four) are
-    summed one slot at a time in loop order and the entry is written
-    once.  Target states are found by exact search of their packed keys
-    (`_Occupations`).  A basis that lists a state twice is rejected.  A
-    transfer whose vhat_extended raises raises only in a sector that
-    needs it.
+    order, over ordered pairs (`_diagonal`); a term with v == 0 adds
+    exactly zero there.  Off the diagonal, momentum conservation makes
+    {p, q} and {t1, t2} disjoint, so an entry comes from a single
+    unordered move {p <= q} -> {t1 <= t2}; its ordered variants (at most
+    four) are summed one slot at a time in loop order and the entry is
+    written once.  Target states are found by exact search of their
+    packed keys (`_Occupations`).  A basis that lists a state twice is
+    rejected.  A transfer whose vhat_extended raises raises only in a
+    sector that needs it.
     """
     key, states = sector_basis(cfg, sector, basis)
     rows, cols, vals = _hamiltonian_entries(cfg, _Occupations(states, len(cfg.modes())))
@@ -680,64 +666,33 @@ def assemble_hamiltonian(
 
 
 def _diagonal(
-    diag: np.ndarray,
+    kinetic: np.ndarray,
     table: _MoveTable,
     root: Callable[[int | np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     s: np.ndarray,
     p: np.ndarray,
     q: np.ndarray,
-    place_pq: np.ndarray,
-    place_qp: np.ndarray,
 ) -> np.ndarray:
-    """diag plus the diagonal terms (t2 in {p, q}) of the pairs
-    `_occupied_pairs` lists.
+    """kinetic plus the diagonal terms (t2 in {p, q}) of the ordered pairs
+    `_occupied_pairs` lists, each state's added one at a time in
+    (p, q, t2) order, as the per-state loop adds them (`_row_sums`).
 
-    A state's row holds diag and then, at place r, the two terms of its
-    r-th ordered pair in (p, q, t2) order, zeros elsewhere, and
-    np.add.accumulate adds a row's cells strictly left to right: each
-    state sums its terms one at a time, as the per-state loop does, and a
-    zero adds exactly nothing (a sum that starts at diag >= 0 is never
-    -0.0).  (q, p) multiplies the roots of (p, q) in another order that
-    rounds the same, so a pair p < q gives the four terms of both.  Terms
-    are computed in slices of PAIR_SLICE pairs, and rows in blocks of at
-    most PAIR_SLICE pairs or one state.
+    An ordered pair (a, b) gives two cells, in increasing t2: the t2 = a
+    term pair_coef[a, a] * (((ra rb) rb) ra) and the t2 = b term
+    pair_coef[a, b] * (((ra rb) ra) rb), or 0.0 when a = b, which adds
+    exactly nothing onto a sum that starts at kinetic >= 0.  Terms are
+    computed in slices of PAIR_SLICE pairs.
     """
-    if not len(s):
-        return diag
-    n = len(diag)
-    # cells: [t2 = p, t2 = q] of (p, q), then [t2 = p, t2 = q] of (q, p)
-    terms = np.zeros((len(s), 4))
+    terms = np.empty((len(s), 2))
     for lo in range(0, len(s), PAIR_SLICE):
         i, a, b = s[lo:lo + PAIR_SLICE], p[lo:lo + PAIR_SLICE], q[lo:lo + PAIR_SLICE]
         table.check(table.pair_coef, (a, b))
         ra, rb = root(1, a, i), root(1 - (a == b), b, i)
-        direct = ((ra * rb) * rb) * ra  # a+_p a+_q a_q a_p, and the exchange of (q, p)
-        exchange = ((ra * rb) * ra) * rb  # a+_q a+_p a_q a_p, and the direct term of (q, p)
-        same = table.pair_coef[a, a]  # vhat(0)
-        pq, qp = table.pair_coef[a, b], table.pair_coef[b, a]
-        terms[lo:lo + PAIR_SLICE, 0] = same * direct
-        terms[lo:lo + PAIR_SLICE, 1] = np.where(a == b, 0.0, pq * exchange)
-        terms[lo:lo + PAIR_SLICE, 2] = np.where(a == b, 0.0, qp * direct)
-        terms[lo:lo + PAIR_SLICE, 3] = np.where(a == b, 0.0, same * exchange)
-    count = np.bincount(s, minlength=n)
-    first = np.cumsum(count) - count
-    width = 1 + 2 * (max(int(place_pq.max()), int(place_qp.max())) + 1)
-    block = max(1, PAIR_SLICE // int(count.max()))  # states per block
-    swapped = np.flatnonzero(p != q)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        e0, e1 = first[lo], first[hi - 1] + count[hi - 1]  # the block's pairs
-        rows = np.zeros((hi - lo, width))
-        rows[:, 0] = diag[lo:hi]
-        at, col = s[e0:e1] - lo, 1 + 2 * place_pq[e0:e1]
-        rows[at, col] = terms[e0:e1, 0]
-        rows[at, col + 1] = terms[e0:e1, 1]
-        w = swapped[np.searchsorted(swapped, e0):np.searchsorted(swapped, e1)]
-        at, col = s[w] - lo, 1 + 2 * place_qp[w]
-        rows[at, col] = terms[w, 2]
-        rows[at, col + 1] = terms[w, 3]
-        diag[lo:hi] = np.add.accumulate(rows, axis=1)[:, -1]
-    return diag
+        own = table.pair_coef[a, a] * (((ra * rb) * rb) * ra)  # t2 = a: vhat(0)
+        other = np.where(a == b, 0.0, table.pair_coef[a, b] * (((ra * rb) * ra) * rb))
+        terms[lo:lo + PAIR_SLICE, 0] = np.where(a <= b, own, other)
+        terms[lo:lo + PAIR_SLICE, 1] = np.where(a <= b, other, own)
+    return _row_sums(kinetic, 2 * np.bincount(s, minlength=len(kinetic)), terms.ravel())
 
 
 def _hamiltonian_entries(
@@ -760,9 +715,9 @@ def _hamiltonian_entries(
         """sqrt(n_m + level - 1) on states i."""
         return roots.take((level * nmode + m) * n + i)
 
-    s, p, q, place_pq, place_qp = _occupied_pairs(occ)
+    s, p, q = _occupied_pairs(occ)
     kinetic = basis_occ.fsum(np.array([m.norm2 for m in modes]))
-    diag = _diagonal(kinetic, table, root, s, p, q, place_pq, place_qp)
+    diag = _diagonal(kinetic, table, root, s, p, q)
 
     # Off the diagonal: every (state, source pair p <= q) entry takes each
     # move of its pair.  Entries go by source pair, then state, and a
@@ -770,8 +725,10 @@ def _hamiltonian_entries(
     # come nearly in basis order.  Slices hold whole entries, so a slice
     # holds about PAIR_SLICE (state, move) pairs, more only by one entry's moves
     pair = p * nmode + q
+    by_pair = np.flatnonzero(p <= q)  # the entries: the pairs p <= q
     # numpy sorts keys of 16 bits or fewer stably by radix
-    by_pair = np.argsort(pair.astype(np.min_scalar_type(nmode * nmode)), kind="stable")
+    by_pair = by_pair[np.argsort(pair[by_pair].astype(np.min_scalar_type(nmode * nmode)),
+                                 kind="stable")]
     s, p, q, pair = s[by_pair], p[by_pair], q[by_pair], pair[by_pair]
     start = table.move_start[pair]
     count = table.move_start[pair + 1] - start

@@ -214,8 +214,8 @@ def check_variational_monotonicity(
         checks.append(
             Check(
                 f"variational_monotonicity[{key},j={j + 1}]",
-                lhs=large[j],
-                rhs=small[j],
+                lhs=float(large[j]),
+                rhs=float(small[j]),
                 tolerance=_tol(small[j], large[j]),
             )
         )

@@ -518,8 +518,10 @@ GOLDEN_ED = [
 ]
 
 # SHA-256 of `bogospec verify --seed 23` CSV output, captured before the
-# per-sector basis walk; the suite makes 15 build_basis calls
-GOLDEN_VERIFY = "ed6afe1cf822439b79fa3c3156968c194906f41f4edb80fe616770da1e93f562"
+# per-sector basis walk (the suite makes 15 build_basis calls), and
+# re-pinned when the variational_monotonicity rows began to print plain
+# floats in place of np.float64(...), the same values to the ulp
+GOLDEN_VERIFY = "4b615fa32c8e4774080f9141d4e4be59fdce4c7c25a44a45d4925f0d255039bc"
 
 # SHA-256 of `bogospec enumerate` / `figure` CSV output, captured before
 # the depth-first enumeration: exact energy ties (free gas), 2D, a table
@@ -600,3 +602,19 @@ def test_verify_output_bytes_pinned(tmp_path, capsys):
     code, _, _ = run_cli(["verify", "--seed", "23", "--out", str(out)], capsys)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_VERIFY
+
+
+def test_verify_csv_fields_are_plain_floats(tmp_path, capsys):
+    # each inequality row's lhs, rhs and margin read back with float(); a
+    # name may hold commas, so rows are split as perfbench's reader splits them
+    out = tmp_path / "report.csv"
+    assert run_cli(["verify", "--seed", "23", "--out", str(out)], capsys)[0] == 0
+    header, *lines = out.read_text().splitlines()
+    assert header == "check,name,lhs,rhs,margin,pass"
+    rows = [line.split(",", 1) for line in lines]
+    assert sum(kind == "inequality" for kind, _ in rows) > 20
+    for kind, rest in rows:
+        name, *fields, flag = rest.rsplit(",", 4)
+        if kind == "inequality":
+            for field in fields:
+                float(field)

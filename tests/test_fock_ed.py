@@ -695,20 +695,23 @@ def _handmade():
     return fock_ed.SectorMatrix(None, [], *arrays, "test")
 
 
-def test_matvec_matches_scipy_bit_for_bit():
+def test_matvec_matches_scipy_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(7)
     hand = _handmade()
     assert hand.nnz == 13 and np.diff(hand.indptr)[2] == 0
     assert hand.toarray().tobytes() == hand.matrix.toarray().tobytes()
     mats = [hand] + _assembled(*ORACLE_CASES[3]) + _assembled(*ORACLE_CASES[5])
-    for m in mats:
-        xs = np.concatenate([np.ones((m.dim, 1)), rng.standard_normal((m.dim, 3)),
-                             np.exp(rng.uniform(-30, 30, (m.dim, 2)))], axis=1)
-        block = m.matvec(xs)
-        for j in range(xs.shape[1]):
-            want = (m.matrix @ xs[:, j]).tobytes()
-            assert m.matvec(xs[:, j]).tobytes() == want
-            assert block[:, j].copy().tobytes() == want
+    # row blocks of the default size, then every row its own block
+    for bound in (fock_ed.PAIR_SLICE, 1):
+        monkeypatch.setattr(fock_ed, "PAIR_SLICE", bound)
+        for m in mats:
+            xs = np.concatenate([np.ones((m.dim, 1)), rng.standard_normal((m.dim, 3)),
+                                 np.exp(rng.uniform(-30, 30, (m.dim, 2)))], axis=1)
+            block = m.matvec(xs)
+            for j in range(xs.shape[1]):
+                want = (m.matrix @ xs[:, j]).tobytes()
+                assert m.matvec(xs[:, j]).tobytes() == want
+                assert block[:, j].copy().tobytes() == want
     # the sums tell the order apart: row 0 summed right to left is 1.0,
     # where scipy's left-to-right sum is 0.0
     x = np.ones(6)
