@@ -19,7 +19,7 @@ import math
 import shutil
 import sys
 import tempfile
-from operator import mul
+from operator import attrgetter, mul
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
@@ -172,6 +172,9 @@ def cmd_energy(args: argparse.Namespace) -> int:
     return 0
 
 
+_coords = attrgetter("n")
+
+
 class _Labels(dict):
     """The "x y" label of each momentum coordinate tuple, built once per tuple."""
 
@@ -184,11 +187,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     lattice, pot, cfg = _setup(args, kappa=args.kappa, window=args.window)
     table = enumerate_below(lattice, pot, args.kappa, args.window)
     rows = []
-    labels = _Labels()
+    label = _Labels().__getitem__
     for key in sorted(table.sectors, key=lambda k: (sum(c * c for c in k), k)):
-        for rec in table.sectors[key]:
-            text = ";".join([labels[m.n] for m in rec.constituents])
-            rows.append(list(key) + [rec.rank, rec.energy, rec.n_quasi, text])
+        head = list(key)
+        for _, energy, constituents, rank, n_quasi in table.sectors[key]:
+            text = ";".join(map(label, map(_coords, constituents)))
+            rows.append(head + [rank, energy, n_quasi, text])
     cols = [f"n{i + 1}" for i in range(args.dim)] + [
         "j",
         "energy",

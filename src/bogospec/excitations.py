@@ -5,15 +5,23 @@ and momentum are the sums over constituents.  Enumeration is depth-first
 over canonically ordered constituent sequences (each extension appends a
 momentum that is lexicographically >= the last one), so every multiset is
 generated exactly once; each sector is then sorted once on (energy,
-number of quasiparticles, constituent encoding).
+number of quasiparticles, constituent encoding).  The search carries a
+multiset as a tuple of indices into the candidate list, which is sorted
+by coordinates, so index order is the encoding's order and the sort and
+every rank come out as they would on the coordinate tuples.  A node whose
+energy plus the lowest candidate energy from its last index on already
+exceeds kappa is a leaf: float addition is monotone, so none of its
+extensions could stay below kappa, and its extension loop is skipped.
+Records are NamedTuples, built once per kept multiset.
 
 Completeness below the cutoff kappa is certified by dispersion(k) >= |k|^2:
 each constituent satisfies dispersion(k) <= kappa, hence |k| <= sqrt(kappa),
 and the multiset size is bounded by kappa over the smallest dispersion.
 
-The search is budgeted.  It forms each multiset below kappa (the empty
+The search is budgeted.  It counts each multiset below kappa (the empty
 one too) extended by every candidate from its last constituent on, kept
-or not: the candidates are the 1-multisets, and every stack push is one.
+or not, a leaf's extensions included although it skips forming them:
+the candidates are the 1-multisets, and every stack push is one.
 Past MAX_MULTISETS formed it raises EnumerationBudgetError, and before
 listing the candidates when the cube [-m, m]^d around their ball already
 holds more points.  Counting what is formed, not only what is kept,
@@ -25,6 +33,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add, mul
+from typing import NamedTuple
 
 from .bogoliubov import dispersion
 from .model import (
@@ -58,8 +68,7 @@ class EnumerationBudgetError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class ExcitationRecord:
+class ExcitationRecord(NamedTuple):
     """One excitation: momentum sector, energy, constituents and rank."""
 
     total_momentum: Momentum
@@ -130,33 +139,41 @@ def enumerate_below(
     if momentum_window < 0.0:
         raise ValueError(f"momentum window must be >= 0, got {momentum_window}")
     cand = _candidates(lattice, pot, kappa, modes)
+    vecs = [nv for nv, _ in cand]
+    energies = [e for _, e in cand]
+    del cand  # the search's stack reuses the pairs' memory
+    # floor[i]: the lowest candidate energy from index i on (inf past the end)
+    floor = list(itertools.accumulate(reversed(energies), min, initial=math.inf))
+    floor.reverse()
     win = momentum_window / lattice.spacing
     win2 = win * win * (1.0 + 1e-12)  # inf, not OverflowError, for a huge window
-    found: dict[tuple[int, ...], list[tuple[float, int, tuple]]] = {}
-    # stack entries: (energy, n_quasi, encoding, total n, next candidate index)
-    stack = [(0.0, 0, (), (0,) * lattice.d, 0)]
+    found: dict[tuple[int, ...], list[tuple[float, int, tuple[int, ...]]]] = {}
+    # stack entries: (energy, candidate indices, total n, next candidate index)
+    stack = [(0.0, (), (0,) * lattice.d, 0)]
     tried = 0
     while stack:
-        energy, cnt, enc, total, start = stack.pop()
-        tried += len(cand) - start
+        energy, enc, total, start = stack.pop()
+        tried += len(vecs) - start
         if tried > MAX_MULTISETS:
             raise EnumerationBudgetError(kappa)
-        if cnt and sum(c * c for c in total) <= win2:
-            found.setdefault(total, []).append((energy, cnt, enc))
-        for i in range(start, len(cand)):
-            nv, e = cand[i]
-            ne = energy + e
+        if enc and sum(map(mul, total, total)) <= win2:
+            found.setdefault(total, []).append((energy, len(enc), enc))
+        # float addition is monotone: no extension of this node stays below kappa
+        if energy + floor[start] > kappa:
+            continue
+        for i in range(start, len(vecs)):
+            ne = energy + energies[i]
             if ne <= kappa:
-                new_total = tuple(a + b for a, b in zip(total, nv))
-                stack.append((ne, cnt + 1, enc + (nv,), new_total, i))
+                stack.append((ne, enc + (i,), tuple(map(add, total, vecs[i])), i))
     # Momentum is frozen, so records share one object per candidate and sector
-    moms = {nv: Momentum(nv, lattice.L) for nv, _ in cand}
+    moms = tuple(Momentum(nv, lattice.L) for nv in vecs)
+    make = ExcitationRecord._make
     sectors: dict[tuple[int, ...], list[ExcitationRecord]] = {}
     for total, entries in found.items():
         entries.sort()
         p = Momentum(total, lattice.L)
         sectors[total] = [
-            ExcitationRecord(p, energy, tuple(moms[nv] for nv in enc), rank, cnt)
+            make((p, energy, tuple(map(moms.__getitem__, enc)), rank, cnt))
             for rank, (energy, cnt, enc) in enumerate(entries, 1)
         ]
     return SpectrumTable(lattice, pot, kappa, momentum_window, sectors)

@@ -382,18 +382,27 @@ class SectorMatrix:
         """M @ x for a vector x, or for each column of a (dim, k) array,
         bit for bit as scipy's CSR product: each row adds its products
         data * x[col] one at a time, in storage order, onto 0.0
-        (`_row_sums`)."""
+        (`_row_sums`).  The products are formed one row-sum block at a
+        time, so with k vectors the call holds about 4 * PAIR_SLICE of
+        them, not k * nnz."""
         x = np.asarray(x)
         vecs = np.ascontiguousarray(x.reshape(self.dim, -1).T)  # (k, dim): a row per vector
-        terms = self.data * vecs.take(self.indices, axis=1)
-        start = np.zeros((len(vecs), self.dim), dtype=terms.dtype)
+        start = np.zeros((len(vecs), self.dim), dtype=np.result_type(self.data, vecs))
+
+        def terms(e0: int, e1: int) -> np.ndarray:
+            return self.data[e0:e1] * vecs.take(self.indices[e0:e1], axis=1)
+
         return _row_sums(start, np.diff(self.indptr), terms).T.reshape(x.shape)
 
 
-def _row_sums(start: np.ndarray, count: np.ndarray, terms: np.ndarray) -> np.ndarray:
+def _row_sums(
+    start: np.ndarray, count: np.ndarray, terms: Callable[[int, int], np.ndarray]
+) -> np.ndarray:
     """sums[..., i]: start[..., i] plus the count[i] terms of row i added
-    one at a time, in order; terms holds the rows' terms one row after
-    another along its last axis.
+    one at a time, in order.  terms(e0, e1) returns terms e0 up to e1 of
+    the sequence that lists row 0's terms, then row 1's, and so on, along
+    its last axis.  It is asked for one block's terms at a time, so a
+    caller that computes them (matvec's products) holds only one block's.
 
     A block of rows is laid out as one padded (..., rows, 1 + widest row)
     array: a row's start, then its terms, then -0.0, which added to any x
@@ -401,7 +410,7 @@ def _row_sums(start: np.ndarray, count: np.ndarray, terms: np.ndarray) -> np.nda
     right, and the last column holds the sums.  A block holds at most
     4 * PAIR_SLICE cells, or one row.
     """
-    sums = np.empty(start.shape, dtype=np.result_type(start, terms))
+    sums = np.empty_like(start)
     end = np.cumsum(count)
     col = np.arange(1 + int(count.max(initial=0)))
     block = max(1, 4 * PAIR_SLICE // (len(col) * math.prod(start.shape[:-1])))  # rows
@@ -412,7 +421,7 @@ def _row_sums(start: np.ndarray, count: np.ndarray, terms: np.ndarray) -> np.nda
         cells[..., 0] = start[..., lo:lo + block]
         # np.place fills the masked cells in order: each row's first c after its start
         mask = (col > 0) & (col <= c[:, None])
-        np.place(cells, np.broadcast_to(mask, cells.shape), terms[..., e0:e1])
+        np.place(cells, np.broadcast_to(mask, cells.shape), terms(e0, e1))
         sums[..., lo:lo + block] = np.add.accumulate(cells, axis=-1)[..., -1]
     return sums
 
@@ -692,7 +701,9 @@ def _diagonal(
         other = np.where(a == b, 0.0, table.pair_coef[a, b] * (((ra * rb) * ra) * rb))
         terms[lo:lo + PAIR_SLICE, 0] = np.where(a <= b, own, other)
         terms[lo:lo + PAIR_SLICE, 1] = np.where(a <= b, other, own)
-    return _row_sums(kinetic, 2 * np.bincount(s, minlength=len(kinetic)), terms.ravel())
+    flat = terms.ravel()
+    return _row_sums(kinetic, 2 * np.bincount(s, minlength=len(kinetic)),
+                     lambda e0, e1: flat[e0:e1])
 
 
 def _hamiltonian_entries(

@@ -419,11 +419,44 @@ def test_count_and_tol_range_exit_2(capsys, args, message):
     assert err == f"bogospec: error: {message}\n"
 
 
+def _src_env():
+    """os.environ with this checkout's bogospec first on PYTHONPATH."""
+    src = str(Path(bogospec.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_kappa_budget_exits_2_under_an_address_space_limit():
+    # at kappa 1e9 the search forms its 2,500,000 multisets in about 60 MB
+    # of peak RSS.  A search order that held long encodings in millions of
+    # pending entries outgrows the RSS bound, or the address-space limit
+    # (then exit 5), and fails here instead of exhausting the machine
+    env = _src_env()
+    # 3 GiB, or less where the hard limit is lower (under `ulimit -v`)
+    code = (
+        "import resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "limit = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
+        "from bogospec.cli import main\n"
+        "code = main(['figure', '--vhat', 'gaussian:0.1:5', '--kappa', '1e9',"
+        " '--window', '0.5'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(code)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert run.stderr == (
+        "bogospec: error: enumeration below kappa 1e+09 exceeds the cap of "
+        "2,500,000 multisets; lower kappa\n"
+    )
+    assert int(run.stdout) < 256 * 1024  # ru_maxrss, in KiB
+
+
 def _loaded_modules(code):
     """The modules a fresh interpreter holds after running code."""
-    src = str(Path(bogospec.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _src_env()
     code = f"import sys\n{code}\nprint(chr(10).join(sys.modules))"
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
@@ -550,6 +583,10 @@ GOLDEN_ENUMERATE = [
     (["dispersion", "--vhat", "table:0,0.3;1.5,0.1;3,0", "--L", "6.28318530718",
       "--window", "2.5"],
      "f998b1e9284e64ccbea0f99bf00d0129198ef845d746579a6b57f7d6a5569a20"),
+    # the benchmark's spectrum-1d command: 10,119 records
+    (["enumerate", "--vhat", "gaussian:0.1:5", "--L", "41.8879020479",
+      "--kappa", "1.4", "--window", "3"],
+     "87d9960777b9a4d941deeb3cd099b011b698c20038459056188f8b1b80032aa8"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Spectrum enumeration: oracle equivalence, completeness, damping, figures."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -211,6 +212,30 @@ def test_budget_counts_every_multiset_formed(monkeypatch):
     monkeypatch.setattr(excitations, "MAX_MULTISETS", 8)
     with pytest.raises(EnumerationBudgetError, match="kappa 2 exceeds the cap of 8 multisets"):
         enumerate_below(LAT, ZERO, 2.0, 2.0)
+
+
+def test_budget_count_is_exact_with_leaf_pruning(monkeypatch):
+    # counted independently of the search: each multiset below kappa, the
+    # empty one included, is charged every candidate from the index of its
+    # last constituent on; leaves, whose extensions are never formed, too
+    cand = excitations._candidates(LAT, ZERO, 5.5, None)
+    formed = len(cand)
+    for size in itertools.count(1):
+        below = 0
+        for combo in itertools.combinations_with_replacement(range(len(cand)), size):
+            energy = 0.0
+            for i in combo:
+                energy += cand[i][1]
+            if energy <= 5.5:
+                below += 1
+                formed += len(cand) - combo[-1]
+        if not below:
+            break
+    monkeypatch.setattr(excitations, "MAX_MULTISETS", formed)
+    enumerate_below(LAT, ZERO, 5.5, 2.0)
+    monkeypatch.setattr(excitations, "MAX_MULTISETS", formed - 1)
+    with pytest.raises(EnumerationBudgetError):
+        enumerate_below(LAT, ZERO, 5.5, 2.0)
 
 
 def test_budget_checks_candidates_before_allocating(monkeypatch):
