@@ -1,12 +1,12 @@
 """Command-line front end: compute, enumerate, diagonalize, verify.
 
 Every run but `verify` echoes its fully resolved configuration into
-`# bogospec` header lines.  `verify` writes a bare report, its column
-names and then one row per check, and so does not record its tolerance
-or seed: perfbench's verify parser (`perfbench/reference.py`) skips
-exactly one line, so a header waits for a benchmark-only change to that
-parser.  Identical configurations produce byte-identical CSV output
-(fixed seeds, deterministic summation and ordering throughout).
+`# bogospec` header lines.  `verify` writes a bare CSV report, its column
+names and then one row per check, since perfbench's verify parser
+(`perfbench/reference.py`) skips exactly one line; its summary, on
+stderr and in the `.txt` beside `--out`, starts with the tolerance and
+seed it ran with.  Identical configurations produce byte-identical CSV
+output (fixed seeds, deterministic summation and ordering throughout).
 """
 
 from __future__ import annotations
@@ -331,7 +331,7 @@ def cmd_ed(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     report = verify.run_default_suite(tol=args.tol, seed=args.seed)
     csv_text = report.to_csv_text()
-    summary = report.summary()
+    summary = f"tol {args.tol!r}, seed {args.seed}\n" + report.summary()
     if args.out:
         out = Path(args.out)
         out.write_text(csv_text)

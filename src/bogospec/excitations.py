@@ -255,17 +255,22 @@ def oracle_enumerate(
 ) -> list[tuple[float, tuple[tuple[int, ...], ...]]]:
     """Brute-force reference enumeration of one sector (tests only).
 
-    Tries every multiset of candidates of each size up to the bound
-    kappa / (smallest dispersion) + 1, via combinations_with_replacement,
-    and keeps those with energy <= kappa and the requested total; returns
-    (energy, constituents) sorted exactly like the main search.  Energies
-    are summed left to right, as there, so near-ties rank alike.  Guarded
-    to small instances: constituent shells |n| <= 5, multiset size <= 8 and
-    at most 10^6 multisets tried.
+    Lists its own candidates, apart from the search's: the nonzero points
+    of the ball of radius sqrt(kappa), or the given modes, with
+    dispersion <= kappa, sorted by coordinates.  Tries every multiset of
+    them of each size up to the bound kappa / (smallest dispersion) + 1,
+    via combinations_with_replacement, and keeps those with energy <=
+    kappa and the requested total; returns (energy, constituents) sorted
+    exactly like the main search.  Energies are summed left to right, as
+    there, so near-ties rank alike.  Guarded to small instances:
+    constituent shells |n| <= 5, multiset size <= 8 and at most 10^6
+    multisets tried.
     """
     if kappa < 0.0:
         raise ValueError(f"kappa must be >= 0, got {kappa}")
-    cand = _candidates(lattice, pot, kappa, modes)
+    pts = lattice_points(lattice, math.sqrt(kappa)) if modes is None else modes
+    cand = sorted((m.n, dispersion(m, pot)) for m in pts if not m.is_zero)
+    cand = [(nv, e) for nv, e in cand if e <= kappa]
     if any(max(abs(c) for c in nv) > 5 for nv, _ in cand):
         raise ValueError("oracle guard: constituent shells beyond |n| = 5")
     target = p.n if isinstance(p, Momentum) else tuple(int(c) for c in p)

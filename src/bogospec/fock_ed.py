@@ -13,9 +13,12 @@ inequalities survive as matrix inequalities per sector.
 Every operator, number-conserving or not, is assembled on one
 representation of its basis: the (n_states, n_modes) occupation array
 and one packed integer key per state, its occupations as the digits of a
-mixed-radix number (`_Occupations`).  A move's target key is its source
-key plus the place values of the modes it fills, less those of the modes
-it empties, and is looked up in the sorted keys.  Moves are vectorised
+mixed-radix number (`_Occupations`), packed once, at construction.
+Every move, the +/- pair moves of the estimating and quadratic
+Hamiltonians included (`_Occupations.pair_entries`), finds its target by
+key arithmetic: the target key is the source key plus the place values
+of the modes the move fills, less those of the modes it empties, and is
+looked up in the sorted keys.  Moves are vectorised
 over the states, and each entry adds the same terms in the same order as
 a per-state loop would, so the matrices equal that loop's bit for bit
 (see `assemble_hamiltonian`).  The Hamiltonian's interaction
@@ -434,20 +437,21 @@ def _negation_index(modes: list[Momentum]) -> list[int]:
 
 class _Occupations:
     """A basis as its (n_states, n_modes) int64 occupation array and one
-    packed integer key per state.
+    packed integer key per state, packed once, at construction.
 
     The key writes the occupations in mixed radix, the first mode the
     most significant digit, so keys sort as the states do.  Mode m's
-    radix is its largest occupation in the basis + 3: a Hamiltonian move
-    adds at most 2 to a mode and empties only occupied modes
-    (`_occupied_pairs`), so no digit of a target carries or borrows, and
-    a target's key is its source's plus and minus the place values of the
-    modes moved (`place`).  The modes are split, in order, over as few
-    uint64 words as hold their digits: keys is (n_states, words), searched
-    as uint64 with one word and with more as words * 8-byte void, the
-    words big-endian, so that their bytes compare as the keys do and the
-    sorted keys stay in state order.  A basis that lists a state twice is
-    rejected.
+    radix is its largest occupation in the basis + 3.  Every move finds
+    its target by key arithmetic, its source's key plus and minus the
+    place values of the modes moved (`place`), as no digit of a target
+    carries or borrows: a Hamiltonian move adds at most 2 to a mode and
+    empties only occupied modes (`_occupied_pairs`), and a +/- pair move
+    keeps only the states whose changed digits stay in [0, radix)
+    (`pair_entries`).  The modes are split, in order, over as few uint64
+    words as hold their digits: keys is (n_states, words), searched as
+    uint64 with one word and with more as words * 8-byte void, the words
+    big-endian, so that their bytes compare as the keys do and the sorted
+    keys stay in state order.  A basis that lists a state twice is rejected.
     """
 
     def __init__(self, states: Sequence[FockState], nmode: int):
@@ -472,18 +476,12 @@ class _Occupations:
         self.place = np.array(place, dtype=np.uint64).reshape(nmode, len(words))
         self._word = np.dtype(np.uint64 if len(words) == 1 else ">u8")
         self._search = np.dtype(np.uint64 if len(words) == 1 else (np.void, 8 * len(words)))
-        self.keys = self.pack(self.occ)
+        self.keys = self.occ.astype(np.uint64) @ self.place  # each digit below its radix
         searched = self._searched(self.keys)
         self._order = np.argsort(searched)
         self._sorted = searched[self._order]
         if np.any(self._sorted[1:] == self._sorted[:-1]):
             raise ValueError("basis lists a state twice")
-
-    def pack(self, occ: np.ndarray) -> np.ndarray:
-        """The keys of occupation rows, each digit in [0, radix)."""
-        if not ((occ >= 0) & (occ < self.radix)).all():
-            raise ValueError("an occupation lies outside its mode's radix")
-        return occ.astype(np.uint64) @ self.place
 
     def _searched(self, keys: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(keys, dtype=self._word).view(self._search).ravel()
@@ -499,23 +497,30 @@ class _Occupations:
         """math.fsum over the modes of weight[m] * n_m, per state."""
         return np.array([math.fsum(row) for row in (self.occ * weight).tolist()])
 
-    def pair_move(
-        self, shift: np.ndarray, term: Callable[[np.ndarray, int, int], np.ndarray], p: int, q: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, entries) of moving every state by the occupation shift.
-
-        States whose target lies outside the basis are dropped, first
-        those with a digit outside [0, radix), which no key can hold.  The
-        move is one of a +/- pair, p < q = -p: term(x, m, -m) gives the
-        term of mode m on the source occupations x, and each entry adds
-        the terms of p and q in that order onto 0.0.
+    def pair_entries(
+        self, modes: list[int], change: tuple[int, ...], lowering: Callable, raising: Callable
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """[lowering, raising]: the (rows, cols, entries) of the +/- pair
+        p, q = modes[:2], p < q = -p, moving the occupations of modes by
+        change, and by -change.  Each target key is the source key plus the
+        change times the modes' place values, in uint64, which wraps where
+        the change is negative; states whose changed digits would leave
+        [0, radix), then those whose target is not in the basis, are
+        dropped.  lowering(x, m, -m) and raising(x, m, -m) give mode m's
+        term on the source occupations x; each entry adds p's and q's onto
+        0.0 in that order.
         """
-        target = self.occ + shift
-        inside = np.flatnonzero(((target >= 0) & (target < self.radix)).all(axis=1))
-        hit, rows = self.find(self.pack(target[inside]))
-        hit = inside[hit]
-        x = self.occ[hit]
-        return rows, hit, (0.0 + term(x, p, q)) + term(x, q, p)
+        p, q = modes[:2]
+        change, out = np.array(change), []
+        for step, term in ((change, lowering), (-change, raising)):
+            digits = self.occ[:, modes] + step
+            # a borrow would leave a digit of max + 1 or + 2, which no state has; checked anyway
+            inside = np.flatnonzero(((digits >= 0) & (digits < self.radix[modes])).all(axis=1))
+            hit, rows = self.find(self.keys[inside] + step.astype(np.uint64) @ self.place[modes])
+            hit = inside[hit]
+            x = self.occ[hit]
+            out.append((rows, hit, (0.0 + term(x, p, q)) + term(x, q, p)))
+        return out
 
 
 @dataclass(frozen=True)
@@ -846,14 +851,9 @@ def assemble_estimating(
         amp = np.sqrt(z) * np.sqrt(z - 1) * np.sqrt(x[:, mm] + 1) * np.sqrt(x[:, m] + 1)
         return vhat_m[m] * amp / (2.0 * n_part)
 
-    for p in range(nmode):
-        q = neg_of[p]
-        if p == zero_idx or q < p or vhat_m[p] == 0.0:
-            continue
-        shift = np.zeros(nmode, dtype=np.int64)
-        shift[[p, q, zero_idx]] = (-1, -1, 2)
-        entries.append(basis_occ.pair_move(shift, lowering, p, q))
-        entries.append(basis_occ.pair_move(-shift, raising, p, q))
+    for p, q in enumerate(neg_of):  # the zero mode is its own negation
+        if p < q and vhat_m[p] != 0.0:
+            entries += basis_occ.pair_entries([p, q, zero_idx], (-1, -1, 2), lowering, raising)
     kind = "H+eps" if sign > 0 else "H-eps"
     return SectorMatrix(key, states, *_csr(*zip(*entries), n), kind)
 
@@ -916,14 +916,9 @@ def assemble_bogoliubov_quadratic(
     def raising(x, m, mm):  # (1/2) vhat(p) a+_p a+_{-p}: create -p first, then p
         return 0.5 * vhat_m[m] * (np.sqrt(x[:, mm] + 1) * np.sqrt(x[:, m] + 1))
 
-    for p in range(nmode):
-        q = neg_of[p]
-        if q < p or vhat_m[p] == 0.0:
-            continue
-        shift = np.zeros(nmode, dtype=np.int64)
-        shift[[p, q]] = -1
-        entries.append(basis_occ.pair_move(shift, lowering, p, q))
-        entries.append(basis_occ.pair_move(-shift, raising, p, q))
+    for p, q in enumerate(neg_of):
+        if p < q and vhat_m[p] != 0.0:
+            entries += basis_occ.pair_entries([p, q], (-1, -1), lowering, raising)
     return SectorMatrix(None, states, *_csr(*zip(*entries), dim), "HBog")
 
 
@@ -948,15 +943,15 @@ def lowest_eigenvalues(
     """The `count` smallest eigenvalues with residual norms.
 
     Dense solve below DENSE_FALLBACK_DIM, else Lanczos with a start
-    vector drawn from the fixed seed; residuals are checked against
-    tol * ||M||_inf.  A single-vector Lanczos run may under-count
-    degenerate multiplicities; use the dense path when exact
-    multiplicities matter.  The norm, the dense matrix and the residuals
-    come from the CSR arrays, with scipy's own summation order, and only
-    Lanczos imports scipy.sparse.linalg.  Its residuals take scipy's
-    product, which `SectorMatrix.matvec` matches bit for bit; the dense
-    path takes matvec and loads no scipy.  A scipy sparse matrix is
-    solved through a SectorMatrix over its CSR arrays.
+    vector drawn from the fixed seed, whose residuals alone are checked
+    against tol * ||M||_inf, the norm computed only there.  A single-vector
+    Lanczos run may under-count degenerate multiplicities; use the dense
+    path when exact multiplicities matter.  The norm, the dense matrix
+    and the residuals come from the CSR arrays, with scipy's own
+    summation order, and only Lanczos imports scipy.sparse.linalg.  Its
+    residuals take scipy's product, which `SectorMatrix.matvec` matches
+    bit for bit; the dense path takes matvec and loads no scipy.  A scipy
+    sparse matrix is solved through a SectorMatrix over its CSR arrays.
     """
     _require_tol(tol)
     if not isinstance(m, SectorMatrix):
@@ -967,9 +962,6 @@ def lowest_eigenvalues(
     dim = m.dim
     if count < 1 or count > dim:
         raise ValueError(f"count must be in [1, {dim}], got {count}")
-    # the largest absolute row sum, each row summed as scipy's sum(axis=1) sums it
-    nonempty = np.flatnonzero(np.diff(m.indptr))
-    norm_est = float(np.add.reduceat(np.abs(m.data), m.indptr[nonempty]).max()) if m.nnz else 0.0
     if dim <= DENSE_FALLBACK_DIM or count >= dim - 1:
         w, v = np.linalg.eigh(m.toarray())  # ascending
         vals, vecs = w[:count], v[:, :count]
@@ -997,8 +989,12 @@ def lowest_eigenvalues(
     residuals = np.array(
         [float(np.linalg.norm(product[:, j] - vals[j] * vecs[:, j])) for j in range(count)]
     )
-    if method == "lanczos" and norm_est > 0 and np.any(residuals > tol * norm_est):
-        raise EigenConvergenceError("residuals exceed tolerance", residuals)
+    if method == "lanczos":
+        # the largest absolute row sum, each row summed as scipy's sum(axis=1) sums it
+        rows = np.add.reduceat(np.abs(m.data), m.indptr[np.flatnonzero(np.diff(m.indptr))])
+        norm_est = float(rows.max()) if m.nnz else 0.0
+        if norm_est > 0 and np.any(residuals > tol * norm_est):
+            raise EigenConvergenceError("residuals exceed tolerance", residuals)
     return EigenResult(values=vals, residuals=residuals, method=method)
 
 

@@ -339,6 +339,16 @@ def test_verify_exit_zero_and_report_files(tmp_path, capsys):
     assert out_csv.read_text().startswith("check,name,lhs,rhs,margin,pass")
 
 
+def test_verify_summary_names_its_tolerance_and_seed(tmp_path, capsys):
+    out_csv = tmp_path / "r.csv"
+    code, _, err = run_cli(["verify", "--tol", "1e-3", "--seed", "23", "--out", str(out_csv)],
+                           capsys)
+    assert code == 0
+    txt = out_csv.with_suffix(".txt").read_text()
+    assert txt.startswith("tol 0.001, seed 23\n") and err == txt
+    assert out_csv.read_text().startswith("check,name,lhs,rhs,margin,pass")
+
+
 ED_1D = ["ed", "--vhat", "gaussian:0.1:5", "--L", repr(2 * math.pi), "--N", "3",
          "--mode-radius", "1", "--sectors", "0;1", "--count", "1"]
 

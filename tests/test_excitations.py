@@ -139,13 +139,16 @@ def test_monotone_cutoff_property(k1, k2):
 
 
 def test_oracle_matches_main_free():
-    table = enumerate_below(LAT, ZERO, 7.5, momentum_window=3.0)
-    for key in ((0,), (1,), (2,), (-3,)):
-        main = [
-            (r.energy, tuple(m.n for m in r.constituents))
-            for r in table.sectors.get(key, [])
-        ]
-        assert oracle_enumerate(LAT, ZERO, 7.5, key) == main
+    # kappa 4 is exactly the dispersion at n = 2, so (4.0, [(2,)]) is kept
+    for kappa in (7.5, 4.0):
+        table = enumerate_below(LAT, ZERO, kappa, momentum_window=3.0)
+        for key in ((0,), (1,), (2,), (-3,)):
+            main = [
+                (r.energy, tuple(m.n for m in r.constituents))
+                for r in table.sectors.get(key, [])
+            ]
+            assert oracle_enumerate(LAT, ZERO, kappa, key) == main
+    assert (4.0, ((2,),)) in oracle_enumerate(LAT, ZERO, 4.0, (2,))
 
 
 def test_oracle_matches_main_interacting():
@@ -218,14 +221,14 @@ def test_budget_count_is_exact_with_leaf_pruning(monkeypatch):
     # counted independently of the search: each multiset below kappa, the
     # empty one included, is charged every candidate from the index of its
     # last constituent on; leaves, whose extensions are never formed, too
-    cand = excitations._candidates(LAT, ZERO, 5.5, None)
+    cand = [dispersion(LAT.momentum(n), ZERO) for n in (-2, -1, 1, 2)]  # those <= 5.5
     formed = len(cand)
     for size in itertools.count(1):
         below = 0
         for combo in itertools.combinations_with_replacement(range(len(cand)), size):
             energy = 0.0
             for i in combo:
-                energy += cand[i][1]
+                energy += cand[i]
             if energy <= 5.5:
                 below += 1
                 formed += len(cand) - combo[-1]
