@@ -29,15 +29,16 @@ those pairs' moves, in slices of about PAIR_SLICE (state, move) pairs, a
 few numpy calls per slice, which bounds the memory a slice holds.
 
 A SectorMatrix holds its own CSR arrays, built by numpy (`_csr`), and
-gives the dense matrix, its diagonal and a row-by-row product.  One
-kernel, `_row_sums`, adds each row's terms one at a time, in order, onto
-a start: the product's rows onto 0.0, as scipy sums them, and the
-Hamiltonian's diagonal terms onto each state's kinetic energy, as the
-per-state loop sums them, both bit for bit.  scipy is imported only
-where a sector is solved by Lanczos, above DENSE_FALLBACK_DIM states, or
-where something reads `SectorMatrix.matrix`, a scipy view over the same
-arrays.  So the lattice commands, `verify` and the small `ed` runs load
-no scipy at all.
+gives the dense matrix, its diagonal and a row-by-row product.  np.bincount
+adds its weights one at a time, in order, onto 0.0: the product's rows
+sum as scipy's CSR product sums them, and the Hamiltonian's diagonal
+terms onto each state's kinetic energy as the per-state loop sums them,
+both bit for bit.  A sector of at most DENSE_FALLBACK_DIM states is
+solved densely, a larger one by a numpy block Davidson solver on that
+product, which reports degenerate multiplets whole.  Neither loads
+scipy: it is imported only where something reads `SectorMatrix.matrix`,
+a scipy view over the same arrays, or passes lowest_eigenvalues a scipy
+matrix.  So no command of the CLI loads scipy at all.
 """
 
 from __future__ import annotations
@@ -69,17 +70,32 @@ FockState = tuple[int, ...]
 DENSE_FALLBACK_DIM = 512
 DEFAULT_SEED = 1234
 
+#: the vectors the Davidson block carries past the eigenvalues asked for:
+#: enough to hold the triplets of the cubic group whole
+DAVIDSON_GUARD = 3
+#: the Davidson subspace restarts where it would pass this many columns
+#: (or three times the block, if that is more)
+DAVIDSON_SUBSPACE = 40
+#: the size of the seeded random part of the Davidson start vectors, next
+#: to their unit part: large enough to give every symmetry class a
+#: component, small enough to leave the start close to the unit vectors
+#: (on the ed-1d sector 1e-2 took about 1.5 times the products of 1e-4)
+DAVIDSON_NOISE = 1e-4
+#: Rayleigh-Ritz steps before the Davidson solver gives up
+DAVIDSON_MAX_ITER = 1000
+#: a new Davidson direction whose norm falls below this, after it was
+#: normalised and orthogonalised against the subspace, is left out
+DAVIDSON_DEPENDENT = 1e-8
+
 #: about the most (state, move) pairs, or diagonal (state, pair) entries,
 #: one slice of `assemble_hamiltonian` handles (more only by the moves of
-#: one entry); a block of `_row_sums` holds at most 4 * PAIR_SLICE cells
-#: (more only by one row).  Each pair holds its packed target key (8
+#: one entry).  Each pair holds its packed target key (8
 #: bytes a key word), its indices, roots and coefficients: about 140
 #: bytes at peak (tracemalloc, 1D N = 64 and 3D sectors of 13-17k
 #: states), so a slice's arrays grow with this bound.  On the ed-1d
 #: benchmark sector (526 states, 9 modes, 18,476 (state, move) pairs)
 #: slices of 2**13 hold 0.9 MB (1.3%) more peak RSS than 2**11 and run no
-#: faster (medians of 6 alternating benchmark runs each), and row-sum
-#: blocks of 2**16 cells 0.7 MB more than 2**13 (5 runs each).  The small
+#: faster (medians of 6 alternating benchmark runs each).  The small
 #: sectors of verify still take all their moves in one slice.
 PAIR_SLICE = 2**11
 
@@ -363,6 +379,7 @@ class SectorMatrix:
 
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.dim, self.dim))
 
+    @cached_property
     def _rows(self) -> np.ndarray:
         """The row of each stored entry."""
         return np.repeat(np.arange(self.dim), np.diff(self.indptr))
@@ -371,62 +388,29 @@ class SectorMatrix:
         """The dense matrix; each entry is added onto 0.0, as scipy's
         toarray adds it, so a stored -0.0 reads +0.0."""
         dense = np.zeros((self.dim, self.dim))
-        dense[self._rows(), self.indices] += self.data
+        dense[self._rows, self.indices] += self.data
         return dense
 
     def diagonal(self) -> np.ndarray:
         """The diagonal, each entry added onto 0.0 as in toarray."""
-        on = self.indices == self._rows()
+        on = self.indices == self._rows
         diag = np.zeros(self.dim)
         diag[self.indices[on]] += self.data[on]
         return diag
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """M @ x for a vector x, or for each column of a (dim, k) array,
-        bit for bit as scipy's CSR product: each row adds its products
-        data * x[col] one at a time, in storage order, onto 0.0
-        (`_row_sums`).  The products are formed one row-sum block at a
-        time, so with k vectors the call holds about 4 * PAIR_SLICE of
-        them, not k * nnz."""
+        bit for bit as scipy's CSR product: for each column, np.bincount
+        adds each row's products data * x[col] one at a time, in storage
+        order, onto 0.0."""
         x = np.asarray(x)
-        vecs = np.ascontiguousarray(x.reshape(self.dim, -1).T)  # (k, dim): a row per vector
-        start = np.zeros((len(vecs), self.dim), dtype=np.result_type(self.data, vecs))
-
-        def terms(e0: int, e1: int) -> np.ndarray:
-            return self.data[e0:e1] * vecs.take(self.indices[e0:e1], axis=1)
-
-        return _row_sums(start, np.diff(self.indptr), terms).T.reshape(x.shape)
-
-
-def _row_sums(
-    start: np.ndarray, count: np.ndarray, terms: Callable[[int, int], np.ndarray]
-) -> np.ndarray:
-    """sums[..., i]: start[..., i] plus the count[i] terms of row i added
-    one at a time, in order.  terms(e0, e1) returns terms e0 up to e1 of
-    the sequence that lists row 0's terms, then row 1's, and so on, along
-    its last axis.  It is asked for one block's terms at a time, so a
-    caller that computes them (matvec's products) holds only one block's.
-
-    A block of rows is laid out as one padded (..., rows, 1 + widest row)
-    array: a row's start, then its terms, then -0.0, which added to any x
-    gives x.  np.add.accumulate adds each row's cells strictly left to
-    right, and the last column holds the sums.  A block holds at most
-    4 * PAIR_SLICE cells, or one row.
-    """
-    sums = np.empty_like(start)
-    end = np.cumsum(count)
-    col = np.arange(1 + int(count.max(initial=0)))
-    block = max(1, 4 * PAIR_SLICE // (len(col) * math.prod(start.shape[:-1])))  # rows
-    for lo in range(0, len(count), block):
-        c = count[lo:lo + block]
-        e0, e1 = end[lo] - c[0], end[lo + len(c) - 1]  # the block's terms
-        cells = np.full((*start.shape[:-1], len(c), len(col)), -0.0, dtype=sums.dtype)
-        cells[..., 0] = start[..., lo:lo + block]
-        # np.place fills the masked cells in order: each row's first c after its start
-        mask = (col > 0) & (col <= c[:, None])
-        np.place(cells, np.broadcast_to(mask, cells.shape), terms(e0, e1))
-        sums[..., lo:lo + block] = np.add.accumulate(cells, axis=-1)[..., -1]
-    return sums
+        vecs = x.reshape(self.dim, -1)
+        out = np.empty(vecs.shape)
+        for j in range(vecs.shape[1]):
+            # a contiguous copy of the column gathers faster than the strided column
+            gathered = np.ascontiguousarray(vecs[:, j]).take(self.indices)
+            out[:, j] = np.bincount(self._rows, self.data * gathered, self.dim)
+        return out.reshape(x.shape)
 
 
 def _negation_index(modes: list[Momentum]) -> list[int]:
@@ -689,13 +673,16 @@ def _diagonal(
 ) -> np.ndarray:
     """kinetic plus the diagonal terms (t2 in {p, q}) of the ordered pairs
     `_occupied_pairs` lists, each state's added one at a time in
-    (p, q, t2) order, as the per-state loop adds them (`_row_sums`).
+    (p, q, t2) order, as the per-state loop adds them: np.bincount adds
+    its weights in order, each state's kinetic energy first.
 
     An ordered pair (a, b) gives two cells, in increasing t2: the t2 = a
     term pair_coef[a, a] * (((ra rb) rb) ra) and the t2 = b term
     pair_coef[a, b] * (((ra rb) ra) rb), or 0.0 when a = b, which adds
     exactly nothing onto a sum that starts at kinetic >= 0.  Terms are
-    computed in slices of PAIR_SLICE pairs.
+    computed in slices of PAIR_SLICE pairs.  bincount's sums start at
+    0.0, and 0.0 + kinetic is kinetic, as kinetic is never -0.0; they are
+    int64 where there are no states, hence the cast.
     """
     terms = np.empty((len(s), 2))
     for lo in range(0, len(s), PAIR_SLICE):
@@ -706,9 +693,9 @@ def _diagonal(
         other = np.where(a == b, 0.0, table.pair_coef[a, b] * (((ra * rb) * ra) * rb))
         terms[lo:lo + PAIR_SLICE, 0] = np.where(a <= b, own, other)
         terms[lo:lo + PAIR_SLICE, 1] = np.where(a <= b, other, own)
-    flat = terms.ravel()
-    return _row_sums(kinetic, 2 * np.bincount(s, minlength=len(kinetic)),
-                     lambda e0, e1: flat[e0:e1])
+    n = len(kinetic)
+    at = np.concatenate([np.arange(n), np.repeat(s, 2)])
+    return np.bincount(at, np.concatenate([kinetic, terms.ravel()]), n).astype(float)
 
 
 def _hamiltonian_entries(
@@ -940,18 +927,22 @@ def lowest_eigenvalues(
     tol: float = 1e-9,
     seed: int = DEFAULT_SEED,
 ) -> EigenResult:
-    """The `count` smallest eigenvalues with residual norms.
+    """The `count` smallest eigenvalues with residual norms, ascending.
 
-    Dense solve below DENSE_FALLBACK_DIM, else Lanczos with a start
-    vector drawn from the fixed seed, whose residuals alone are checked
-    against tol * ||M||_inf, the norm computed only there.  A single-vector
-    Lanczos run may under-count degenerate multiplicities; use the dense
-    path when exact multiplicities matter.  The norm, the dense matrix
-    and the residuals come from the CSR arrays, with scipy's own
-    summation order, and only Lanczos imports scipy.sparse.linalg.  Its
-    residuals take scipy's product, which `SectorMatrix.matvec` matches
-    bit for bit; the dense path takes matvec and loads no scipy.  A scipy
-    sparse matrix is solved through a SectorMatrix over its CSR arrays.
+    Dense solve up to DENSE_FALLBACK_DIM states, else a block Davidson solve
+    (`_davidson`) seeded from seed, on `SectorMatrix.matvec`'s products.
+    Its block carries DAVIDSON_GUARD vectors past the count asked for, so
+    it holds every member of a multiplet up to that size, and it stops
+    only when all the block's residuals are at most tol * ||M||_inf.
+    Where the count-th and (count + 1)-th values lie within that bound,
+    a cluster straddles count: the block grows until it holds the cluster
+    and DAVIDSON_GUARD more, and the cluster is returned whole, so more
+    than count values come back.  The dense path returns exactly count.
+    Residuals are |M x - value x| with the products of matvec, which sums
+    as scipy's CSR product does; the Davidson path raises
+    EigenConvergenceError if one of them exceeds the bound.  Neither path
+    loads scipy.  A scipy sparse matrix is solved through a SectorMatrix
+    over its CSR arrays.
     """
     _require_tol(tol)
     if not isinstance(m, SectorMatrix):
@@ -965,37 +956,119 @@ def lowest_eigenvalues(
     if dim <= DENSE_FALLBACK_DIM or count >= dim - 1:
         w, v = np.linalg.eigh(m.toarray())  # ascending
         vals, vecs = w[:count], v[:, :count]
-        method = "dense"
-        product = m.matvec(vecs)
+        method, bound = "dense", math.inf  # its residuals are reported, not checked
     else:
-        import scipy.sparse.linalg as spla
-
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(dim)
-        try:
-            vals, vecs = spla.eigsh(
-                m.matrix, k=count, which="SA", tol=tol, v0=v0, maxiter=max(40 * dim, 1000)
-            )
-        except spla.ArpackNoConvergence as exc:
-            got = np.asarray(exc.eigenvalues, dtype=float)
-            res = np.full(len(got), np.nan)
-            raise EigenConvergenceError(
-                f"Lanczos did not converge ({len(got)}/{count} eigenpairs)", res
-            ) from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        method = "lanczos"
-        product = m.matrix @ vecs  # scipy is loaded here, and sums as matvec does
-    residuals = np.array(
-        [float(np.linalg.norm(product[:, j] - vals[j] * vecs[:, j])) for j in range(count)]
-    )
-    if method == "lanczos":
         # the largest absolute row sum, each row summed as scipy's sum(axis=1) sums it
         rows = np.add.reduceat(np.abs(m.data), m.indptr[np.flatnonzero(np.diff(m.indptr))])
-        norm_est = float(rows.max()) if m.nnz else 0.0
-        if norm_est > 0 and np.any(residuals > tol * norm_est):
-            raise EigenConvergenceError("residuals exceed tolerance", residuals)
+        bound = tol * (float(rows.max()) if m.nnz else 0.0)
+        vals, vecs = _davidson(m, count, bound, seed)
+        method = "davidson"
+    product = m.matvec(vecs)
+    residuals = np.array(
+        [float(np.linalg.norm(product[:, j] - vals[j] * vecs[:, j])) for j in range(len(vals))]
+    )
+    if np.any(residuals > bound):
+        raise EigenConvergenceError("Davidson solver residuals exceed tolerance", residuals)
     return EigenResult(values=vals, residuals=residuals, method=method)
+
+
+def _davidson(
+    m: SectorMatrix, count: int, bound: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, vectors) of the lowest eigenpairs of m by block Davidson
+    (E. R. Davidson, J. Comput. Phys. 17, 87 (1975)): count of them, or
+    more where a cluster straddles count (`lowest_eigenvalues`).
+
+    The block of count + DAVIDSON_GUARD vectors starts as unit vectors on
+    the smallest diagonal entries plus a small random part drawn from
+    seed, which gives it a component in every symmetry class.  Each step
+    takes the Rayleigh-Ritz pairs of the orthonormal subspace V, and
+    stops once every pair of the block has residual at most bound.
+    Otherwise each unconverged residual r of a Ritz pair (value, x) is
+    Jacobi-preconditioned with Olsen's correction (J. Olsen et al., Chem.
+    Phys. Lett. 169, 463 (1990)): t = P (r - e x), with P = 1 / (value -
+    diagonal) and e such that t is orthogonal to x.  Without e, t would
+    be x itself where the diagonal is the whole matrix (a free
+    Hamiltonian), and the solve would stall.  The corrections join V
+    after two Gram-Schmidt passes against it and a QR among themselves
+    (`_orthonormal_extension`).  Where V would pass DAVIDSON_SUBSPACE
+    columns, it first restarts on its lowest 2 * block Ritz vectors: the
+    block's and as many next ones, which speeds up the pairs at the
+    block's upper edge (on the 13,081-state 3D zero sector, 55 steps
+    where a restart on the block alone took 116).  Past DAVIDSON_MAX_ITER
+    steps it raises EigenConvergenceError.
+    """
+    dim = m.dim
+    diag = m.diagonal()
+    rng = np.random.default_rng(seed)
+    block = min(count + DAVIDSON_GUARD, dim)
+    start = DAVIDSON_NOISE * rng.standard_normal((dim, block))
+    start[np.argsort(diag, kind="stable")[:block], np.arange(block)] += 1.0
+    basis = _orthonormal_extension(np.empty((dim, 0)), start)
+    image = m.matvec(basis)
+    floor = max(bound, np.finfo(float).tiny)  # the preconditioner's least |value - diagonal|
+    for _ in range(DAVIDSON_MAX_ITER):
+        small = basis.T @ image
+        theta, s = np.linalg.eigh(0.5 * (small + small.T))
+        kept = s[:, :2 * block]  # the block's Ritz vectors and as many next ones
+        ritz, ritz_image = basis @ kept, image @ kept
+        theta = theta[:block]
+        resid = ritz_image[:, :block] - ritz[:, :block] * theta
+        norms = np.linalg.norm(resid, axis=0)
+        open_ = np.flatnonzero(norms > bound)
+        if not len(open_):
+            want = count
+            while want < block and theta[want] - theta[want - 1] <= bound:
+                want += 1  # the cluster at count goes on
+            if want + DAVIDSON_GUARD <= block or block == dim:
+                return theta[:want], ritz[:, :want]
+            # too few guard vectors behind the cluster: grow the block and go on
+            block = min(want + DAVIDSON_GUARD, dim)
+            extra = rng.standard_normal((dim, max(0, block - basis.shape[1])))
+        else:
+            shift = theta[open_] - diag[:, None]
+            shift = np.where(np.abs(shift) < floor, np.copysign(floor, shift), shift)
+            x, extra, px = ritz[:, open_], resid[:, open_] / shift, ritz[:, open_] / shift
+            # Olsen's term keeps each correction off its Ritz vector x
+            num, den = np.sum(x * extra, axis=0), np.sum(x * px, axis=0)
+            extra -= np.divide(num, den, out=np.zeros_like(num), where=den != 0) * px
+        if basis.shape[1] + extra.shape[1] > max(DAVIDSON_SUBSPACE, 3 * block):
+            basis, image = ritz, ritz_image
+        new = _orthonormal_extension(basis, extra)
+        basis = np.hstack([basis, new])
+        image = np.hstack([image, m.matvec(new)])
+    raise EigenConvergenceError(
+        f"Davidson solver did not converge within its cap of {DAVIDSON_MAX_ITER} iterations "
+        f"({block - len(open_)}/{block} Ritz pairs within tolerance)", norms[:count]
+    )
+
+
+def _orthonormal_extension(basis: np.ndarray, extra: np.ndarray) -> np.ndarray:
+    """Orthonormal columns, orthogonal to basis's (orthonormal) ones, that
+    span the part of extra's columns outside basis's span.
+
+    Each column is normalised, taken through two Gram-Schmidt passes
+    against basis, and normalised again; one the passes cut to
+    DAVIDSON_DEPENDENT or below lies (nearly) in basis's span and is left
+    out.  QR then makes the columns orthonormal.  Its pivot p on a column
+    measures how far that column lies outside the span of the ones before
+    it, and costs the QR'd columns about eps / p of their orthogonality
+    to basis; so where a pivot is below 1e-2, all of it is done again on
+    the QR'd columns, less those whose pivot fell to DAVIDSON_DEPENDENT.
+    (On the ed-1d sector the pivots were 0.2-1.)
+    """
+    while extra.shape[1]:
+        extra = extra / np.maximum(np.linalg.norm(extra, axis=0), np.finfo(float).tiny)
+        for _ in range(2):
+            extra = extra - basis @ (basis.T @ extra)
+        norms = np.linalg.norm(extra, axis=0)
+        extra = extra[:, norms > DAVIDSON_DEPENDENT] / norms[norms > DAVIDSON_DEPENDENT]
+        q, r = np.linalg.qr(extra)
+        pivots = np.abs(np.diag(r))
+        if np.all(pivots >= 1e-2):
+            return q
+        extra = q[:, pivots > DAVIDSON_DEPENDENT]
+    return extra
 
 
 @dataclass
@@ -1023,7 +1096,9 @@ def many_body_excitations(
     hosts the ground state, is solved first when it is not requested.  A
     ground state found elsewhere signals a truncation artifact.  For the
     zero sector the ground state itself is skipped and subsequent gaps
-    are reported.
+    are reported.  A sector solved by Davidson reports a cluster that
+    straddles its count whole, so it may hold more values than asked for
+    (`lowest_eigenvalues`).
     """
     _require_tol(tol)
     if count < 1:

@@ -483,27 +483,25 @@ def test_startup_imports_load_no_scipy():
     assert _scipy_modules(loaded) == []
 
 
-@pytest.mark.parametrize("args, sparse", [
-    (["energy", "--vhat", "gaussian:0.1:5", "--dim", "3", "--L", "10"], False),
-    (["enumerate", "--vhat", "gaussian:0:1", "--kappa", "5.5", "--window", "2"], False),
+@pytest.mark.parametrize("args", [
+    ["energy", "--vhat", "gaussian:0.1:5", "--dim", "3", "--L", "10"],
+    ["enumerate", "--vhat", "gaussian:0:1", "--kappa", "5.5", "--window", "2"],
     # sectors of 1-3 and 11 states, solved densely
-    (ED_4 + ["--sectors", "0;1"], False),
-    # 526 states, past fock_ed.DENSE_FALLBACK_DIM: solved by Lanczos
-    (["ed", "--vhat", "gaussian:0.1:5", "--N", "32", "--mode-radius", "4",
-      "--max-excited", "8", "--sectors", "0", "--count", "2"], True),
-    (["verify", "--seed", "23"], False),
-], ids=["energy-3d", "enumerate", "ed", "ed-lanczos", "verify"])
-def test_only_ed_loads_scipy(tmp_path, args, sparse):
-    # only a sector above the dense limit loads scipy, for its Lanczos solve
+    ED_4 + ["--sectors", "0;1"],
+    # 526 states, past fock_ed.DENSE_FALLBACK_DIM: solved by Davidson
+    ["ed", "--vhat", "gaussian:0.1:5", "--N", "32", "--mode-radius", "4",
+     "--max-excited", "8", "--sectors", "0", "--count", "2"],
+    ["verify", "--seed", "23"],
+], ids=["energy-3d", "enumerate", "ed", "ed-davidson", "verify"])
+def test_only_ed_loads_scipy(tmp_path, args):
+    # no command loads any scipy module, an ed run whose sector is solved
+    # by the Davidson solver included
     out = tmp_path / "out.csv"
     loaded = _loaded_modules(
         f"from bogospec.cli import main\nassert main({args + ['--out', str(out)]!r}) == 0")
     # verify's CSV has no header lines
     assert out.read_text().startswith("check," if args[0] == "verify" else "# bogospec")
-    if sparse:
-        assert "scipy.sparse.linalg" in loaded
-    else:
-        assert _scipy_modules(loaded) == []
+    assert _scipy_modules(loaded) == []
 
 
 def test_eigensolver_failure_exit_code(monkeypatch, capsys):
@@ -518,6 +516,75 @@ def test_eigensolver_failure_exit_code(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("bogospec: error: ") and err.count("\n") == 1
     assert "2.500e-03" in err and "1e-08" in err
+
+
+def test_davidson_iteration_cap_exit_code(monkeypatch, capsys):
+    # the 526-state ed-1d sector, solved by Davidson, allowed one step
+    monkeypatch.setattr(fock_ed, "DAVIDSON_MAX_ITER", 1)
+    code, out, err = run_cli(["ed", "--vhat", "gaussian:0.1:5", "--N", "32",
+                              "--mode-radius", "4", "--max-excited", "8",
+                              "--sectors", "0", "--count", "2"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("bogospec: error: eigensolver failed: Davidson solver did not "
+                          "converge within its cap of 1 iterations") and err.count("\n") == 1
+    assert "against tolerance 1e-09 x ||M||_inf" in err
+
+
+def _ed_rows_against_dense(out, cfg, tol=1e-9):
+    """For each sector of an ed CSV: its eigenvalues and residuals, the
+    sector's dense eigh spectrum, and tol * ||H||_inf."""
+    _, cols, rows = parse_csv(out.read_text())
+    d = cols.index("j")
+    by_sector = {}
+    for row in rows:
+        by_sector.setdefault(tuple(int(c) for c in row[:d]), []).append(
+            (float(row[d + 1]), float(row[d + 3])))
+    got = {}
+    for key, vals in by_sector.items():
+        a = fock_ed.assemble_hamiltonian(cfg, key).toarray()
+        got[key] = (np.array(vals), np.linalg.eigvalsh(a), tol * np.abs(a).sum(axis=1).max())
+    return got
+
+
+def test_ed_3d_zero_sector_reports_multiplets_whole(tmp_path, capsys):
+    # 1,040 states: j = 5, 6 are a doublet at 4.8174360 and j = 7, 8, 9 a
+    # triplet at 4.8200829.  --count 7 asks for j = 1..8, so the triplet
+    # straddles the count, and it comes back whole: nine rows
+    out = tmp_path / "ed.csv"
+    code, _, _ = run_cli(["ed", "--vhat", "gaussian:0.1:5", "--dim", "3",
+                          "--L", "6.28318530718", "--N", "16", "--mode-radius", "1.5",
+                          "--max-excited", "6", "--sectors", "0 0 0", "--count", "7",
+                          "--out", str(out)], capsys)
+    assert code == 0
+    cfg = fock_ed.EDConfig(16, bogospec.LatticeSpec(6.28318530718, 3),
+                           bogospec.Potential.gaussian(0.1, 5.0, 3), 1.5, 6)
+    (got, dense, bound), = _ed_rows_against_dense(out, cfg).values()
+    assert len(dense) > fock_ed.DENSE_FALLBACK_DIM
+    assert len(got) == 9
+    assert np.abs(got[:, 0] - dense[:9]).max() <= bound
+    assert np.all(got[:, 1] <= bound)
+    assert dense[5] - dense[4] <= bound and dense[8] - dense[6] <= bound  # the multiplets
+    assert dense[9] - dense[8] > bound  # and nothing past the triplet
+
+
+def test_ed_output_of_the_pinned_davidson_case_matches_dense(tmp_path, capsys):
+    # the first GOLDEN_ED case: five sectors of 515 to 526 states, each
+    # solved by Davidson; its eigenvalues and residuals are within
+    # tol * ||H||_inf of dense eigh's
+    out = tmp_path / "ed.csv"
+    flags, _ = GOLDEN_ED[0]
+    code, _, _ = run_cli(["ed", "--vhat", "gaussian:0.1:5", "--L", repr(2 * math.pi)] + flags
+                         + ["--out", str(out)], capsys)
+    assert code == 0
+    cfg = fock_ed.EDConfig(32, bogospec.LatticeSpec(2 * math.pi, 1),
+                           bogospec.Potential.gaussian(0.1, 5.0, 1), 4.0, 8)
+    checked = _ed_rows_against_dense(out, cfg)
+    assert len(checked) == 5
+    for got, dense, bound in checked.values():
+        assert len(dense) > fock_ed.DENSE_FALLBACK_DIM
+        assert np.abs(got[:, 0] - dense[:len(got)]).max() <= bound
+        assert np.all(got[:, 1] <= bound)
 
 
 def test_ground_sector_failure_exit_code(monkeypatch, capsys):
@@ -551,11 +618,14 @@ def test_memory_error_exit_code(monkeypatch, capsys):
 
 # SHA-256 of `bogospec ed` CSV output, captured before the vectorised
 # Hamiltonian assembly; the header names the package version, so a
-# version bump changes them too
+# version bump changes them too.  The first case's sectors are solved by
+# Davidson, and it was re-pinned when that solver replaced Lanczos: its
+# eigenvalues moved by at most 39 ulps, its residuals from at most 3e-10
+# to at most 1.1e-7, below tol * ||H||_inf = 1.2e-7 to 1.3e-7
 GOLDEN_ED = [
     (["--N", "32", "--mode-radius", "4", "--max-excited", "8",
       "--sectors", "0;1;-1;2;-2"],
-     "5ddd53bef9f92fd35f02a6d0da920c598d7ab759fe7be06cf6fc37805d96a830"),
+     "8ccb3cab4b8bc11d2bb66a4307e0ea60c0a5b6310e2cf68787dc086723ff02e4"),
     (["--dim", "2", "--N", "6", "--mode-radius", "1.5", "--sectors", "0 0;1 0;1 1"],
      "3aa974ea3d44fddd3c0dbb27c9f2d58aff543cd0373f305c541b4712e5c27d2d"),
 ]

@@ -636,7 +636,7 @@ def test_quadratic_matches_reference_bit_for_bit(pot, pairs, cutoff):
     _assert_same_csr(got.matrix, _reference_quadratic(modes, pot, cutoff))
 
 
-# the ed-1d benchmark sector: 526 states, solved by Lanczos
+# the ed-1d benchmark sector: 526 states, solved by Davidson
 ED_1D_CASE = (EDConfig(32, LatticeSpec(6.28318530718, 1), V1, mode_radius=4.0, max_excited=8),
               (0,))
 
@@ -722,7 +722,7 @@ def test_matvec_matches_scipy_bit_for_bit(monkeypatch):
 
 def test_lowest_eigenvalues_reads_the_arrays_as_scipy_input():
     # a SectorMatrix and the scipy matrix over its arrays give the same
-    # bits, on the dense path and on Lanczos
+    # bits, on the dense path and on Davidson
     cfg = EDConfig(6, LAT, V1, mode_radius=2.0, max_excited=5)
     for m, count in ((assemble_hamiltonian(cfg, (1,)), 3), (assemble_hamiltonian(*ED_1D_CASE), 2)):
         got, want = lowest_eigenvalues(m, count), lowest_eigenvalues(m.matrix, count)
@@ -915,20 +915,88 @@ def test_lowest_eigenvalues_free_two_state_sector():
     assert list(res.values) == [0.0, 2.0]
 
 
-def test_lowest_eigenvalues_dense_vs_lanczos():
+def test_lowest_eigenvalues_dense_vs_davidson():
     rng = np.random.default_rng(3)
     dim = 600
     a = sp.random(dim, dim, density=0.01, random_state=rng, format="csr")
     a = a + a.T + sp.diags(np.linspace(0.0, 3.0, dim))
     tol = 1e-10
     it = lowest_eigenvalues(a, 4, tol=tol)
-    assert it.method == "lanczos"
+    assert it.method == "davidson"
     dense = np.linalg.eigvalsh(a.toarray())[:4]
     norm = np.abs(a).sum(axis=1).max()
     assert np.abs(it.values - dense).max() < tol * norm * 10
     # reproducible across calls with the same seed
     again = lowest_eigenvalues(a, 4, tol=tol)
     assert np.array_equal(it.values, again.values)
+
+
+def _dense_reference(m, tol=1e-9):
+    """Every eigenvalue of m by dense eigh, and tol * ||m||_inf."""
+    a = m.toarray()
+    return np.linalg.eigvalsh(a), tol * np.abs(a).sum(axis=1).max()
+
+
+@pytest.mark.parametrize("cfg, sector, count, seed", [
+    # 1D, the ed-1d sector at count 4: its 4th and 5th values lie 5.7e-7
+    # apart, and single-vector Lanczos from this seed returned the 5th
+    (ED_1D_CASE[0], (0,), 4, 2072744897),
+    # 3D sector (1,0,0), 891 states: its 3rd and 4th values are a doublet,
+    # of which single-vector Lanczos returned one member
+    (EDConfig(16, LatticeSpec(6.28318530718, 3), Potential.gaussian(0.1, 5.0, 3),
+              mode_radius=1.5, max_excited=6), (1, 0, 0), 6, fock_ed.DEFAULT_SEED),
+], ids=["1d-ed-1d-count-4", "3d-100-count-6"])
+def test_davidson_matches_dense_with_multiplicities(cfg, sector, count, seed):
+    m = assemble_hamiltonian(cfg, sector)
+    assert m.dim > fock_ed.DENSE_FALLBACK_DIM
+    res = lowest_eigenvalues(m, count, seed=seed)
+    dense, bound = _dense_reference(m)
+    assert res.method == "davidson"
+    # no cluster straddles count here: exactly count values come back
+    assert dense[count] - dense[count - 1] > bound
+    assert len(res.values) == count
+    assert np.abs(res.values - dense[:count]).max() <= bound
+    assert np.all(res.residuals <= bound)
+    if sector == (1, 0, 0):
+        assert abs(res.values[3] - res.values[2]) <= bound  # the doublet, whole
+
+
+def test_davidson_solves_a_diagonal_matrix():
+    # the free Hamiltonian is diagonal, so the Jacobi preconditioner is its
+    # exact inverse; the 4th value, 6, is a triplet, returned whole
+    cfg = EDConfig(32, LatticeSpec(6.28318530718, 1), ZERO, mode_radius=4.0, max_excited=8)
+    m = assemble_hamiltonian(cfg, (0,))
+    assert m.dim > fock_ed.DENSE_FALLBACK_DIM and m.nnz == m.dim
+    res = lowest_eigenvalues(m, 4)
+    dense, bound = _dense_reference(m)
+    assert res.method == "davidson"
+    assert len(res.values) == 6
+    assert np.abs(res.values - dense[:6]).max() <= bound
+    assert dense[6] - dense[5] > bound
+    assert np.all(res.residuals <= bound)
+
+
+def test_davidson_agrees_with_eigsh():
+    # ARPACK's eigsh as an independent reference, on the ed-1d sector
+    import scipy.sparse.linalg as spla
+
+    m = assemble_hamiltonian(*ED_1D_CASE)
+    tol = 1e-9
+    _, bound = _dense_reference(m, tol)
+    want = spla.eigsh(m.matrix, k=3, which="SA", tol=tol,
+                      v0=np.random.default_rng(5).standard_normal(m.dim))[0]
+    for seed in (1, 2, fock_ed.DEFAULT_SEED):
+        got = lowest_eigenvalues(m, 3, tol=tol, seed=seed)
+        assert np.abs(got.values - np.sort(want)).max() <= bound
+
+
+def test_davidson_iteration_cap_raises(monkeypatch):
+    m = assemble_hamiltonian(*ED_1D_CASE)
+    monkeypatch.setattr(fock_ed, "DAVIDSON_MAX_ITER", 1)
+    with pytest.raises(fock_ed.EigenConvergenceError,
+                       match="Davidson solver did not converge") as exc:
+        lowest_eigenvalues(m, 3)
+    assert len(exc.value.residuals) == 3 and np.all(exc.value.residuals > 0)
 
 
 def test_lowest_eigenvalues_count_validation():
