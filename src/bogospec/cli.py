@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import math
 import shutil
 import sys
 import tempfile
-from operator import attrgetter, mul
+from operator import mul
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 from . import __version__, fock_ed, verify
@@ -80,53 +81,51 @@ def parse_sectors(text: str, dimension: int) -> list[tuple[int, ...]]:
 
 
 def _emit(
-    out: str | None,
-    command: str,
-    config: dict,
-    columns: Sequence[str],
-    rows: Iterable[Sequence],
+    out: str | None, command: str, config: dict, columns: Sequence[str], lines: Iterable[str]
 ) -> None:
-    """Write the header lines and the CSV rows to out, or to stdout.
+    """Write the header lines, column names and CSV lines to out, or to stdout.
 
-    Rows are written as they are produced.  For out they go first to an
-    anonymous temporary file, copied to out only once every row is
-    written: a run that fails while producing rows leaves out as it was,
-    and out is opened for writing as a plain write would open it (links
-    followed, its mode kept).  On stdout the rows written before a
-    failure stay.
+    Lines are written as they are produced, ROWS_PER_WRITE at a time.  For
+    out they go first to an anonymous temporary file, copied to out only
+    once every line is written: a run that fails while producing lines
+    leaves out as it was, and out is opened for writing as a plain write
+    would open it (links followed, its mode kept).  On stdout the lines
+    written before a failure stay.
     """
     if not out:
-        _write_csv(sys.stdout, command, config, columns, rows)
+        _write_csv(sys.stdout, command, config, columns, lines)
         return
     with tempfile.TemporaryFile("w+") as staged:
-        _write_csv(staged, command, config, columns, rows)
+        _write_csv(staged, command, config, columns, lines)
         staged.seek(0)
         with Path(out).open("w") as fh:
             shutil.copyfileobj(staged, fh)
 
 
-#: rows formatted in memory between two writes to the output
+#: CSV lines joined in memory between two writes to the output: one
+#: write per line costs a file several times what a join costs
 ROWS_PER_WRITE = 4096
 
 
 def _write_csv(
-    fh: TextIO, command: str, config: dict, columns: Sequence[str], rows: Iterable[Sequence]
+    fh: TextIO, command: str, config: dict, columns: Sequence[str], lines: Iterable[str]
 ) -> None:
-    fh.write(f"# bogospec {__version__}\n")
-    fh.write(f"# command: {command}\n")
-    fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-    # csv.writer makes one write per row, which costs a file several times
-    # what it costs an in-memory buffer
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for count, row in enumerate(rows, 1):
-        writer.writerow(row)
-        if count % ROWS_PER_WRITE == 0:
-            fh.write(buf.getvalue())
-            buf.seek(0)
-            buf.truncate()
-    fh.write(buf.getvalue())
+    fh.write(f"# bogospec {__version__}\n# command: {command}\n"
+             f"# config: {json.dumps(config, sort_keys=True)}\n{','.join(columns)}\n")
+    lines = iter(lines)
+    while block := "".join(itertools.islice(lines, ROWS_PER_WRITE)):
+        fh.write(block)
+
+
+def _csv_rows(rows: Iterable[Sequence]) -> Iterator[str]:
+    """Each row's CSV line; the writer's one write per row is a list append."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, ROWS_PER_WRITE)):
+        writer.writerows(block)
+        yield from lines
+        lines.clear()
 
 
 def _setup(args: argparse.Namespace, **extra) -> tuple[LatticeSpec, Potential, dict]:
@@ -152,7 +151,7 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
             yield list(n) + [p.norm, co.e, co.alpha, co.c, co.s]
 
     cols = [f"n{i + 1}" for i in range(args.dim)] + ["abs_p", "energy", "alpha", "c", "s"]
-    _emit(args.out, "dispersion", cfg, cols, rows())
+    _emit(args.out, "dispersion", cfg, cols, _csv_rows(rows()))
     return 0
 
 
@@ -168,38 +167,26 @@ def cmd_energy(args: argparse.Namespace) -> int:
         ["density_limit", quad.value],
         ["density_limit_error_estimate", quad.error_estimate],
     ]
-    _emit(args.out, "energy", cfg, ["quantity", "value"], rows)
+    _emit(args.out, "energy", cfg, ["quantity", "value"], _csv_rows(rows))
     return 0
-
-
-_coords = attrgetter("n")
-
-
-class _Labels(dict):
-    """The "x y" label of each momentum coordinate tuple, built once per tuple."""
-
-    def __missing__(self, n: tuple[int, ...]) -> str:
-        self[n] = label = " ".join(map(str, n))
-        return label
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     lattice, pot, cfg = _setup(args, kappa=args.kappa, window=args.window)
     table = enumerate_below(lattice, pot, args.kappa, args.window)
-    rows = []
-    label = _Labels().__getitem__
-    for key in sorted(table.sectors, key=lambda k: (sum(c * c for c in k), k)):
-        head = list(key)
-        for _, energy, constituents, rank, n_quasi in table.sectors[key]:
-            text = ";".join(map(label, map(_coords, constituents)))
-            rows.append(head + [rank, energy, n_quasi, text])
-    cols = [f"n{i + 1}" for i in range(args.dim)] + [
-        "j",
-        "energy",
-        "n_quasi",
-        "constituents",
-    ]
-    _emit(args.out, "enumerate", cfg, cols, rows)
+    # lines straight from the ranked entries, no field needing CSV quoting:
+    # integers, a float repr, and labels of digits, spaces, minus signs
+    # and semicolons
+    label = [" ".join(map(str, m.n)) for m in table.candidates].__getitem__
+
+    def lines() -> Iterator[str]:
+        for key in sorted(table.entries, key=lambda k: (sum(c * c for c in k), k)):
+            head = "".join(f"{c}," for c in key)
+            for rank, (energy, n_quasi, enc) in enumerate(table.entries[key], 1):
+                yield f"{head}{rank},{energy!r},{n_quasi},{';'.join(map(label, enc))}\n"
+
+    cols = [f"n{i + 1}" for i in range(args.dim)] + ["j", "energy", "n_quasi", "constituents"]
+    _emit(args.out, "enumerate", cfg, cols, lines())
     return 0
 
 
@@ -227,7 +214,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         + [f"p{i + 1}" for i in range(args.dim)]
         + ["energy", "n_quasi", "class"]
     )
-    _emit(args.out, "figure", cfg, cols, rows)
+    _emit(args.out, "figure", cfg, cols, _csv_rows(rows))
     return 0
 
 
@@ -324,7 +311,7 @@ def cmd_ed(args: argparse.Namespace) -> int:
     ]
     header = dict(cfg.snapshot(), sectors=list(result.sector_values),
                   count=args.count, tol=args.tol, seed=args.seed)
-    _emit(args.out, "ed", header, cols, rows)
+    _emit(args.out, "ed", header, cols, _csv_rows(rows))
     return 0
 
 

@@ -12,7 +12,8 @@ every rank come out as they would on the coordinate tuples.  A node whose
 energy plus the lowest candidate energy from its last index on already
 exceeds kappa is a leaf: float addition is monotone, so none of its
 extensions could stay below kappa, and its extension loop is skipped.
-Records are NamedTuples, built once per kept multiset.
+The table keeps the sorted index-coded entries; its records are
+NamedTuples, built on first read of `sectors`.
 
 Completeness below the cutoff kappa is certified by dispersion(k) >= |k|^2:
 each constituent satisfies dispersion(k) <= kappa, hence |k| <= sqrt(kappa),
@@ -33,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, mul
 from typing import NamedTuple
 
@@ -84,13 +86,30 @@ class SpectrumTable:
 
     Sector keys are integer coordinate tuples; a missing key inside the
     window means no excitation of that momentum exists below kappa.
+    entries holds each sector's (energy, n_quasi, candidate indices) in
+    rank order, the indices into candidates; sectors holds the same
+    excitations as ExcitationRecords, built the first time it is read.
     """
 
     lattice: LatticeSpec
     pot: Potential
     kappa: float
     window: float
-    sectors: dict[tuple[int, ...], list[ExcitationRecord]]
+    candidates: tuple[Momentum, ...]
+    entries: dict[tuple[int, ...], list[tuple[float, int, tuple[int, ...]]]]
+
+    @cached_property
+    def sectors(self) -> dict[tuple[int, ...], list[ExcitationRecord]]:
+        # Momentum is frozen, so records share one object per candidate and sector
+        moms, make, L = self.candidates, ExcitationRecord._make, self.lattice.L
+        return {
+            total: [
+                make((p, energy, tuple(map(moms.__getitem__, enc)), rank, cnt))
+                for rank, (energy, cnt, enc) in enumerate(entries, 1)
+            ]
+            for total, entries in self.entries.items()
+            for p in [Momentum(total, L)]
+        }
 
     def sector(self, p: Momentum | tuple[int, ...]) -> list[ExcitationRecord]:
         key = p.n if isinstance(p, Momentum) else tuple(int(c) for c in p)
@@ -165,18 +184,10 @@ def enumerate_below(
             ne = energy + energies[i]
             if ne <= kappa:
                 stack.append((ne, enc + (i,), tuple(map(add, total, vecs[i])), i))
-    # Momentum is frozen, so records share one object per candidate and sector
-    moms = tuple(Momentum(nv, lattice.L) for nv in vecs)
-    make = ExcitationRecord._make
-    sectors: dict[tuple[int, ...], list[ExcitationRecord]] = {}
-    for total, entries in found.items():
+    for entries in found.values():
         entries.sort()
-        p = Momentum(total, lattice.L)
-        sectors[total] = [
-            make((p, energy, tuple(map(moms.__getitem__, enc)), rank, cnt))
-            for rank, (energy, cnt, enc) in enumerate(entries, 1)
-        ]
-    return SpectrumTable(lattice, pot, kappa, momentum_window, sectors)
+    moms = tuple(Momentum(nv, lattice.L) for nv in vecs)
+    return SpectrumTable(lattice, pot, kappa, momentum_window, moms, found)
 
 
 def kth_excitation(

@@ -206,12 +206,14 @@ def build_basis(
 
     Only a requested sector over cfg.basis_cap raises BasisSizeError,
     naming the sector the walk overfills first.  Every node kept owns at
-    least one leaf, so the first len(sectors) * basis_cap + 1 nodes of a
-    level own a prefix of the walk's leaves that overfills some sector;
-    each level is cut to that many (with sectors=None, times a bound on
-    the sector count), which bounds the memory and keeps the first
-    overflow.  Its suggestion, the largest max_excited at which all
-    sectors fit, is bisected by trial walks cut the same way.
+    least one leaf, so a walk that cuts each level to its first limit
+    nodes ends in exactly limit leaves, a prefix of the full walk's.  With
+    sectors, limit = len(sectors) * basis_cap + 1 and a cut prefix
+    overfills some sector; with sectors=None limit starts at basis_cap + 1
+    and doubles while a cut walk overfills none.  That bounds the memory by
+    the walk's own prefix and keeps the first overflow.  Its suggestion,
+    the largest max_excited at which all sectors fit, is bisected by trial
+    walks cut the same way.
     """
     keys = None if sectors is None else list(dict.fromkeys(tuple(map(int, s)) for s in sectors))
     modes = cfg.modes()
@@ -229,7 +231,6 @@ def build_basis(
     small = np.min_scalar_type(cfg.n_particles)  # holds every count and occupation
     if keys is None:
         reach = None
-        limit = (2 * span + 1) ** d * cfg.basis_cap + 1
     else:
         # a key of another dimension, or past span, is reached by no walk
         near = [code(k) for k in keys if len(k) == d and max(map(abs, k)) <= span]
@@ -239,18 +240,16 @@ def build_basis(
         reach_at = np.array([*sorted(table), code.base**d], dtype=np.int64)
         reach = np.array([*map(table.get, reach_at[:-1].tolist()), [-1] * (cap + 1)],
                          dtype=np.int64)
-        limit = len(keys) * cfg.basis_cap + 1
-
-    index = np.int32 if limit <= 2**31 else np.int64  # indexes a level's first limit nodes
 
     def kept(total: np.ndarray, left: np.ndarray, level: int) -> np.ndarray:
         # the nodes whose left particles, on the modes from level on, reach a key
         at = reach_at.searchsorted(total)
         return (reach_at[at] == total) & (reach[at, left] >= level)
 
-    def grow(top: int) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    def grow(top: int, limit: int) -> tuple[np.ndarray, np.ndarray, list]:
         # (total, left) of the leaves at excited cap top, in walk order, and
         # each level's (parent, count), every level cut to its first limit nodes
+        index = np.int32 if limit <= 2**31 else np.int64  # indexes those nodes
         total, left = np.array([origin], dtype=np.int64), np.array([top], dtype=np.int64)
         if reach is not None:
             on = kept(total, left, 0)
@@ -259,7 +258,9 @@ def build_basis(
         for j, step in enumerate(steps):
             # every parent's children 0..left, parent by parent: walk order
             width = left + 1
-            parent = np.arange(len(left), dtype=index).repeat(width)
+            if reach is None:  # the parents of the first limit children
+                width = width[:width.cumsum().searchsorted(limit) + 1]
+            parent = np.arange(len(width), dtype=index).repeat(width)
             c = np.arange(len(parent)) - (width.cumsum() - width).repeat(width)
             total, left = total[parent] + c * step, left[parent] - c
             on = slice(limit) if reach is None else kept(total, left, j + 1).nonzero()[0][:limit]
@@ -271,12 +272,19 @@ def build_basis(
         most = cfg.basis_cap
         return len(total) > most and np.unique(total, return_counts=True)[1].max() > most
 
-    total, left, levels = grow(cap)
+    def walk(top: int) -> tuple[np.ndarray, np.ndarray, list]:
+        # a cut walk ends in exactly limit leaves; doubled while those fit
+        limit = (1 if keys is None else len(keys)) * cfg.basis_cap + 1
+        while len((grown := grow(top, limit))[0]) == limit and not overflows(grown[0]):
+            limit *= 2
+        return grown
+
+    total, left, levels = walk(cap)
     if overflows(total):
         _, sector, size = np.unique(total, return_inverse=True, return_counts=True)
         over = min(int(np.flatnonzero(sector == s)[cfg.basis_cap])
                    for s in np.flatnonzero(size > cfg.basis_cap).tolist())
-        fits = bisect.bisect_left(range(cap), True, key=lambda m: overflows(grow(m)[0]))
+        fits = bisect.bisect_left(range(cap), True, key=lambda m: overflows(walk(m)[0]))
         key = code.decode(int(total[over]))
         raise BasisSizeError(key, cfg.basis_cap + 1, cfg.basis_cap, max(fits - 1, 0))
     occ = np.empty((len(modes), len(total)), dtype=small)

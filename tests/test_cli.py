@@ -15,7 +15,9 @@ import pytest
 
 import bogospec
 from bogospec import fock_ed
-from bogospec.cli import main, parse_sectors, parse_vhat
+from bogospec.cli import ROWS_PER_WRITE, main, parse_sectors, parse_vhat
+from bogospec.excitations import enumerate_below
+from bogospec.model import LatticeSpec
 
 
 def run_cli(args, capsys):
@@ -146,6 +148,56 @@ def test_enumerate_csv(capsys):
     sector1 = [r for r in rows if r[0] == "1"]
     assert [float(r[2]) for r in sector1] == [1.0, 3.0, 5.0, 5.0]
     assert sector1[1][4] == "-1;1;1"
+
+
+# enumerate formats its lines itself; these tables cover 1D, 2D and 3D with
+# negative coordinates, a table potential, and kappa = 0 (no excitation)
+ENUMERATE_TABLES = [
+    (1, "gaussian:0.1:5", 41.8879020479, 1.2, 3.0),
+    (2, "gaussian:0.1:5", 12.0, 3.0, 2.0),
+    (3, "gaussian:0.1:5", 10.0, 1.5, 1.0),
+    (1, "table:0,0.3;1.5,0.1;2.5,0", 9.0, 6.0, 3.0),
+    (1, "gaussian:0.1:5", 6.28318530718, 0.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("dim, vhat, side, kappa, window", ENUMERATE_TABLES)
+def test_enumerate_lines_match_csv_writer(tmp_path, capsys, dim, vhat, side, kappa, window):
+    # the records, written by csv.writer as rows of coordinates, rank,
+    # energy, n_quasi and the "x y" constituent labels joined by ";"
+    table = enumerate_below(LatticeSpec(side, dim), parse_vhat(vhat, dim), kappa, window)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"n{i + 1}" for i in range(dim)] + ["j", "energy", "n_quasi", "constituents"])
+    for key in sorted(table.sectors, key=lambda k: (sum(c * c for c in k), k)):
+        for r in table.sectors[key]:
+            text = ";".join(" ".join(map(str, m.n)) for m in r.constituents)
+            writer.writerow([*key, r.rank, r.energy, r.n_quasi, text])
+    args = ["enumerate", "--vhat", vhat, "--dim", str(dim), "--L", repr(side),
+            "--kappa", repr(kappa), "--window", repr(window)]
+    out = tmp_path / "spectrum.csv"
+    assert run_cli([*args, "--out", str(out)], capsys)[0] == 0
+    code, stdout, _ = run_cli(args, capsys)
+    assert code == 0 and out.read_text() == stdout
+    header = stdout.splitlines(keepends=True)[:3]
+    assert [line[:2] for line in header] == ["# "] * 3
+    assert stdout == "".join(header) + buf.getvalue()
+    assert (kappa == 0.0) == (stdout.count("\n") == 4)
+
+
+@pytest.mark.parametrize("args", [
+    ["enumerate", "--vhat", "gaussian:0.1:5", "--L", "41.8879020479",
+     "--kappa", "1.4", "--window", "3"],
+    ["dispersion", "--vhat", "gaussian:0.1:5", "--dim", "2", "--window", "40"],
+])
+def test_stdout_and_out_get_the_same_bytes(tmp_path, capsys, args):
+    # more lines than one ROWS_PER_WRITE block, so blocks join on both sinks
+    out = tmp_path / "run.csv"
+    assert run_cli([*args, "--out", str(out)], capsys)[0] == 0
+    code, stdout, _ = run_cli(args, capsys)
+    assert code == 0
+    assert stdout.count("\n") > ROWS_PER_WRITE
+    assert out.read_bytes() == stdout.encode()
 
 
 def test_figure_csv_and_guard(capsys):
@@ -667,6 +719,11 @@ GOLDEN_ENUMERATE = [
     (["enumerate", "--vhat", "gaussian:0.1:5", "--L", "41.8879020479",
       "--kappa", "1.4", "--window", "3"],
      "87d9960777b9a4d941deeb3cd099b011b698c20038459056188f8b1b80032aa8"),
+    # 3D, captured before enumerate formatted its lines from the search's
+    # ranked entries
+    (["enumerate", "--vhat", "gaussian:0.1:5", "--dim", "3", "--L", "10",
+      "--kappa", "1.5", "--window", "1"],
+     "99e1f66c2b11932284c571572aa8cd94daf8a3a1bafc1b6c7e257d7ab82ff3fe"),
 ]
 
 

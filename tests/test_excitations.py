@@ -94,6 +94,25 @@ def test_record_invariants():
             assert r.energy == pytest.approx(s, abs=1e-12)
 
 
+def test_records_are_built_once_from_the_ranked_entries():
+    table = enumerate_below(LatticeSpec(12.0, 2), Potential.gaussian(0.1, 5.0, 2), 3.0, 2.0)
+    assert "sectors" not in vars(table)  # built on first read, not by the search
+    sectors = table.sectors
+    assert table.sectors is sectors
+    assert sectors.keys() == table.entries.keys()
+    assert any(c < 0 for key in sectors for c in key)
+    for key, recs in sectors.items():
+        entries = table.entries[key]
+        assert entries == sorted(entries)
+        assert [r.rank for r in recs] == list(range(1, len(recs) + 1))
+        for r, (energy, n_quasi, enc) in zip(recs, entries, strict=True):
+            assert (r.total_momentum.n, r.energy, r.n_quasi) == (key, energy, n_quasi)
+            assert r.constituents == tuple(table.candidates[i] for i in enc)
+            assert all(m is table.candidates[i] for m, i in zip(r.constituents, enc))
+    with pytest.raises(TypeError):
+        excitations.SpectrumTable(table.lattice, table.pot, 3.0, 2.0, sectors=sectors)
+
+
 def test_canonicality_no_duplicate_multisets():
     table = enumerate_below(LAT, ZERO, 7.5, momentum_window=3.0)
     for key in table.sectors:
