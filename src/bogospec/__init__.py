@@ -15,7 +15,6 @@ from .bogoliubov import (
 from .excitations import (
     ExcitationRecord,
     SpectrumTable,
-    classify_for_figure,
     damping_scan,
     enumerate_below,
     kth_excitation,

@@ -7,26 +7,30 @@ names and then one row per check, since perfbench's verify parser
 stderr and in the `.txt` beside `--out`, starts with the tolerance and
 seed it ran with.  Identical configurations produce byte-identical CSV
 output (fixed seeds, deterministic summation and ordering throughout).
+
+The other commands format their CSV lines themselves, fields joined by
+commas: none needs quoting, being an integer, a float's repr, a fixed
+token or one of `enumerate`'s constituent labels (digits, spaces, minus
+signs and semicolons).  `enumerate` and `figure` write their lines
+straight from the search's ranked entries (`SpectrumTable.entries`);
+every command lists sectors in (|n|^2, n) order.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
 import shutil
 import sys
 import tempfile
-from operator import mul
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 from . import __version__, fock_ed, verify
 from .bogoliubov import bogoliubov_energy, coefficients, energy_density_limit
-from .excitations import classify_for_figure, dispersion, enumerate_below
+from .excitations import dispersion, enumerate_below
 from .fock_ed import EDConfig, default_max_excited
 from .model import (
     LatticeBudgetError,
@@ -117,15 +121,16 @@ def _write_csv(
         fh.write(block)
 
 
-def _csv_rows(rows: Iterable[Sequence]) -> Iterator[str]:
-    """Each row's CSV line; the writer's one write per row is a list append."""
-    lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    rows = iter(rows)
-    while block := list(itertools.islice(rows, ROWS_PER_WRITE)):
-        writer.writerows(block)
-        yield from lines
-        lines.clear()
+def _line(row: Iterable) -> str:
+    """A row's CSV line.  Its fields are ints, floats (whose str is their
+    repr) and fixed tokens, none of which needs CSV quoting."""
+    return ",".join(map(str, row)) + "\n"
+
+
+def _sector_order(keys: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Integer coordinate tuples n in (|n|^2, n) order: shell by shell,
+    lexicographic within a shell."""
+    return sorted(keys, key=lambda n: (sum(c * c for c in n), n))
 
 
 def _setup(args: argparse.Namespace, **extra) -> tuple[LatticeSpec, Potential, dict]:
@@ -138,11 +143,8 @@ def _setup(args: argparse.Namespace, **extra) -> tuple[LatticeSpec, Potential, d
 
 def cmd_dispersion(args: argparse.Namespace) -> int:
     lattice, pot, cfg = _setup(args, window=args.window)
-    # rows in (|n|^2, n) order: lattice_coords lists n in lexicographic
-    # order and the sort by |n|^2 is stable.  A Momentum is built only as
-    # its row is written
-    coords = lattice_coords(lattice, args.window, include_zero=False)
-    coords.sort(key=lambda n: sum(map(mul, n, n)))
+    # a Momentum is built only as its row is written
+    coords = _sector_order(lattice_coords(lattice, args.window, include_zero=False))
 
     def rows() -> Iterator[list]:
         for n in coords:
@@ -151,7 +153,7 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
             yield list(n) + [p.norm, co.e, co.alpha, co.c, co.s]
 
     cols = [f"n{i + 1}" for i in range(args.dim)] + ["abs_p", "energy", "alpha", "c", "s"]
-    _emit(args.out, "dispersion", cfg, cols, _csv_rows(rows()))
+    _emit(args.out, "dispersion", cfg, cols, map(_line, rows()))
     return 0
 
 
@@ -167,20 +169,18 @@ def cmd_energy(args: argparse.Namespace) -> int:
         ["density_limit", quad.value],
         ["density_limit_error_estimate", quad.error_estimate],
     ]
-    _emit(args.out, "energy", cfg, ["quantity", "value"], _csv_rows(rows))
+    _emit(args.out, "energy", cfg, ["quantity", "value"], map(_line, rows))
     return 0
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     lattice, pot, cfg = _setup(args, kappa=args.kappa, window=args.window)
     table = enumerate_below(lattice, pot, args.kappa, args.window)
-    # lines straight from the ranked entries, no field needing CSV quoting:
-    # integers, a float repr, and labels of digits, spaces, minus signs
-    # and semicolons
+    # one constituent label per candidate index
     label = [" ".join(map(str, m.n)) for m in table.candidates].__getitem__
 
     def lines() -> Iterator[str]:
-        for key in sorted(table.entries, key=lambda k: (sum(c * c for c in k), k)):
+        for key in _sector_order(table.entries):
             head = "".join(f"{c}," for c in key)
             for rank, (energy, n_quasi, enc) in enumerate(table.entries[key], 1):
                 yield f"{head}{rank},{energy!r},{n_quasi},{';'.join(map(label, enc))}\n"
@@ -193,7 +193,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_figure(args: argparse.Namespace) -> int:
     lattice, pot, cfg = _setup(args, kappa=args.kappa, window=args.window)
     table = enumerate_below(lattice, pot, args.kappa, args.window)
-    if args.require_complete_1qp and args.kappa > 0.0:
+    if args.require_complete_1qp:
         undetermined = [
             p.n
             for p in lattice_points(lattice, args.window, include_zero=False)
@@ -205,16 +205,21 @@ def cmd_figure(args: argparse.Namespace) -> int:
                 + "; ".join(str(n) for n in undetermined)
             )
     h = lattice.spacing
-    rows = []
-    for r in classify_for_figure(table):
-        coords = [h * c for c in r.sector]
-        rows.append(list(r.sector) + coords + [r.energy, r.n_quasi, r.cls])
+
+    def lines() -> Iterator[str]:
+        # the class sets the figure's marker: dot, triangle or square
+        for key in _sector_order(table.entries):
+            head = "".join(f"{c}," for c in key) + "".join(f"{h * c!r}," for c in key)
+            for energy, n_quasi, _ in table.entries[key]:
+                cls = "1qp" if n_quasi == 1 else "2qp" if n_quasi == 2 else "3qp+"
+                yield f"{head}{energy!r},{n_quasi},{cls}\n"
+
     cols = (
         [f"n{i + 1}" for i in range(args.dim)]
         + [f"p{i + 1}" for i in range(args.dim)]
         + ["energy", "n_quasi", "class"]
     )
-    _emit(args.out, "figure", cfg, cols, _csv_rows(rows))
+    _emit(args.out, "figure", cfg, cols, lines())
     return 0
 
 
@@ -297,7 +302,7 @@ def cmd_ed(args: argparse.Namespace) -> int:
     sectors = parse_sectors(args.sectors, args.dim)
     result = fock_ed.many_body_excitations(cfg, sectors, args.count, tol=args.tol, seed=args.seed)
     rows = []
-    for key in sorted(result.sector_values, key=lambda k: (sum(c * c for c in k), k)):
+    for key in _sector_order(result.sector_values):
         vals = result.sector_values[key]
         res = result.sector_residuals[key]
         for j, val in enumerate(vals):
@@ -311,7 +316,7 @@ def cmd_ed(args: argparse.Namespace) -> int:
     ]
     header = dict(cfg.snapshot(), sectors=list(result.sector_values),
                   count=args.count, tol=args.tol, seed=args.seed)
-    _emit(args.out, "ed", header, cols, _csv_rows(rows))
+    _emit(args.out, "ed", header, cols, map(_line, rows))
     return 0
 
 

@@ -112,10 +112,20 @@ class SpectrumTable:
         }
 
     def sector(self, p: Momentum | tuple[int, ...]) -> list[ExcitationRecord]:
-        key = p.n if isinstance(p, Momentum) else tuple(int(c) for c in p)
-        if self.lattice.momentum(key).norm > self.window:
+        """The records of sector p; OutOfWindowError where the search did not
+        look, by its own window test (`_window_norm2`)."""
+        key = self.lattice.momentum(p.n if isinstance(p, Momentum) else tuple(p)).n
+        if sum(map(mul, key, key)) > _window_norm2(self.lattice, self.window):
             raise OutOfWindowError(f"sector {key} outside momentum window {self.window}")
         return self.sectors.get(key, [])
+
+
+def _window_norm2(lattice: LatticeSpec, window: float) -> float:
+    """The largest |n|^2 of a total momentum n inside the momentum window:
+    (window / h)^2, widened by 1e-12 so that a sector on the window's edge
+    is kept whatever the rounding of h."""
+    win = window / lattice.spacing
+    return win * win * (1.0 + 1e-12)  # inf, not OverflowError, for a huge window
 
 
 def _candidates(
@@ -164,8 +174,7 @@ def enumerate_below(
     # floor[i]: the lowest candidate energy from index i on (inf past the end)
     floor = list(itertools.accumulate(reversed(energies), min, initial=math.inf))
     floor.reverse()
-    win = momentum_window / lattice.spacing
-    win2 = win * win * (1.0 + 1e-12)  # inf, not OverflowError, for a huge window
+    win2 = _window_norm2(lattice, momentum_window)
     found: dict[tuple[int, ...], list[tuple[float, int, tuple[int, ...]]]] = {}
     # stack entries: (energy, candidate indices, total n, next candidate index)
     stack = [(0.0, (), (0,) * lattice.d, 0)]
@@ -201,28 +210,6 @@ def kth_excitation(
         raise ValueError(f"rank j must be >= 1, got {j}")
     recs = table.sector(p)
     return recs[j - 1].energy if j <= len(recs) else None
-
-
-@dataclass(frozen=True)
-class FigureRow:
-    sector: tuple[int, ...]
-    energy: float
-    n_quasi: int
-    cls: str
-
-
-def classify_for_figure(table: SpectrumTable) -> list[FigureRow]:
-    """One row per record with the quasiparticle-count class clamped at 3.
-
-    Classes "1qp", "2qp", "3qp+" correspond to the dot / triangle /
-    square markers of the spectrum figures.
-    """
-    rows: list[FigureRow] = []
-    for key in sorted(table.sectors, key=lambda k: (sum(c * c for c in k), k)):
-        for rec in table.sectors[key]:
-            cls = "1qp" if rec.n_quasi == 1 else "2qp" if rec.n_quasi == 2 else "3qp+"
-            rows.append(FigureRow(key, rec.energy, rec.n_quasi, cls))
-    return rows
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ both bit for bit.  A sector of at most DENSE_FALLBACK_DIM states is
 solved densely, a larger one by a numpy block Davidson solver on that
 product, which reports degenerate multiplets whole.  Neither loads
 scipy: it is imported only where something reads `SectorMatrix.matrix`,
-a scipy view over the same arrays, or passes lowest_eigenvalues a scipy
-matrix.  So no command of the CLI loads scipy at all.
+a scipy view over the same arrays.  So no command of the CLI loads scipy
+at all.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -60,9 +60,6 @@ from .model import (
     lattice_points,
     periodized_value,
 )
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 #: occupation vector over the mode list, basis element of a sector
 FockState = tuple[int, ...]
@@ -369,7 +366,7 @@ class SectorMatrix:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    kind: str
+    kind: str  # the assembler's tag, "H" for assemble_hamiltonian; perfbench's tracer reads it
 
     @property
     def dim(self) -> int:
@@ -380,7 +377,7 @@ class SectorMatrix:
         return len(self.data)
 
     @cached_property
-    def matrix(self) -> sp.csr_matrix:
+    def matrix(self) -> "scipy.sparse.csr_matrix":
         """A scipy CSR matrix over the same arrays, built (and scipy.sparse
         imported) when first read."""
         import scipy.sparse as sp
@@ -930,7 +927,7 @@ def _require_tol(tol: float) -> None:
 
 
 def lowest_eigenvalues(
-    m: SectorMatrix | sp.spmatrix,
+    m: SectorMatrix,
     count: int,
     tol: float = 1e-9,
     seed: int = DEFAULT_SEED,
@@ -949,15 +946,9 @@ def lowest_eigenvalues(
     Residuals are |M x - value x| with the products of matvec, which sums
     as scipy's CSR product does; the Davidson path raises
     EigenConvergenceError if one of them exceeds the bound.  Neither path
-    loads scipy.  A scipy sparse matrix is solved through a SectorMatrix
-    over its CSR arrays.
+    loads scipy.
     """
     _require_tol(tol)
-    if not isinstance(m, SectorMatrix):
-        import scipy.sparse as sp
-
-        c = sp.csr_matrix(m)
-        m = SectorMatrix(None, [], c.indptr, c.indices, c.data, "csr")
     dim = m.dim
     if count < 1 or count > dim:
         raise ValueError(f"count must be in [1, {dim}], got {count}")

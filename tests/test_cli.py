@@ -16,7 +16,7 @@ import pytest
 import bogospec
 from bogospec import fock_ed
 from bogospec.cli import ROWS_PER_WRITE, main, parse_sectors, parse_vhat
-from bogospec.excitations import enumerate_below
+from bogospec.excitations import SpectrumTable, enumerate_below
 from bogospec.model import LatticeSpec
 
 
@@ -150,8 +150,9 @@ def test_enumerate_csv(capsys):
     assert sector1[1][4] == "-1;1;1"
 
 
-# enumerate formats its lines itself; these tables cover 1D, 2D and 3D with
-# negative coordinates, a table potential, and kappa = 0 (no excitation)
+# enumerate and figure format their lines themselves; these tables cover
+# 1D, 2D and 3D with negative coordinates, a table potential, and kappa = 0
+# (no excitation)
 ENUMERATE_TABLES = [
     (1, "gaussian:0.1:5", 41.8879020479, 1.2, 3.0),
     (2, "gaussian:0.1:5", 12.0, 3.0, 2.0),
@@ -161,28 +162,72 @@ ENUMERATE_TABLES = [
 ]
 
 
-@pytest.mark.parametrize("dim, vhat, side, kappa, window", ENUMERATE_TABLES)
-def test_enumerate_lines_match_csv_writer(tmp_path, capsys, dim, vhat, side, kappa, window):
-    # the records, written by csv.writer as rows of coordinates, rank,
-    # energy, n_quasi and the "x y" constituent labels joined by ";"
-    table = enumerate_below(LatticeSpec(side, dim), parse_vhat(vhat, dim), kappa, window)
+def _assert_lines_match_csv_writer(tmp_path, capsys, command, case, rows):
+    """command's output on an ENUMERATE_TABLES case, to a file and to
+    stdout, is its three header lines and then rows (the column names
+    first) as csv.writer writes them."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"n{i + 1}" for i in range(dim)] + ["j", "energy", "n_quasi", "constituents"])
-    for key in sorted(table.sectors, key=lambda k: (sum(c * c for c in k), k)):
-        for r in table.sectors[key]:
-            text = ";".join(" ".join(map(str, m.n)) for m in r.constituents)
-            writer.writerow([*key, r.rank, r.energy, r.n_quasi, text])
-    args = ["enumerate", "--vhat", vhat, "--dim", str(dim), "--L", repr(side),
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    dim, vhat, side, kappa, window = case
+    args = [command, "--vhat", vhat, "--dim", str(dim), "--L", repr(side),
             "--kappa", repr(kappa), "--window", repr(window)]
     out = tmp_path / "spectrum.csv"
     assert run_cli([*args, "--out", str(out)], capsys)[0] == 0
     code, stdout, _ = run_cli(args, capsys)
     assert code == 0 and out.read_text() == stdout
-    header = stdout.splitlines(keepends=True)[:3]
-    assert [line[:2] for line in header] == ["# "] * 3
-    assert stdout == "".join(header) + buf.getvalue()
+    lines = stdout.splitlines(keepends=True)
+    assert [line[:2] for line in lines[:3]] == ["# "] * 3
+    # compared as lists, which pytest reports at their first difference
+    # where its diff of two long strings takes minutes
+    assert lines[3:] == buf.getvalue().splitlines(keepends=True)
     assert (kappa == 0.0) == (stdout.count("\n") == 4)
+
+
+def _records(table):
+    """(key, record) over table.sectors, sectors in (|n|^2, n) order."""
+    for key in sorted(table.sectors, key=lambda k: (sum(c * c for c in k), k)):
+        for r in table.sectors[key]:
+            yield key, r
+
+
+@pytest.mark.parametrize("dim, vhat, side, kappa, window", ENUMERATE_TABLES)
+def test_enumerate_lines_match_csv_writer(tmp_path, capsys, dim, vhat, side, kappa, window):
+    # the records, written by csv.writer as rows of coordinates, rank,
+    # energy, n_quasi and the "x y" constituent labels joined by ";"
+    table = enumerate_below(LatticeSpec(side, dim), parse_vhat(vhat, dim), kappa, window)
+    rows = [[f"n{i + 1}" for i in range(dim)] + ["j", "energy", "n_quasi", "constituents"]]
+    for key, r in _records(table):
+        text = ";".join(" ".join(map(str, m.n)) for m in r.constituents)
+        rows.append([*key, r.rank, r.energy, r.n_quasi, text])
+    _assert_lines_match_csv_writer(tmp_path, capsys, "enumerate",
+                                   (dim, vhat, side, kappa, window), rows)
+
+
+@pytest.mark.parametrize("dim, vhat, side, kappa, window", ENUMERATE_TABLES)
+def test_figure_lines_match_csv_writer(tmp_path, capsys, dim, vhat, side, kappa, window):
+    # the records, written by csv.writer as rows of coordinates, momenta
+    # h * n, energy, n_quasi and the class with n_quasi clamped at 3
+    table = enumerate_below(LatticeSpec(side, dim), parse_vhat(vhat, dim), kappa, window)
+    h = table.lattice.spacing
+    rows = [[f"n{i + 1}" for i in range(dim)] + [f"p{i + 1}" for i in range(dim)]
+            + ["energy", "n_quasi", "class"]]
+    for key, r in _records(table):
+        cls = "1qp" if r.n_quasi == 1 else "2qp" if r.n_quasi == 2 else "3qp+"
+        rows.append([*key, *(h * c for c in key), r.energy, r.n_quasi, cls])
+    _assert_lines_match_csv_writer(tmp_path, capsys, "figure",
+                                   (dim, vhat, side, kappa, window), rows)
+
+
+@pytest.mark.parametrize("command", ["enumerate", "figure"])
+def test_spectrum_commands_build_no_records(monkeypatch, capsys, command):
+    # both write their lines from the ranked entries, never from the records
+    def unbuilt(table):
+        raise AssertionError("SpectrumTable.sectors was read")
+
+    monkeypatch.setattr(SpectrumTable, "sectors", property(unbuilt))
+    code, out, _ = run_cli([command, "--vhat", "gaussian:0.1:5", "--L", "41.8879020479",
+                            "--kappa", "1.2", "--window", "3"], capsys)
+    assert code == 0 and out.count("\n") > 1000
 
 
 @pytest.mark.parametrize("args", [
@@ -214,6 +259,17 @@ def test_figure_csv_and_guard(capsys):
     code, _, err = run_cli(low, capsys)
     assert code == 2
     assert "unresolved" in err
+
+
+def test_require_complete_1qp_at_kappa_zero(capsys):
+    # every dispersion value in the window lies above kappa = 0
+    args = ["figure", "--vhat", "gaussian:0.1:5", "--kappa", "0", "--require-complete-1qp"]
+    code, out, err = run_cli(args + ["--window", "3"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("bogospec: error: 1qp curve unresolved") and "(1,)" in err
+    # window 0 holds no nonzero point, so nothing is unresolved
+    code, out, _ = run_cli(args + ["--window", "0"], capsys)
+    assert code == 0 and out.count("\n") == 4
 
 
 def test_energy_csv(capsys):
@@ -626,8 +682,7 @@ def test_ed_output_of_the_pinned_davidson_case_matches_dense(tmp_path, capsys):
     # tol * ||H||_inf of dense eigh's
     out = tmp_path / "ed.csv"
     flags, _ = GOLDEN_ED[0]
-    code, _, _ = run_cli(["ed", "--vhat", "gaussian:0.1:5", "--L", repr(2 * math.pi)] + flags
-                         + ["--out", str(out)], capsys)
+    code, _, _ = run_cli(_golden_ed_args(flags) + ["--out", str(out)], capsys)
     assert code == 0
     cfg = fock_ed.EDConfig(32, bogospec.LatticeSpec(2 * math.pi, 1),
                            bogospec.Potential.gaussian(0.1, 5.0, 1), 4.0, 8)
@@ -742,14 +797,18 @@ GOLDEN_ENERGY = [
 ]
 
 
+def _golden_ed_args(flags):
+    return ["ed", "--vhat", "gaussian:0.1:5", "--L", repr(2 * math.pi)] + flags
+
+
+def _golden_energy_args(flags):
+    return ["energy"] + ([] if "--vhat" in flags else ["--vhat", "gaussian:0.1:5"]) + flags
+
+
 @pytest.mark.parametrize("flags, digest", GOLDEN_ED)
 def test_ed_output_bytes_pinned(tmp_path, capsys, flags, digest):
     out = tmp_path / "ed.csv"
-    code, _, _ = run_cli(
-        ["ed", "--vhat", "gaussian:0.1:5", "--L", repr(2 * math.pi)] + flags
-        + ["--out", str(out)],
-        capsys,
-    )
+    code, _, _ = run_cli(_golden_ed_args(flags) + ["--out", str(out)], capsys)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -765,10 +824,31 @@ def test_enumerate_output_bytes_pinned(tmp_path, capsys, args, digest):
 @pytest.mark.parametrize("flags, digest", GOLDEN_ENERGY)
 def test_energy_output_bytes_pinned(tmp_path, capsys, flags, digest):
     out = tmp_path / "energy.csv"
-    vhat = [] if "--vhat" in flags else ["--vhat", "gaussian:0.1:5"]
-    code, _, _ = run_cli(["energy"] + vhat + flags + ["--out", str(out)], capsys)
+    code, _, _ = run_cli(_golden_energy_args(flags) + ["--out", str(out)], capsys)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args", [_golden_ed_args(flags) for flags, _ in GOLDEN_ED]
+                         + [["verify", "--seed", "23"]]
+                         + [args for args, _ in GOLDEN_ENUMERATE]
+                         + [_golden_energy_args(flags) for flags, _ in GOLDEN_ENERGY],
+                         ids=lambda args: args[0])
+def test_golden_csv_bodies_need_no_quoting(tmp_path, capsys, args):
+    # the commands join their fields with commas unquoted: read back by
+    # csv.reader and written again by csv.writer, every body keeps its
+    # bytes, and a field holding a comma would add a column.  verify's
+    # check names may hold commas (perfbench's reader splits them off)
+    out = tmp_path / "run.csv"
+    assert run_cli(args + ["--out", str(out)], capsys)[0] == 0
+    lines = out.read_text().splitlines(keepends=True)
+    body = "".join(line for line in lines if not line.startswith("#"))
+    rows = list(csv.reader(io.StringIO(body)))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert buf.getvalue() == body
+    if args[0] != "verify":
+        assert {len(row) for row in rows} == {len(rows[0])}
 
 
 def test_verify_output_bytes_pinned(tmp_path, capsys):

@@ -12,13 +12,13 @@ from bogospec import excitations
 from bogospec.excitations import (
     EnumerationBudgetError,
     OutOfWindowError,
-    classify_for_figure,
     damping_scan,
     enumerate_below,
     kth_excitation,
     oracle_enumerate,
 )
 from bogospec.bogoliubov import dispersion
+from bogospec.cli import main
 from bogospec.model import LatticeSpec, Potential
 
 LAT = LatticeSpec(2 * math.pi, 1)
@@ -30,6 +30,16 @@ LAT_1D_SPECTRUM = LatticeSpec(41.8879020479, 1)
 
 def _multisets(table, key):
     return [tuple(m.n for m in r.constituents) for r in table.sectors.get(key, [])]
+
+
+def _figure_rows(capsys, lattice, vhat, kappa, window):
+    """`bogospec figure`'s rows for a 1D run: (sector, energy, n_quasi, class)."""
+    assert main(["figure", "--vhat", vhat, "--L", repr(lattice.L),
+                 "--kappa", repr(kappa), "--window", repr(window)]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    assert lines[0] == "n1,p1,energy,n_quasi,class"
+    return [((int(n1),), float(e), int(nq), cls)
+            for n1, _, e, nq, cls in (ln.split(",") for ln in lines[1:])]
 
 
 def test_free_case_sector_one():
@@ -78,6 +88,19 @@ def test_kth_excitation_semantics():
         kth_excitation(table, (17,), 1)
     with pytest.raises(ValueError):
         kth_excitation(table, (1,), 0)
+
+
+def test_sector_takes_the_searchs_window_test():
+    # h * sqrt(9) = 0.30000000000000004 > 0.3, yet the search keeps sector
+    # (3,) by its |n|^2 test, widened by 1e-12; sector() makes the same test
+    table = enumerate_below(LatticeSpec(2 * math.pi / 0.1, 1), V1, 1.0, 0.3)
+    assert (3,) in table.entries and (4,) not in table.entries
+    assert kth_excitation(table, (3,), 1) == table.entries[(3,)][0][0]
+    assert kth_excitation(table, (-3,), 1) == table.entries[(-3,)][0][0]
+    with pytest.raises(OutOfWindowError):
+        kth_excitation(table, (4,), 1)
+    with pytest.raises(ValueError, match="expected 1 integer coordinates"):
+        table.sector((1, 0))
 
 
 def test_record_invariants():
@@ -289,16 +312,14 @@ def test_constituents_may_leave_window():
     assert (2,) not in table.sectors
 
 
-def test_classify_rows():
-    table = enumerate_below(LAT, ZERO, 5.5, momentum_window=2.0)
-    rows = classify_for_figure(table)
-    by_class = Counter(r.cls for r in rows)
-    assert set(by_class) <= {"1qp", "2qp", "3qp+"}
-    one_qp = [r for r in rows if r.sector == (1,) and r.cls == "1qp"]
-    assert len(one_qp) == 1 and one_qp[0].energy == 1.0
-    for r in rows:
-        if r.n_quasi >= 3:
-            assert r.cls == "3qp+"
+def test_classify_rows(capsys):
+    rows = _figure_rows(capsys, LAT, "gaussian:0:1", 5.5, 2.0)
+    by_class = Counter(cls for *_, cls in rows)
+    assert set(by_class) == {"1qp", "2qp", "3qp+"}
+    one_qp = [r for r in rows if r[0] == (1,) and r[3] == "1qp"]
+    assert len(one_qp) == 1 and one_qp[0][1] == 1.0
+    for _, _, n_quasi, cls in rows:
+        assert cls == {1: "1qp", 2: "2qp"}.get(n_quasi, "3qp+")
 
 
 def test_damping_free_case():
@@ -348,8 +369,8 @@ def test_strong_coupling_maxon_roton():
     assert curve[imax] > curve[imin]
 
 
-def test_weak_figure_potential_sectors_sorted():
-    table = enumerate_below(LAT_015, V1, 0.4, momentum_window=0.4)
-    rows = classify_for_figure(table)
-    keys = [r.sector for r in rows]
+def test_weak_figure_potential_sectors_sorted(capsys):
+    rows = _figure_rows(capsys, LAT_015, "gaussian:0.1:5", 0.4, 0.4)
+    keys = [r[0] for r in rows]
+    assert len(set(keys)) > 1
     assert keys == sorted(keys, key=lambda k: (sum(c * c for c in k), k))
