@@ -19,6 +19,7 @@ every command lists sectors in (|n|^2, n) order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -40,6 +41,7 @@ from .model import (
     TailBoundError,
     lattice_coords,
     lattice_points,
+    sector_order,
 )
 
 
@@ -102,8 +104,18 @@ def _emit(
     with tempfile.TemporaryFile("w+") as staged:
         _write_csv(staged, command, config, columns, lines)
         staged.seek(0)
-        with Path(out).open("w") as fh:
+        with _out_file(out) as fh:
             shutil.copyfileobj(staged, fh)
+
+
+@contextlib.contextmanager
+def _out_file(path: str | Path) -> Iterator[TextIO]:
+    """path opened for writing; failing to open or write it is a UsageError."""
+    try:
+        with Path(path).open("w") as fh:
+            yield fh
+    except OSError as exc:
+        raise UsageError(f"--out: cannot write {str(path)!r}: {exc.strerror or exc}") from exc
 
 
 #: CSV lines joined in memory between two writes to the output: one
@@ -127,12 +139,6 @@ def _line(row: Iterable) -> str:
     return ",".join(map(str, row)) + "\n"
 
 
-def _sector_order(keys: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Integer coordinate tuples n in (|n|^2, n) order: shell by shell,
-    lexicographic within a shell."""
-    return sorted(keys, key=lambda n: (sum(c * c for c in n), n))
-
-
 def _setup(args: argparse.Namespace, **extra) -> tuple[LatticeSpec, Potential, dict]:
     """The lattice and potential of a lattice command, and its `# config:`
     header: L, dimension and potential plus the command's own keys."""
@@ -144,7 +150,7 @@ def _setup(args: argparse.Namespace, **extra) -> tuple[LatticeSpec, Potential, d
 def cmd_dispersion(args: argparse.Namespace) -> int:
     lattice, pot, cfg = _setup(args, window=args.window)
     # a Momentum is built only as its row is written
-    coords = _sector_order(lattice_coords(lattice, args.window, include_zero=False))
+    coords = sector_order(lattice_coords(lattice, args.window, include_zero=False))
 
     def rows() -> Iterator[list]:
         for n in coords:
@@ -180,7 +186,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     label = [" ".join(map(str, m.n)) for m in table.candidates].__getitem__
 
     def lines() -> Iterator[str]:
-        for key in _sector_order(table.entries):
+        for key in sector_order(table.entries):
             head = "".join(f"{c}," for c in key)
             for rank, (energy, n_quasi, enc) in enumerate(table.entries[key], 1):
                 yield f"{head}{rank},{energy!r},{n_quasi},{';'.join(map(label, enc))}\n"
@@ -208,7 +214,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
     def lines() -> Iterator[str]:
         # the class sets the figure's marker: dot, triangle or square
-        for key in _sector_order(table.entries):
+        for key in sector_order(table.entries):
             head = "".join(f"{c}," for c in key) + "".join(f"{h * c!r}," for c in key)
             for energy, n_quasi, _ in table.entries[key]:
                 cls = "1qp" if n_quasi == 1 else "2qp" if n_quasi == 2 else "3qp+"
@@ -302,7 +308,7 @@ def cmd_ed(args: argparse.Namespace) -> int:
     sectors = parse_sectors(args.sectors, args.dim)
     result = fock_ed.many_body_excitations(cfg, sectors, args.count, tol=args.tol, seed=args.seed)
     rows = []
-    for key in _sector_order(result.sector_values):
+    for key in sector_order(result.sector_values):
         vals = result.sector_values[key]
         res = result.sector_residuals[key]
         for j, val in enumerate(vals):
@@ -321,13 +327,17 @@ def cmd_ed(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.out and Path(args.out).suffix == ".txt":  # the summary's own path
+        raise UsageError(f"--out: {args.out!r} ends in .txt, where the summary goes")
     report = verify.run_default_suite(tol=args.tol, seed=args.seed)
     csv_text = report.to_csv_text()
     summary = f"tol {args.tol!r}, seed {args.seed}\n" + report.summary()
     if args.out:
         out = Path(args.out)
-        out.write_text(csv_text)
-        out.with_suffix(".txt").write_text(summary)
+        with _out_file(out) as fh:
+            fh.write(csv_text)
+        with _out_file(out.with_suffix(".txt")) as fh:
+            fh.write(summary)
     else:
         sys.stdout.write(csv_text)
     sys.stderr.write(summary)
@@ -416,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ed)
 
     p = sub.add_parser("verify", help="run the verification suite; exit 0 iff all pass")
-    p.add_argument("--out", default=None, help="report CSV path (summary goes to .txt)")
+    p.add_argument("--out", default=None, help="report CSV path, not .txt (summary goes to .txt)")
     p.add_argument("--tol", type=_positive, default=1e-9)
     p.add_argument("--seed", type=_natural, default=fock_ed.DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)

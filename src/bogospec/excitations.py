@@ -13,7 +13,8 @@ energy plus the lowest candidate energy from its last index on already
 exceeds kappa is a leaf: float addition is monotone, so none of its
 extensions could stay below kappa, and its extension loop is skipped.
 The table keeps the sorted index-coded entries; its records are
-NamedTuples, built on first read of `sectors`.
+NamedTuples, built on first read of `sectors`.  Every window test here
+is model's ball test (`ball_norm2`), as in the CLI's other listings.
 
 Completeness below the cutoff kappa is certified by dispersion(k) >= |k|^2:
 each constituent satisfies dispersion(k) <= kappa, hence |k| <= sqrt(kappa),
@@ -44,8 +45,11 @@ from .model import (
     LatticeSpec,
     Momentum,
     Potential,
+    ball_norm2,
     cube_exceeds,
+    lattice_coords,
     lattice_points,
+    sector_order,
 )
 
 #: multisets one enumeration may form.  kappa = 2.4 on the 1D spectrum's
@@ -113,19 +117,11 @@ class SpectrumTable:
 
     def sector(self, p: Momentum | tuple[int, ...]) -> list[ExcitationRecord]:
         """The records of sector p; OutOfWindowError where the search did not
-        look, by its own window test (`_window_norm2`)."""
+        look, by the window's ball test (`ball_norm2`)."""
         key = self.lattice.momentum(p.n if isinstance(p, Momentum) else tuple(p)).n
-        if sum(map(mul, key, key)) > _window_norm2(self.lattice, self.window):
+        if sum(map(mul, key, key)) > ball_norm2(self.lattice, self.window):
             raise OutOfWindowError(f"sector {key} outside momentum window {self.window}")
         return self.sectors.get(key, [])
-
-
-def _window_norm2(lattice: LatticeSpec, window: float) -> float:
-    """The largest |n|^2 of a total momentum n inside the momentum window:
-    (window / h)^2, widened by 1e-12 so that a sector on the window's edge
-    is kept whatever the rounding of h."""
-    win = window / lattice.spacing
-    return win * win * (1.0 + 1e-12)  # inf, not OverflowError, for a huge window
 
 
 def _candidates(
@@ -174,7 +170,7 @@ def enumerate_below(
     # floor[i]: the lowest candidate energy from index i on (inf past the end)
     floor = list(itertools.accumulate(reversed(energies), min, initial=math.inf))
     floor.reverse()
-    win2 = _window_norm2(lattice, momentum_window)
+    win2 = ball_norm2(lattice, momentum_window)
     found: dict[tuple[int, ...], list[tuple[float, int, tuple[int, ...]]]] = {}
     # stack entries: (energy, candidate indices, total n, next candidate index)
     stack = [(0.0, (), (0,) * lattice.d, 0)]
@@ -229,10 +225,9 @@ def damping_scan(table: SpectrumTable) -> list[DampingRow]:
     kappa is too small to decide.
     """
     rows: list[DampingRow] = []
-    pts = lattice_points(table.lattice, table.window, include_zero=False)
-    for p in sorted(pts, key=lambda q: (q.norm2_int, q.n)):
-        e_p = dispersion(p, table.pot)
-        multi = [r.energy for r in table.sectors.get(p.n, []) if r.n_quasi >= 2]
+    for n in sector_order(lattice_coords(table.lattice, table.window, include_zero=False)):
+        e_p = dispersion(Momentum(n, table.lattice.L), table.pot)
+        multi = [r.energy for r in table.sectors.get(n, []) if r.n_quasi >= 2]
         m = min(multi) if multi else None
         if m is not None and m < e_p:
             unstable: bool | None = True
@@ -240,7 +235,7 @@ def damping_scan(table: SpectrumTable) -> list[DampingRow]:
             unstable = False
         else:
             unstable = None
-        rows.append(DampingRow(p.n, e_p, m, unstable))
+        rows.append(DampingRow(n, e_p, m, unstable))
     return rows
 
 

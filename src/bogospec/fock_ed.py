@@ -96,9 +96,12 @@ DAVIDSON_DEPENDENT = 1e-8
 #: sectors of verify still take all their moves in one slice.
 PAIR_SLICE = 2**11
 
+#: states one requested sector's basis may hold, else BasisSizeError
+MAX_BASIS_STATES = 2_000_000
+
 
 class BasisSizeError(ValueError):
-    """A sector basis exceeded the configured hard cap."""
+    """A sector basis exceeded MAX_BASIS_STATES states."""
 
     def __init__(self, sector: tuple[int, ...], size: int, cap: int, suggestion: int):
         self.sector = sector
@@ -136,7 +139,6 @@ class EDConfig:
     pot: Potential
     mode_radius: float
     max_excited: int | None = None
-    basis_cap: int = 2_000_000
 
     def __post_init__(self) -> None:
         if self.n_particles < 1:
@@ -201,16 +203,16 @@ def build_basis(
     left, on the modes still to come, can carry the momentum so far to a
     requested sector.
 
-    Only a requested sector over cfg.basis_cap raises BasisSizeError,
+    Only a requested sector over MAX_BASIS_STATES raises BasisSizeError,
     naming the sector the walk overfills first.  Every node kept owns at
     least one leaf, so a walk that cuts each level to its first limit
     nodes ends in exactly limit leaves, a prefix of the full walk's.  With
-    sectors, limit = len(sectors) * basis_cap + 1 and a cut prefix
-    overfills some sector; with sectors=None limit starts at basis_cap + 1
-    and doubles while a cut walk overfills none.  That bounds the memory by
-    the walk's own prefix and keeps the first overflow.  Its suggestion,
-    the largest max_excited at which all sectors fit, is bisected by trial
-    walks cut the same way.
+    sectors, limit = len(sectors) * MAX_BASIS_STATES + 1 and a cut prefix
+    overfills some sector; with sectors=None limit starts at
+    MAX_BASIS_STATES + 1 and doubles while a cut walk overfills none.  That
+    bounds the memory by the walk's own prefix and keeps the first
+    overflow.  Its suggestion, the largest max_excited at which all sectors
+    fit, is bisected by trial walks cut the same way.
     """
     keys = None if sectors is None else list(dict.fromkeys(tuple(map(int, s)) for s in sectors))
     modes = cfg.modes()
@@ -218,6 +220,7 @@ def build_basis(
     zero = modes.index(cfg.lattice.zero)
     excited = [i for i in range(len(modes)) if i != zero]
     cap = cfg.effective_max_excited
+    most = MAX_BASIS_STATES
     if cap < 0:
         return {k: [] for k in keys or ()}
     # cap particles carry each coordinate at most span from 0
@@ -266,12 +269,11 @@ def build_basis(
         return total, left, levels
 
     def overflows(total: np.ndarray) -> bool:
-        most = cfg.basis_cap
         return len(total) > most and np.unique(total, return_counts=True)[1].max() > most
 
     def walk(top: int) -> tuple[np.ndarray, np.ndarray, list]:
         # a cut walk ends in exactly limit leaves; doubled while those fit
-        limit = (1 if keys is None else len(keys)) * cfg.basis_cap + 1
+        limit = (1 if keys is None else len(keys)) * most + 1
         while len((grown := grow(top, limit))[0]) == limit and not overflows(grown[0]):
             limit *= 2
         return grown
@@ -279,11 +281,11 @@ def build_basis(
     total, left, levels = walk(cap)
     if overflows(total):
         _, sector, size = np.unique(total, return_inverse=True, return_counts=True)
-        over = min(int(np.flatnonzero(sector == s)[cfg.basis_cap])
-                   for s in np.flatnonzero(size > cfg.basis_cap).tolist())
+        over = min(int(np.flatnonzero(sector == s)[most])
+                   for s in np.flatnonzero(size > most).tolist())
         fits = bisect.bisect_left(range(cap), True, key=lambda m: overflows(walk(m)[0]))
         key = code.decode(int(total[over]))
-        raise BasisSizeError(key, cfg.basis_cap + 1, cfg.basis_cap, max(fits - 1, 0))
+        raise BasisSizeError(key, most + 1, most, max(fits - 1, 0))
     occ = np.empty((len(modes), len(total)), dtype=small)
     occ[zero] = cfg.n_particles - cap + left
     at = np.arange(len(total))

@@ -2,12 +2,12 @@
 
 Momenta live on (2*pi/L)*Z^d and are stored through their integer
 coordinates, so squared norms and degeneracies are exact at the integer
-level.  Lattice points within a radius are found by a walk over the
-ball, never the enclosing cube, and a radial sum is taken once per shell
-|n|^2 = k with the shell's exact integer point count.  Potentials enter
-only through their radial Fourier transform vhat >= 0; real-space values
-are recovered by periodized lattice sums with rigorously bounded
-Gaussian tails.
+level.  One rule, ball_norm2, decides which points every window, mode
+radius and lattice sum holds; a walk over the ball, never the enclosing
+cube, finds them, and a radial sum is taken once per shell |n|^2 = k
+with the shell's exact integer point count.  Potentials enter only
+through their radial Fourier transform vhat >= 0; real-space values are
+recovered by periodized lattice sums with rigorously bounded Gaussian tails.
 
 One rule, summation_radius, decides where every lattice sum and the
 density integral stop: a compactly supported potential at its support,
@@ -278,12 +278,20 @@ def fourier_at(pot: Potential, p: MomentumLike) -> float:
     return pot.vhat_radial(as_radius(p))
 
 
-def axis_bound(lattice: LatticeSpec, radius: float) -> int:
-    """Largest coordinate m = |c| of a point with |p| <= radius: the ball
-    lies in the cube [-m, m]^d of (2m + 1)^d points."""
+def ball_norm2(lattice: LatticeSpec, radius: float) -> float:
+    """The ball test: n has |p| <= radius iff |n|^2 <= (radius / h)^2,
+    widened by 1e-12 so that a point on the sphere (h = 0.1, radius 0.3)
+    stays in whatever the rounding of h and the radius."""
     if radius < 0.0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    return int(math.floor(radius / lattice.spacing + 1e-9))
+    q = radius / lattice.spacing
+    return q * q * (1.0 + 1e-12)  # inf, not OverflowError, for a huge radius
+
+
+def axis_bound(lattice: LatticeSpec, radius: float) -> int:
+    """Largest coordinate m = |c| in the ball: it lies in the cube [-m, m]^d.
+    The caller bounds radius / spacing first: an infinite bound has no floor."""
+    return math.isqrt(math.floor(ball_norm2(lattice, radius)))
 
 
 def cube_exceeds(lattice: LatticeSpec, radius: float, cap: int) -> bool:
@@ -293,27 +301,6 @@ def cube_exceeds(lattice: LatticeSpec, radius: float, cap: int) -> bool:
     if radius / lattice.spacing > cap:
         return True
     return (2 * axis_bound(lattice, radius) + 1) ** lattice.d > cap
-
-
-def _ball_bounds(lattice: LatticeSpec, radius: float) -> tuple[int, int]:
-    """Coordinate bound m and largest |n|^2 = K of a point with |p| <= radius.
-
-    A point of the cube [-m, m]^d lies in the ball iff |n|^2 <= K: the
-    test h * sqrt(|n|^2) <= radius is monotone in |n|^2, so K is found by
-    bisection over [0, d*m^2].  K may exceed m^2.  Both callers check
-    their budget first, which bounds m, so the bisection's squared norms
-    stay far below float overflow.
-    """
-    h = lattice.spacing
-    m = axis_bound(lattice, radius)
-    lo, hi = 0, lattice.d * m * m  # h * sqrt(0) <= radius always holds
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if h * math.sqrt(mid) <= radius:
-            lo = mid
-        else:
-            hi = mid - 1
-    return m, lo
 
 
 def lattice_points(
@@ -333,51 +320,55 @@ def lattice_coords(
     lexicographic order, with no Momentum built.
 
     Coordinates are fixed one axis at a time; each ranges over
-    |c| <= min(m, isqrt(K - sum of the squares fixed so far)), so only
-    points of the ball are visited.  LatticeBudgetError if the cube around
-    the ball holds more than MAX_LATTICE_POINTS points.
+    |c| <= isqrt(K - sum of the squares fixed so far), K = floor(ball_norm2),
+    so only points of the ball are visited.  LatticeBudgetError if the
+    cube around the ball holds more than MAX_LATTICE_POINTS points.
     """
     if cube_exceeds(lattice, radius, MAX_LATTICE_POINTS):
         raise LatticeBudgetError(radius, MAX_LATTICE_POINTS, "points")
-    m, K = _ball_bounds(lattice, radius)
+    K = math.floor(ball_norm2(lattice, radius))
     # (prefix, squared norm still allowed) over the first d - 1 axes, in order
     level: list[tuple[tuple[int, ...], int]] = [((), K)]
     for _ in range(lattice.d - 1):
         level = [(prefix + (c,), left - c * c)
-                 for prefix, left in level for c in _axis_range(m, left)]
+                 for prefix, left in level for c in _axis_range(left)]
     coords: list[tuple[int, ...]] = []
     for prefix, left in level:
         # left == K only on the zero prefix, whose c = 0 is the zero point
-        coords += [prefix + (c,) for c in _axis_range(m, left)
+        coords += [prefix + (c,) for c in _axis_range(left)
                    if c or include_zero or left != K]
     return coords
 
 
-def _axis_range(m: int, left: int) -> range:
-    """Coordinates c with |c| <= m and c^2 <= left."""
-    b = min(m, math.isqrt(left))
+def _axis_range(left: int) -> range:
+    b = math.isqrt(left)
     return range(-b, b + 1)
+
+
+def sector_order(keys: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Integer coordinate tuples n in (|n|^2, n) order: shell by shell,
+    lexicographic within a shell.  Every listing of sectors takes it."""
+    return sorted(keys, key=lambda n: (sum(c * c for c in n), n))
 
 
 def lattice_shells(lattice: LatticeSpec, radius: float) -> list[tuple[int, int]]:
     """(k, r(k)) for each nonempty shell |n|^2 = k with |p| <= radius.
 
     r(k) counts exactly the points of lattice_points(..., include_zero=True)
-    on the shell, k = 0 included.  One axis gives 1 point at k = 0 and 2
-    at each c^2, c <= min(m, isqrt(K)); each further axis shifts only the
-    nonempty shells by c^2, in integers, cut at K.  Shells come in
-    increasing k.  No point is listed, so the budget is on the counters:
-    LatticeBudgetError past MAX_SHELL_COUNTERS of them.
+    on the shell, k = 0 included, up to K = floor(ball_norm2).  One axis
+    gives 1 point at k = 0 and 2 at each c^2, c <= isqrt(K); each further
+    axis shifts only the nonempty shells by c^2, in integers, cut at K.
+    Shells come in increasing k.  No point is listed, so the budget is on
+    the counters: LatticeBudgetError past MAX_SHELL_COUNTERS of them.
     """
-    # a quotient radius / spacing over the cap, inf too, is over before m is formed
+    # a quotient radius / spacing over the cap, inf too, is over before K is formed
     over = radius / lattice.spacing > MAX_SHELL_COUNTERS
     if not over:
-        m = axis_bound(lattice, radius)
-        over = (m + 1 if lattice.d == 1 else lattice.d * m * m + 1) > MAX_SHELL_COUNTERS
+        K = math.floor(ball_norm2(lattice, radius))
+        b = math.isqrt(K)  # axis_bound
+        over = (b + 1 if lattice.d == 1 else lattice.d * b * b + 1) > MAX_SHELL_COUNTERS
     if over:
         raise LatticeBudgetError(radius, MAX_SHELL_COUNTERS, "shell counters")
-    m, K = _ball_bounds(lattice, radius)
-    b = min(m, math.isqrt(K))
     shells = [(0, 1)] + [(c * c, 2) for c in range(1, b + 1)]
     if lattice.d == 1:
         return shells

@@ -16,8 +16,8 @@ import pytest
 import bogospec
 from bogospec import fock_ed
 from bogospec.cli import ROWS_PER_WRITE, main, parse_sectors, parse_vhat
-from bogospec.excitations import SpectrumTable, enumerate_below
-from bogospec.model import LatticeSpec
+from bogospec.excitations import SpectrumTable, damping_scan, enumerate_below
+from bogospec.model import TAU, LatticeSpec, Potential
 
 
 def run_cli(args, capsys):
@@ -134,6 +134,49 @@ def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
     code, stdout, _ = run_cli(args, capsys)
     assert link.is_symlink() and target.read_text() == stdout
     assert target.stat().st_mode & 0o777 == 0o640
+
+
+def test_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    # a directory, and a file in a directory that does not exist
+    taken, missing = tmp_path / "taken", tmp_path / "missing" / "report.csv"
+    taken.mkdir()
+    args = ["enumerate", "--vhat", "gaussian:0:1", "--L", "6.28318530718", "--kappa", "5.5",
+            "--window", "2", "--out", str(taken)]
+    for args, out in ((args, taken), (["verify", "--out", str(missing)], missing)):
+        code, stdout, err = run_cli(args, capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"bogospec: error: --out: cannot write {str(out)!r}: ")
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [taken] and list(taken.iterdir()) == []
+
+
+def test_verify_out_ending_in_txt_exits_2(tmp_path, capsys):
+    # the summary would go to report.txt too, over the report
+    out = tmp_path / "report.txt"
+    code, stdout, err = run_cli(["verify", "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("bogospec: error: --out: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_listing_keeps_the_sectors_on_the_window_sphere(capsys):
+    # spacing 0.1 and window 0.3: h * 3 reads 0.30000000000000004, above
+    # the window in floats, yet sectors +-3 lie on its sphere
+    want = {(c,) for c in (-3, -2, -1, 1, 2, 3)}
+    lattice = LatticeSpec(TAU / 0.1, 1)
+    base = ["--vhat", "gaussian:0.1:5", "--L", repr(lattice.L), "--window", "0.3"]
+    code, out, _ = run_cli(["enumerate", *base, "--kappa", "1"], capsys)
+    assert code == 0 and {(int(r[0]),) for r in parse_csv(out)[2]} - {(0,)} == want
+    code, out, _ = run_cli(["dispersion", *base], capsys)
+    rows = parse_csv(out)[2]
+    assert code == 0 and {(int(r[0]),) for r in rows} == want
+    assert rows[-1][:2] == ["3", repr(0.1 * 3)]  # |p| prints an ulp above the window
+    table = enumerate_below(lattice, Potential.gaussian(0.1, 5.0, 1), 1.0, 0.3)
+    assert {row.sector for row in damping_scan(table)} == want
+    code, _, err = run_cli(["figure", *base, "--kappa", "0.01", "--require-complete-1qp"],
+                           capsys)
+    assert code == 2
+    assert set(err.rstrip("\n").split("sectors: ")[1].split("; ")) == set(map(str, want))
 
 
 def test_enumerate_csv(capsys):

@@ -157,14 +157,15 @@ def test_build_basis_requests_match_reference(d, n, radius):
             assert got == {k: ref.get(k, []) for k in keys}
 
 
-def test_build_basis_cap_error_two_keys_2d():
+def test_build_basis_cap_error_two_keys_2d(monkeypatch):
     lattice = LatticeSpec(2 * math.pi, 2)
     pot = Potential.gaussian(0.1, 5.0, 2)
     for basis_cap, keys, sector, suggestion in [
         (10, [(0, 0), (1, 1)], (1, 1), 3),
         (20, [(1, -1), (2, 0)], (2, 0), 4),
     ]:
-        cfg = EDConfig(6, lattice, pot, mode_radius=1.5, max_excited=6, basis_cap=basis_cap)
+        monkeypatch.setattr(fock_ed, "MAX_BASIS_STATES", basis_cap)
+        cfg = EDConfig(6, lattice, pot, mode_radius=1.5, max_excited=6)
         with pytest.raises(BasisSizeError) as err:
             build_basis(cfg, keys)
         assert (err.value.sector, err.value.size, err.value.suggestion) == (
@@ -180,9 +181,11 @@ def test_sector_basis_keeps_a_given_basis_or_builds_one():
         assert sector_basis(cfg, sector) == (sector, build_basis(cfg, [sector])[sector])
 
 
-def test_build_basis_cap_error():
+def test_build_basis_cap_error(monkeypatch):
+    monkeypatch.setattr(fock_ed, "MAX_BASIS_STATES", 5)
+
     def cfg(max_excited):
-        return EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=max_excited, basis_cap=5)
+        return EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=max_excited)
 
     with pytest.raises(BasisSizeError) as err:
         build_basis(cfg(8))
@@ -199,9 +202,10 @@ def test_build_basis_cap_error():
     assert err.value.sector == (1,)
 
 
-def test_build_basis_cap_counts_requested_sectors_only():
+def test_build_basis_cap_counts_requested_sectors_only(monkeypatch):
     # at max_excited 8, sector (6,) has 21 states and sector (0,) has 33
-    cfg = EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=8, basis_cap=21)
+    monkeypatch.setattr(fock_ed, "MAX_BASIS_STATES", 21)
+    cfg = EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=8)
     assert len(build_basis(cfg, [(6,)])[(6,)]) == 21
     with pytest.raises(BasisSizeError):
         build_basis(cfg)
@@ -211,19 +215,20 @@ def test_build_basis_cap_counts_requested_sectors_only():
     assert err.value.size == 22
     suggestion = err.value.suggestion
     assert suggestion == 6
-    small = EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=suggestion, basis_cap=21)
+    small = EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=suggestion)
     build_basis(small, [(6,), (0,)])
-    larger = EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=suggestion + 1, basis_cap=21)
+    larger = EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=suggestion + 1)
     with pytest.raises(BasisSizeError):
         build_basis(larger, [(6,), (0,)])
 
 
-def test_build_basis_cap_error_on_a_huge_sector_builds_no_sector():
+def test_build_basis_cap_error_on_a_huge_sector_builds_no_sector(monkeypatch):
     # sector 0 here holds 8,908,546 states; a full build would hold them
     # all.  The error names the sector, size and suggestion of the
     # depth-first walk that stops at its first overflow.  With sectors=None
-    # a cut of (2 * span + 1)^d * basis_cap + 1 nodes a level peaked at 74 MB
-    cfg = EDConfig(64, LAT, V1, mode_radius=8.0, max_excited=16, basis_cap=1000)
+    # a cut of (2 * span + 1)^d * MAX_BASIS_STATES + 1 nodes a level peaked at 74 MB
+    monkeypatch.setattr(fock_ed, "MAX_BASIS_STATES", 1000)
+    cfg = EDConfig(64, LAT, V1, mode_radius=8.0, max_excited=16)
     for keys, sector in (([(0,)], (0,)), ([(3,), (0,), (-5,)], (3,)), (None, (84,))):
         tracemalloc.start()
         start = time.perf_counter()
@@ -241,17 +246,20 @@ def test_build_basis_cap_error_on_a_huge_sector_builds_no_sector():
         assert peak < 20e6
 
 
-def test_build_basis_leaves_no_reference_cycle():
+def test_build_basis_leaves_no_reference_cycle(monkeypatch):
     # garbage the cyclic collector would have to free, after full walks,
     # sector walks and an overflow with its bisected suggestion
     cfg = EDConfig(4, LAT, V1, mode_radius=2.0)
-    over = EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=8, basis_cap=5)
+    over = EDConfig(8, LAT, V1, mode_radius=2.0, max_excited=8)
+    most = fock_ed.MAX_BASIS_STATES
     gc.collect()
     gc.disable()
     try:
         for _ in range(10):
+            monkeypatch.setattr(fock_ed, "MAX_BASIS_STATES", most)
             build_basis(cfg)
             build_basis(cfg, [(0,), (1,)])
+            monkeypatch.setattr(fock_ed, "MAX_BASIS_STATES", 5)  # over overflows
             try:
                 build_basis(over, [(0,)])
             except BasisSizeError:

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from collections import Counter
 from decimal import Decimal, getcontext, localcontext
+from functools import cache
 from itertools import chain, product, repeat
 
 import numpy as np
@@ -27,6 +28,7 @@ from bogospec.model import (
     fourier_at,
     gaussian_integral_tail,
     gaussian_lattice_tail,
+    lattice_coords,
     lattice_points,
     lattice_shells,
     periodized_value,
@@ -171,8 +173,8 @@ def test_lattice_budget_checks_the_cube_first(monkeypatch):
         lattice_points(lat, 3.0)
     # lattice_shells lists no point: the point cap does not bind it
     assert sum(r for _, r in lattice_shells(lat, 3.0)) == 29
-    # the bisection over |n|^2 <= d*m^2 would overflow math.sqrt here, and
-    # radius / spacing overflows to inf at the largest side
+    # the ball's bound is inf here, which has no floor, and radius / spacing
+    # overflows to inf at the largest side
     for lattice, radius in [(LatticeSpec(TAU, 3), 1.7e308), (LatticeSpec(1e300, 1), 1e300)]:
         assert cube_exceeds(lattice, radius, 10**9)
         with pytest.raises(LatticeBudgetError) as err:
@@ -189,7 +191,7 @@ def test_lattice_shells_budget_counts_its_counters(monkeypatch):
         with pytest.raises(LatticeBudgetError,
                            match=f"radius {over:g} exceeds the cap of 9 shell counters"):
             lattice_shells(lat, over)
-    # near the largest float the bisection would overflow math.sqrt
+    # near the largest float the ball's bound is inf, which has no floor
     with pytest.raises(LatticeBudgetError) as err:
         lattice_shells(LatticeSpec(TAU, 3), 1.7e308)
     assert err.value.radius == 1.7e308
@@ -238,6 +240,29 @@ def test_lattice_points_and_shells_match_cube_scan(d, L):
             assert any(p.norm2_int == 5 for p in pts)
         if radius == 1.9 * h and d >= 2:
             assert m == 1 and max(p.norm2_int for p in pts) == d
+
+
+@cache
+def _sphere_size(d, k2):
+    """The integer points n of Z^d with |n|^2 = k2, counted on their cube."""
+    b = math.isqrt(k2)
+    return sum(sum(c * c for c in n) == k2 for n in product(range(-b, b + 1), repeat=d))
+
+
+def test_a_decimal_radius_on_a_lattice_sphere_keeps_the_sphere():
+    # radius k * h written in decimal, as a --window or --mode-radius is:
+    # at h = 0.1 the radius 0.3 reads below h * 3 = 0.30000000000000004,
+    # and a strict float test |p| <= radius drops the sphere |n| = 3
+    for h in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3):
+        for d in (1, 2, 3):
+            lat = LatticeSpec(TAU / h, d)
+            for k in range(1, 21):
+                radius, k2 = round(k * h, 10), k * k
+                size = _sphere_size(d, k2)
+                coords = lattice_coords(lat, radius)
+                assert sum(sum(c * c for c in n) == k2 for n in coords) == size
+                assert max(sum(c * c for c in n) for n in coords) == k2
+                assert lattice_shells(lat, radius)[-1] == (k2, size)
 
 
 def test_lattice_shells_1d_builds_no_array_over_k():
