@@ -334,10 +334,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     summary = f"tol {args.tol!r}, seed {args.seed}\n" + report.summary()
     if args.out:
         out = Path(args.out)
-        with _out_file(out) as fh:
+        # both open before either is written: a summary path that cannot
+        # be opened stops the command before the report is written
+        with _out_file(out) as fh, _out_file(out.with_suffix(".txt")) as summary_fh:
             fh.write(csv_text)
-        with _out_file(out.with_suffix(".txt")) as fh:
-            fh.write(summary)
+            summary_fh.write(summary)
     else:
         sys.stdout.write(csv_text)
     sys.stderr.write(summary)

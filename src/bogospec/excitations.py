@@ -8,13 +8,20 @@ generated exactly once; each sector is then sorted once on (energy,
 number of quasiparticles, constituent encoding).  The search carries a
 multiset as a tuple of indices into the candidate list, which is sorted
 by coordinates, so index order is the encoding's order and the sort and
-every rank come out as they would on the coordinate tuples.  A node whose
-energy plus the lowest candidate energy from its last index on already
-exceeds kappa is a leaf: float addition is monotone, so none of its
-extensions could stay below kappa, and its extension loop is skipped.
-The table keeps the sorted index-coded entries; its records are
-NamedTuples, built on first read of `sectors`.  Every window test here
-is model's ball test (`ball_norm2`), as in the CLI's other listings.
+every rank come out as they would on the coordinate tuples.  It carries
+a total momentum as one integer (model's `MomentumCode`), so a step adds
+one integer, and looks each distinct total up once, for its window
+verdict and its sector; each kept total is decoded to its coordinates
+once, at the end.
+
+A multiset is recorded where it is formed, as a child of the node being
+extended.  A child whose energy plus the lowest candidate energy from
+its last index on already exceeds kappa is a leaf: float addition is
+monotone, so none of its extensions could stay below kappa, and it is
+never pushed.  The table keeps the sorted index-coded entries; its
+records are NamedTuples, built on first read of `sectors`.  Every window
+test here is model's ball test (`ball_norm2`), as in the CLI's other
+listings.
 
 Completeness below the cutoff kappa is certified by dispersion(k) >= |k|^2:
 each constituent satisfies dispersion(k) <= kappa, hence |k| <= sqrt(kappa),
@@ -23,11 +30,14 @@ and the multiset size is bounded by kappa over the smallest dispersion.
 The search is budgeted.  It counts each multiset below kappa (the empty
 one too) extended by every candidate from its last constituent on, kept
 or not, a leaf's extensions included although it skips forming them:
-the candidates are the 1-multisets, and every stack push is one.
-Past MAX_MULTISETS formed it raises EnumerationBudgetError, and before
-listing the candidates when the cube [-m, m]^d around their ball already
-holds more points.  Counting what is formed, not only what is kept,
-bounds the time: a kappa of 1e9 keeps few of the multisets it forms.
+the candidates are the 1-multisets.  A pushed multiset is charged when
+it is popped, a leaf when it is formed; the total, and so whether it
+passes the cap, does not depend on when.  Past MAX_MULTISETS formed it
+raises EnumerationBudgetError, and before listing the candidates when
+the cube [-m, m]^d around their ball already holds more points, or when
+a candidate of zero energy would repeat without end.  Counting what is
+formed, not only what is kept, bounds the time: a kappa of 1e9 keeps
+few of the multisets it forms.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
 from .bogoliubov import dispersion
@@ -44,6 +54,7 @@ from .model import (
     MAX_LATTICE_POINTS,
     LatticeSpec,
     Momentum,
+    MomentumCode,
     Potential,
     ball_norm2,
     cube_exceeds,
@@ -93,6 +104,9 @@ class SpectrumTable:
     entries holds each sector's (energy, n_quasi, candidate indices) in
     rank order, the indices into candidates; sectors holds the same
     excitations as ExcitationRecords, built the first time it is read.
+    The keys of both come in the order the search first reached each
+    total, which is no order to rely on: a listing takes `sector_order`,
+    a lookup `.get`.
     """
 
     lattice: LatticeSpec
@@ -164,35 +178,60 @@ def enumerate_below(
     if momentum_window < 0.0:
         raise ValueError(f"momentum window must be >= 0, got {momentum_window}")
     cand = _candidates(lattice, pot, kappa, modes)
-    vecs = [nv for nv, _ in cand]
+    n = len(cand)
     energies = [e for _, e in cand]
+    e_min = min(energies, default=math.inf)
+    if e_min == 0.0:  # repeats of that candidate stay below kappa without end
+        raise EnumerationBudgetError(kappa)
+    # a multiset below kappa has at most kappa / e_min constituents (the
+    # budget stops the search before one has MAX_MULTISETS), each with
+    # coordinates in [-m, m]: the code's half-width bounds every total
+    size = int(min(kappa / e_min, MAX_MULTISETS)) + 1
+    m = max((abs(c) for nv, _ in cand for c in nv), default=0)
+    code = MomentumCode(lattice.d, size * m)
+    steps = [code.step(nv) for nv, _ in cand]
+    moms = tuple(Momentum(nv, lattice.L) for nv, _ in cand)
     del cand  # the search's stack reuses the pairs' memory
     # floor[i]: the lowest candidate energy from index i on (inf past the end)
     floor = list(itertools.accumulate(reversed(energies), min, initial=math.inf))
     floor.reverse()
     win2 = ball_norm2(lattice, momentum_window)
-    found: dict[tuple[int, ...], list[tuple[float, int, tuple[int, ...]]]] = {}
-    # stack entries: (energy, candidate indices, total n, next candidate index)
-    stack = [(0.0, (), (0,) * lattice.d, 0)]
+    entries: dict[tuple[int, ...], list[tuple[float, int, tuple[int, ...]]]] = {}
+    # each coded total reached: its sector's list in entries, or None outside the window
+    found: dict[int, list[tuple[float, int, tuple[int, ...]]] | None] = {}
+    # stack entries: (energy, candidate indices, coded total, next candidate index)
+    stack = [(0.0, (), code.origin, 0)]
     tried = 0
     while stack:
         energy, enc, total, start = stack.pop()
-        tried += len(vecs) - start
+        tried += n - start
         if tried > MAX_MULTISETS:
             raise EnumerationBudgetError(kappa)
-        if enc and sum(map(mul, total, total)) <= win2:
-            found.setdefault(total, []).append((energy, len(enc), enc))
-        # float addition is monotone: no extension of this node stays below kappa
-        if energy + floor[start] > kappa:
-            continue
-        for i in range(start, len(vecs)):
+        for i in range(start, n):
             ne = energy + energies[i]
-            if ne <= kappa:
-                stack.append((ne, enc + (i,), tuple(map(add, total, vecs[i])), i))
-    for entries in found.values():
-        entries.sort()
-    moms = tuple(Momentum(nv, lattice.L) for nv in vecs)
-    return SpectrumTable(lattice, pot, kappa, momentum_window, moms, found)
+            if ne > kappa:
+                continue
+            child, t = enc + (i,), total + steps[i]
+            try:
+                sector = found[t]
+            except KeyError:
+                nv, sector = code.decode(t), None
+                if sum(map(mul, nv, nv)) <= win2:
+                    sector = entries[nv] = []
+                found[t] = sector
+            if sector is not None:
+                sector.append((ne, len(child), child))
+            # float addition is monotone: no extension of a leaf stays below
+            # kappa, so its extensions are charged here and never formed
+            if ne + floor[i] > kappa:
+                tried += n - i
+            else:
+                stack.append((ne, child, t, i))
+    if tried > MAX_MULTISETS:  # the last leaves' charges
+        raise EnumerationBudgetError(kappa)
+    for sector in entries.values():
+        sector.sort()
+    return SpectrumTable(lattice, pot, kappa, momentum_window, moms, entries)
 
 
 def kth_excitation(

@@ -6,9 +6,11 @@ and the excited-particle count optionally capped.  `build_basis` builds
 only the sectors asked for, by a walk over the excited modes that numpy
 runs one mode (level) at a time, pruned exactly by a reach table that
 gives, per mode and partial momentum, the fewest particles still needed
-to reach a requested sector.  Assembled matrices are exact compressions
-P H P of the second-quantized operators to that basis, so operator
-inequalities survive as matrix inequalities per sector.
+to reach a requested sector; momenta there, and the transfer vectors of
+the move table, are single integers (model's MomentumCode).  Assembled
+matrices are exact compressions P H P of the second-quantized operators
+to that basis, so operator inequalities survive as matrix inequalities
+per sector.
 
 Every operator, number-conserving or not, is assembled on one
 representation of its basis: the (n_states, n_modes) occupation array
@@ -55,6 +57,7 @@ import numpy as np
 from .model import (
     LatticeSpec,
     Momentum,
+    MomentumCode,
     Potential,
     TailBoundError,
     lattice_points,
@@ -198,7 +201,7 @@ def build_basis(
     in increasing count, so the frontier keeps the order of a depth-first
     walk, and holds only each child's parent and count; the states are
     read back from the leaves at the end.  Momenta are single integers
-    (`_MomentumCode`).  With sectors the walk keeps only nodes that reach
+    (`MomentumCode`).  With sectors the walk keeps only nodes that reach
     one: the reach table (`_reach_table`) tells whether the particles
     left, on the modes still to come, can carry the momentum so far to a
     requested sector.
@@ -225,9 +228,8 @@ def build_basis(
         return {k: [] for k in keys or ()}
     # cap particles carry each coordinate at most span from 0
     span = cap * max((abs(c) for i in excited for c in modes[i].n), default=0)
-    code = _MomentumCode(d, 2 * span)
-    origin = code((0,) * d)
-    steps = [code(modes[i].n) - origin for i in excited]
+    code = MomentumCode(d, 2 * span)
+    steps = [code.step(modes[i].n) for i in excited]
     small = np.min_scalar_type(cfg.n_particles)  # holds every count and occupation
     if keys is None:
         reach = None
@@ -250,7 +252,7 @@ def build_basis(
         # (total, left) of the leaves at excited cap top, in walk order, and
         # each level's (parent, count), every level cut to its first limit nodes
         index = np.int32 if limit <= 2**31 else np.int64  # indexes those nodes
-        total, left = np.array([origin], dtype=np.int64), np.array([top], dtype=np.int64)
+        total, left = np.array([code.origin], dtype=np.int64), np.array([top], dtype=np.int64)
         if reach is not None:
             on = kept(total, left, 0)
             total, left = total[on], left[on]
@@ -307,28 +309,11 @@ def build_basis(
     return {k: built.get(k, []) for k in (sorted(built, key=first.get) if keys is None else keys)}
 
 
-class _MomentumCode:
-    """A lattice momentum with coordinates in [-half, half] as one integer,
-    each coordinate offset by half as a digit in base 2 * half + 1, so
-    the code of a sum is the sum of the codes less the code of 0."""
-
-    def __init__(self, d: int, half: int):
-        self.d, self.half, self.base = d, half, 2 * half + 1
-
-    def __call__(self, t: Sequence[int] | np.ndarray) -> int | np.ndarray:
-        """The code of one momentum, or of each row of a (..., d) array."""
-        code = (np.asarray(t, dtype=np.int64) + self.half) @ self.base ** np.arange(self.d)
-        return code if code.ndim else int(code)
-
-    def decode(self, code: int) -> tuple[int, ...]:
-        return tuple(code // self.base**a % self.base - self.half for a in range(self.d))
-
-
 def _reach_table(keys: list[int], steps: list[int], cap: int) -> dict[int, list[int]]:
     """reach[t][v]: the largest j such that v particles on the modes of
     steps[j:] can carry the momentum t to some key, else -1; a t that no
     v <= cap carries is left out.  Momenta and steps are
-    `_MomentumCode` integers and their differences.
+    `MomentumCode` integers and their steps.
 
     The fewest particles that do so, need(j, t), can only fall as j falls,
     so the row of t records the level at which it first drops to each v,
@@ -549,7 +534,7 @@ def _move_table(cfg: EDConfig) -> _MoveTable:
     mode_n = np.array([m.n for m in modes], dtype=np.int64).reshape(nmode, d)
     # a sum or difference of two modes has coordinates in [-half, half]:
     # one integer key per vector
-    key = _MomentumCode(d, 2 * int(np.abs(mode_n).max()))
+    key = MomentumCode(d, 2 * int(np.abs(mode_n).max()))
 
     # vhat of every transfer mode b - mode a, evaluated once per distinct vector
     transfer = (mode_n[None, :, :] - mode_n[:, None, :]).reshape(-1, d)

@@ -2,10 +2,12 @@
 
 Momenta live on (2*pi/L)*Z^d and are stored through their integer
 coordinates, so squared norms and degeneracies are exact at the integer
-level.  One rule, ball_norm2, decides which points every window, mode
-radius and lattice sum holds; a walk over the ball, never the enclosing
-cube, finds them, and a radial sum is taken once per shell |n|^2 = k
-with the shell's exact integer point count.  Potentials enter only
+level.  A momentum of bounded coordinates can also be carried as one
+integer (MomentumCode): the excitation search and the ED basis walk add
+momenta by integer additions.  One rule, ball_norm2, decides which
+points every window, mode radius and lattice sum holds; a walk over the
+ball, never the enclosing cube, finds them, and a radial sum is taken
+once per shell |n|^2 = k with the shell's exact integer point count.  Potentials enter only
 through their radial Fourier transform vhat >= 0; real-space values are
 recovered by periodized lattice sums with rigorously bounded Gaussian tails.
 
@@ -349,6 +351,29 @@ def sector_order(keys: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Integer coordinate tuples n in (|n|^2, n) order: shell by shell,
     lexicographic within a shell.  Every listing of sectors takes it."""
     return sorted(keys, key=lambda n: (sum(c * c for c in n), n))
+
+
+class MomentumCode:
+    """Lattice momenta with coordinates in [-half, half] as single integers:
+    each coordinate, offset by half, is one digit in base 2 * half + 1.  The
+    code of 0 is origin, and adding n to a momentum adds step(n) to its
+    code, so a sum of momenta is coded by integer additions alone."""
+
+    def __init__(self, d: int, half: int):
+        self.d, self.half, self.base = d, half, 2 * half + 1
+        self.origin = self.step((half,) * d)
+
+    def __call__(self, t: Sequence[int] | np.ndarray) -> int | np.ndarray:
+        """The code of one momentum, or of each row of a (..., d) array, in int64."""
+        code = (np.asarray(t, dtype=np.int64) + self.half) @ self.base ** np.arange(self.d)
+        return code if code.ndim else int(code)
+
+    def step(self, n: Sequence[int]) -> int:
+        """What adding n adds to a code, as a Python int of any size."""
+        return sum(c * self.base**a for a, c in enumerate(n))
+
+    def decode(self, code: int) -> tuple[int, ...]:
+        return tuple(code // self.base**a % self.base - self.half for a in range(self.d))
 
 
 def lattice_shells(lattice: LatticeSpec, radius: float) -> list[tuple[int, int]]:

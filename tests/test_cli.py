@@ -150,6 +150,16 @@ def test_out_that_cannot_be_written_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [taken] and list(taken.iterdir()) == []
 
 
+def test_verify_writes_no_report_when_its_summary_cannot_be_written(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    out.with_suffix(".txt").mkdir()
+    code, stdout, err = run_cli(["verify", "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    summary = str(out.with_suffix(".txt"))
+    assert err.startswith(f"bogospec: error: --out: cannot write {summary!r}: ")
+    assert out.read_text() == ""
+
+
 def test_verify_out_ending_in_txt_exits_2(tmp_path, capsys):
     # the summary would go to report.txt too, over the report
     out = tmp_path / "report.txt"

@@ -234,6 +234,36 @@ def test_oracle_matches_main_2d():
         assert oracle_enumerate(lat2, z2, 4.5, key) == main
 
 
+@pytest.mark.parametrize("pot", [Potential.zero(3), Potential.gaussian(0.1, 5.0, 3)],
+                         ids=["free", "gaussian"])
+def test_oracle_matches_main_3d(pot):
+    lat3 = LatticeSpec(2 * math.pi, 3)
+    table = enumerate_below(lat3, pot, 3.0, momentum_window=2.5)
+    for key in ((0, 0, 0), (1, 0, 0), (0, -1, 1), (1, 1, 1), (2, 0, 0), (-1, 2, 0), (0, 0, -2)):
+        main = [
+            (r.energy, tuple(m.n for m in r.constituents))
+            for r in table.sectors.get(key, [])
+        ]
+        assert oracle_enumerate(lat3, pot, 3.0, key) == main
+
+
+def test_oracle_matches_main_at_the_extreme_totals():
+    # the eight corners (+-1, +-1, +-1), of energy about 3, below kappa
+    # 21.5: seven constituents at the largest coordinate sum to the
+    # farthest totals the search reaches, such as (7, 7, 7), and the
+    # window holds them
+    lat3, z3 = LatticeSpec(2 * math.pi, 3), Potential.zero(3)
+    corners = [lat3.momentum(n) for n in itertools.product((-1, 1), repeat=3)]
+    table = enumerate_below(lat3, z3, 21.5, momentum_window=12.5, modes=corners)
+    assert table.sectors[(7, 7, 7)][0].constituents == (lat3.momentum(1, 1, 1),) * 7
+    for key in ((7, 7, 7), (-7, -7, -7), (7, -7, 7), (6, 6, 6), (0, 0, 0), (1, -1, 1)):
+        main = [
+            (r.energy, tuple(m.n for m in r.constituents))
+            for r in table.sectors.get(key, [])
+        ]
+        assert main and oracle_enumerate(lat3, z3, 21.5, key, modes=corners) == main
+
+
 def test_oracle_guards():
     with pytest.raises(ValueError):
         oracle_enumerate(LAT, ZERO, 9.0, (1,))  # size bound 9 > 8
@@ -297,6 +327,15 @@ def test_budget_checks_candidates_before_allocating(monkeypatch):
     # sqrt(kappa) / spacing overflows to inf: over the cap before m is formed
     with pytest.raises(EnumerationBudgetError):
         enumerate_below(LatticeSpec(1e300, 1), V1, 1e300, 1.0)
+
+
+def test_budget_refuses_a_candidate_of_zero_energy():
+    # at L = 1e300 the free dispersion |p|^2 of n = 1 underflows to 0, so
+    # its repeats stay below any kappa and no count bounds the multisets
+    lat = LatticeSpec(1e300, 1)
+    assert dispersion(lat.momentum(1), ZERO) == 0.0
+    with pytest.raises(EnumerationBudgetError):
+        enumerate_below(lat, ZERO, 1.0, 1.0, modes=[lat.momentum(1)])
 
 
 def test_budget_admits_the_1d_spectrum_at_kappa_2_4():
