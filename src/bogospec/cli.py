@@ -12,8 +12,10 @@ The other commands format their CSV lines themselves, fields joined by
 commas: none needs quoting, being an integer, a float's repr, a fixed
 token or one of `enumerate`'s constituent labels (digits, spaces, minus
 signs and semicolons).  `enumerate` and `figure` write their lines
-straight from the search's ranked entries (`SpectrumTable.entries`);
-every command lists sectors in (|n|^2, n) order.
+straight from the search's ranked entries (`SpectrumTable.entries`),
+formatting each distinct energy's text once per call; `dispersion`
+formats each shell |n|^2 = k once per call, its fields depending on k
+alone.  Every command lists sectors in (|n|^2, n) order.
 """
 
 from __future__ import annotations
@@ -109,13 +111,23 @@ def _emit(
 
 
 @contextlib.contextmanager
-def _out_file(path: str | Path) -> Iterator[TextIO]:
+def _out_file(path: str | Path, mode: str = "w") -> Iterator[TextIO]:
     """path opened for writing; failing to open or write it is a UsageError."""
     try:
-        with Path(path).open("w") as fh:
+        with Path(path).open(mode) as fh:
             yield fh
     except OSError as exc:
         raise UsageError(f"--out: cannot write {str(path)!r}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(path: Path) -> None:
+    """Fail as writing path would, yet leave path as it was: it is opened
+    to append, which truncates nothing, and a file the open made is removed."""
+    made = not path.exists()
+    with _out_file(path, "a"):
+        pass
+    if made:
+        path.resolve().unlink()  # a dangling link keeps dangling
 
 
 #: CSV lines joined in memory between two writes to the output: one
@@ -139,6 +151,21 @@ def _line(row: Iterable) -> str:
     return ",".join(map(str, row)) + "\n"
 
 
+class _Reprs(dict):
+    """Each float's repr, computed at its first lookup.
+
+    enumerate and figure make one per call, for their energies: mirrored
+    multisets, e(n) = e(-n), sum to the same float, so a spectrum holds
+    far fewer distinct energies than rows.  Keyed on the value, which is
+    sound for them: every energy is finite and > 0 (the search refuses a
+    zero-energy candidate), so no NaN, and never both 0.0 and -0.0.
+    """
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = repr(x)
+        return text
+
+
 def _setup(args: argparse.Namespace, **extra) -> tuple[LatticeSpec, Potential, dict]:
     """The lattice and potential of a lattice command, and its `# config:`
     header: L, dimension and potential plus the command's own keys."""
@@ -149,17 +176,21 @@ def _setup(args: argparse.Namespace, **extra) -> tuple[LatticeSpec, Potential, d
 
 def cmd_dispersion(args: argparse.Namespace) -> int:
     lattice, pot, cfg = _setup(args, window=args.window)
-    # a Momentum is built only as its row is written
     coords = sector_order(lattice_coords(lattice, args.window, include_zero=False))
 
-    def rows() -> Iterator[list]:
-        for n in coords:
-            p = Momentum(n, lattice.L)
+    def lines() -> Iterator[str]:
+        # abs_p and the coefficients depend on n only through |n|^2, and
+        # sector order lists each shell in one run: its tail is formatted once
+        for _, run in itertools.groupby(coords, key=lambda n: sum(c * c for c in n)):
+            shell = list(run)
+            p = Momentum(shell[0], lattice.L)
             co = coefficients(p, pot)
-            yield list(n) + [p.norm, co.e, co.alpha, co.c, co.s]
+            tail = _line([p.norm, co.e, co.alpha, co.c, co.s])
+            for n in shell:
+                yield "".join(f"{c}," for c in n) + tail
 
     cols = [f"n{i + 1}" for i in range(args.dim)] + ["abs_p", "energy", "alpha", "c", "s"]
-    _emit(args.out, "dispersion", cfg, cols, map(_line, rows()))
+    _emit(args.out, "dispersion", cfg, cols, lines())
     return 0
 
 
@@ -182,14 +213,15 @@ def cmd_energy(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     lattice, pot, cfg = _setup(args, kappa=args.kappa, window=args.window)
     table = enumerate_below(lattice, pot, args.kappa, args.window)
-    # one constituent label per candidate index
+    # one constituent label per candidate index, one text per distinct energy
     label = [" ".join(map(str, m.n)) for m in table.candidates].__getitem__
+    text = _Reprs()
 
     def lines() -> Iterator[str]:
         for key in sector_order(table.entries):
             head = "".join(f"{c}," for c in key)
             for rank, (energy, n_quasi, enc) in enumerate(table.entries[key], 1):
-                yield f"{head}{rank},{energy!r},{n_quasi},{';'.join(map(label, enc))}\n"
+                yield f"{head}{rank},{text[energy]},{n_quasi},{';'.join(map(label, enc))}\n"
 
     cols = [f"n{i + 1}" for i in range(args.dim)] + ["j", "energy", "n_quasi", "constituents"]
     _emit(args.out, "enumerate", cfg, cols, lines())
@@ -211,6 +243,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
                 + "; ".join(str(n) for n in undetermined)
             )
     h = lattice.spacing
+    text = _Reprs()
 
     def lines() -> Iterator[str]:
         # the class sets the figure's marker: dot, triangle or square
@@ -218,7 +251,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
             head = "".join(f"{c}," for c in key) + "".join(f"{h * c!r}," for c in key)
             for energy, n_quasi, _ in table.entries[key]:
                 cls = "1qp" if n_quasi == 1 else "2qp" if n_quasi == 2 else "3qp+"
-                yield f"{head}{energy!r},{n_quasi},{cls}\n"
+                yield f"{head}{text[energy]},{n_quasi},{cls}\n"
 
     cols = (
         [f"n{i + 1}" for i in range(args.dim)]
@@ -327,15 +360,18 @@ def cmd_ed(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.out and Path(args.out).suffix == ".txt":  # the summary's own path
-        raise UsageError(f"--out: {args.out!r} ends in .txt, where the summary goes")
+    if args.out:
+        out = Path(args.out)
+        if out.suffix == ".txt":  # the summary's own path
+            raise UsageError(f"--out: {args.out!r} ends in .txt, where the summary goes")
+        # both checked before the suite runs, and written only after it: a
+        # path that cannot be written stops the command with both as they were
+        _check_writable(out)
+        _check_writable(out.with_suffix(".txt"))
     report = verify.run_default_suite(tol=args.tol, seed=args.seed)
     csv_text = report.to_csv_text()
     summary = f"tol {args.tol!r}, seed {args.seed}\n" + report.summary()
     if args.out:
-        out = Path(args.out)
-        # both open before either is written: a summary path that cannot
-        # be opened stops the command before the report is written
         with _out_file(out) as fh, _out_file(out.with_suffix(".txt")) as summary_fh:
             fh.write(csv_text)
             summary_fh.write(summary)

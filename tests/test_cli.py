@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import bogospec
-from bogospec import fock_ed
+from bogospec import fock_ed, verify
 from bogospec.cli import ROWS_PER_WRITE, main, parse_sectors, parse_vhat
 from bogospec.excitations import SpectrumTable, damping_scan, enumerate_below
 from bogospec.model import TAU, LatticeSpec, Potential
@@ -151,13 +151,29 @@ def test_out_that_cannot_be_written_exits_2(tmp_path, capsys):
 
 
 def test_verify_writes_no_report_when_its_summary_cannot_be_written(tmp_path, capsys):
+    # an earlier report keeps its bytes
     out = tmp_path / "report.csv"
+    out.write_bytes(b"earlier report\n")
     out.with_suffix(".txt").mkdir()
     code, stdout, err = run_cli(["verify", "--out", str(out)], capsys)
     assert (code, stdout) == (2, "")
     summary = str(out.with_suffix(".txt"))
     assert err.startswith(f"bogospec: error: --out: cannot write {summary!r}: ")
-    assert out.read_text() == ""
+    assert out.read_bytes() == b"earlier report\n"
+
+
+def test_verify_checks_its_paths_before_running_the_suite(tmp_path, monkeypatch, capsys):
+    # an unwritable summary stops the command before any check runs, and
+    # leaves no report file behind
+    def not_run(**kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(verify, "run_default_suite", not_run)
+    out = tmp_path / "report.csv"
+    out.with_suffix(".txt").mkdir()
+    code, stdout, err = run_cli(["verify", "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [out.with_suffix(".txt")]
 
 
 def test_verify_out_ending_in_txt_exits_2(tmp_path, capsys):
@@ -212,6 +228,8 @@ ENUMERATE_TABLES = [
     (3, "gaussian:0.1:5", 10.0, 1.5, 1.0),
     (1, "table:0,0.3;1.5,0.1;2.5,0", 9.0, 6.0, 3.0),
     (1, "gaussian:0.1:5", 6.28318530718, 0.0, 2.0),
+    # the free gas: 2,887 rows over 17 distinct energies, several an ulp apart
+    (3, "gaussian:0:1", 6.28318530718, 6.0, 2.0),
 ]
 
 
