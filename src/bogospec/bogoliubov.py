@@ -6,6 +6,7 @@ difference A - sqrt(A^2 - B^2) is never evaluated through a subtraction
 of nearly equal numbers unless that is the quantity under test), and
 lattice sums accumulate with math.fsum, which rounds the exact sum once,
 so results reproduce bit-for-bit whatever the order of the terms.
+Only the density quadrature uses numpy, and imports it where it runs.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import (
     LatticeSpec,
@@ -30,6 +30,9 @@ from .model import (
     lattice_points,
     summation_radius,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -184,6 +187,8 @@ def energy_density_limit(pot: Potential, *, step: float = 0.005) -> DensityLimit
     """
     if not step > 0.0:
         raise ValueError("quadrature step must be > 0")
+    import numpy as np
+
     d = pot.dimension
     r_max = summation_radius(
         pot, 1.0, lambda r: _integrand_tail(pot, r), 1e-16 * max(1.0, pot.amplitude))
@@ -218,6 +223,8 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     sample points (its per-pair weights for unequal spacings), so results
     match it bit for bit; np.linspace spacings are not exactly equal.
     """
+    import numpy as np
+
     h = np.diff(x)
     h0, h1 = h[0::2], h[1::2]
     hsum = h0 + h1

@@ -16,6 +16,12 @@ straight from the search's ranked entries (`SpectrumTable.entries`),
 formatting each distinct energy's text once per call; `dispersion`
 formats each shell |n|^2 = k once per call, its fields depending on k
 alone.  Every command lists sectors in (|n|^2, n) order.
+
+A command loads only what it runs.  The ED stack (`fock_ed`, and
+`verify` on it) is imported inside `ed` and `verify`; the errors `main`
+maps to exit codes, and the default seed, come from `model`.  numpy is
+loaded by `energy`, whose quadrature uses it, and with the ED stack;
+`enumerate`, `dispersion` and `figure` load none of it.
 """
 
 from __future__ import annotations
@@ -31,11 +37,13 @@ import tempfile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
-from . import __version__, fock_ed, verify
+from . import __version__
 from .bogoliubov import bogoliubov_energy, coefficients, energy_density_limit
 from .excitations import dispersion, enumerate_below
-from .fock_ed import EDConfig, default_max_excited
 from .model import (
+    DEFAULT_SEED,
+    EigenConvergenceError,
+    GroundSectorError,
     LatticeBudgetError,
     LatticeSpec,
     Momentum,
@@ -328,6 +336,8 @@ def _parse_with_config(
 
 
 def cmd_ed(args: argparse.Namespace) -> int:
+    from .fock_ed import EDConfig, default_max_excited, many_body_excitations
+
     if args.N is None:
         raise UsageError("--N (or config key N) is required")
     if args.vhat is None:
@@ -339,7 +349,7 @@ def cmd_ed(args: argparse.Namespace) -> int:
     cfg = EDConfig(args.N, LatticeSpec(args.L, args.dim), pot, args.mode_radius, max_excited)
     args.max_excited = cfg.effective_max_excited  # for the out-of-memory message of main
     sectors = parse_sectors(args.sectors, args.dim)
-    result = fock_ed.many_body_excitations(cfg, sectors, args.count, tol=args.tol, seed=args.seed)
+    result = many_body_excitations(cfg, sectors, args.count, tol=args.tol, seed=args.seed)
     rows = []
     for key in sector_order(result.sector_values):
         vals = result.sector_values[key]
@@ -360,6 +370,8 @@ def cmd_ed(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     if args.out:
         out = Path(args.out)
         if out.suffix == ".txt":  # the summary's own path
@@ -459,13 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sectors", default="", help='e.g. "0;1;-1" (d=1), "0 0;1 0" (d=2)')
     p.add_argument("--count", type=_count, default=3)
     p.add_argument("--tol", type=_positive, default=1e-9)
-    p.add_argument("--seed", type=_natural, default=fock_ed.DEFAULT_SEED)
+    p.add_argument("--seed", type=_natural, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_ed)
 
     p = sub.add_parser("verify", help="run the verification suite; exit 0 iff all pass")
     p.add_argument("--out", default=None, help="report CSV path, not .txt (summary goes to .txt)")
     p.add_argument("--tol", type=_positive, default=1e-9)
-    p.add_argument("--seed", type=_natural, default=fock_ed.DEFAULT_SEED)
+    p.add_argument("--seed", type=_natural, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -477,7 +489,7 @@ EXIT_GROUND_SECTOR = 4
 EXIT_MEMORY = 5
 
 
-def _eigensolver_message(exc: fock_ed.EigenConvergenceError, tol: float) -> str:
+def _eigensolver_message(exc: EigenConvergenceError, tol: float) -> str:
     finite = [float(r) for r in exc.residuals if r == r]  # NaN: no residual known
     worst = f"largest residual {max(finite):.3e}" if finite else "no converged residual"
     return f"eigensolver failed: {exc}; {worst} against tolerance {tol:g} x ||M||_inf"
@@ -518,9 +530,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         message, code = f"{exc}; lower {_RADIUS_FLAGS[args.command]}", EXIT_USAGE
     except ValueError as exc:  # UsageError among them
         message, code = str(exc), EXIT_USAGE
-    except fock_ed.EigenConvergenceError as exc:
+    except EigenConvergenceError as exc:
         message, code = _eigensolver_message(exc, args.tol), EXIT_EIGENSOLVER
-    except fock_ed.GroundSectorError as exc:
+    except GroundSectorError as exc:
         message, code = f"ground-state check failed: {exc}", EXIT_GROUND_SECTOR
     except MemoryError:
         message, code = _memory_message(args), EXIT_MEMORY

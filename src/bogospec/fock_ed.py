@@ -54,7 +54,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .model import (
+from .model import (  # the errors and DEFAULT_SEED are re-exported
+    DEFAULT_SEED,
+    EigenConvergenceError,
+    GroundSectorError,
     LatticeSpec,
     Momentum,
     MomentumCode,
@@ -68,7 +71,6 @@ from .model import (
 FockState = tuple[int, ...]
 
 DENSE_FALLBACK_DIM = 512
-DEFAULT_SEED = 1234
 
 #: the vectors the Davidson block carries past the eigenvalues asked for:
 #: enough to hold the triplets of the cubic group whole
@@ -114,18 +116,6 @@ class BasisSizeError(ValueError):
             f"sector {sector} basis has {size} states (cap {cap}); "
             f"try max_excited <= {suggestion}"
         )
-
-
-class EigenConvergenceError(RuntimeError):
-    """Iterative eigensolver failed; carries the best residual norms."""
-
-    def __init__(self, message: str, residuals: np.ndarray):
-        self.residuals = residuals
-        super().__init__(message)
-
-
-class GroundSectorError(RuntimeError):
-    """The lowest eigenvalue was not found in the zero-momentum sector."""
 
 
 def default_max_excited(n_particles: int) -> int:

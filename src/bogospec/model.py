@@ -16,6 +16,13 @@ density integral stop: a compactly supported potential at its support,
 anything else at the first radius start * 1.5^k whose tail bound is
 below the tolerance.  A table that does not decay, or a bound that stays
 above the tolerance for 200 growths, raises TailBoundError.
+
+The module loads no numpy at import: only lattice_shells in 2D and 3D
+and MomentumCode.__call__ (which only the ED stack calls) use it, and
+import it where they run, so the commands that never reach them
+(enumerate, dispersion, figure) start without it.  The ED stack's errors and default seed live here too, with
+the other typed errors, so that the CLI can catch and print them without
+loading that stack.
 """
 
 from __future__ import annotations
@@ -24,9 +31,10 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Callable, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 TAU = 2.0 * math.pi
 
@@ -42,6 +50,22 @@ class TailBoundError(ValueError):
     """The tail of a lattice sum cannot be bounded for this potential."""
 
 
+class EigenConvergenceError(RuntimeError):
+    """Iterative eigensolver failed; carries the best residual norms."""
+
+    def __init__(self, message: str, residuals: np.ndarray):
+        self.residuals = residuals
+        super().__init__(message)
+
+
+class GroundSectorError(RuntimeError):
+    """The lowest eigenvalue was not found in the zero-momentum sector."""
+
+
+#: the seed of the eigensolver's random start vectors, in ed and verify
+DEFAULT_SEED = 1234
+
+
 #: lattice points one lattice_points ball may span, counted on the cube
 #: [-m, m]^d around it.  3D energy at L = 40 (803,142 points in a cube of
 #: 1,520,875) peaks at 171 MB RSS, about 180 bytes a point; dispersion,
@@ -49,9 +73,10 @@ class TailBoundError(ValueError):
 MAX_LATTICE_POINTS = 2_500_000
 
 #: counters one lattice_shells call may hold: its m + 1 shells in 1D, an
-#: array over |n|^2 <= d*m^2 above.  3D at m = 912 (2,495,233 counters)
-#: takes 6 s and peaks at 103 MB traced; 3D v(0) of the Gaussian 0.1:5
-#: fits up to L = 400 (m = 778)
+#: array over |n|^2 <= K above, K + 1 counters.  3D at K = 2,499,877
+#: (2,083,236 shells) takes 6 s and peaks at 355 MB RSS, most of it the
+#: returned list; 3D v(0) of the Gaussian 0.1:5 fits up to L = 619
+#: (K = 1,363,563), past which its tail radius grows a step
 MAX_SHELL_COUNTERS = 2_500_000
 
 
@@ -365,6 +390,8 @@ class MomentumCode:
 
     def __call__(self, t: Sequence[int] | np.ndarray) -> int | np.ndarray:
         """The code of one momentum, or of each row of a (..., d) array, in int64."""
+        import numpy as np
+
         code = (np.asarray(t, dtype=np.int64) + self.half) @ self.base ** np.arange(self.d)
         return code if code.ndim else int(code)
 
@@ -391,12 +418,14 @@ def lattice_shells(lattice: LatticeSpec, radius: float) -> list[tuple[int, int]]
     if not over:
         K = math.floor(ball_norm2(lattice, radius))
         b = math.isqrt(K)  # axis_bound
-        over = (b + 1 if lattice.d == 1 else lattice.d * b * b + 1) > MAX_SHELL_COUNTERS
+        over = (b + 1 if lattice.d == 1 else K + 1) > MAX_SHELL_COUNTERS
     if over:
         raise LatticeBudgetError(radius, MAX_SHELL_COUNTERS, "shell counters")
     shells = [(0, 1)] + [(c * c, 2) for c in range(1, b + 1)]
     if lattice.d == 1:
         return shells
+    import numpy as np
+
     counts = np.zeros(K + 1, dtype=np.int64)
     for k, r in shells:
         counts[k] = r

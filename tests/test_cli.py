@@ -683,6 +683,36 @@ def test_only_ed_loads_scipy(tmp_path, args):
     assert _scipy_modules(loaded) == []
 
 
+_SPACING_015 = ["--vhat", "gaussian:0.1:5", "--L", "41.8879020479"]
+_CUBE_10 = ["--vhat", "gaussian:0.1:5", "--dim", "3", "--L", "10"]
+
+
+@pytest.mark.parametrize("args", [
+    None,
+    ["enumerate", *_SPACING_015, "--kappa", "1.2", "--window", "3"],
+    ["enumerate", *_CUBE_10, "--kappa", "1.2", "--window", "1"],
+    ["dispersion", *_SPACING_015, "--window", "3"],
+    ["dispersion", *_CUBE_10, "--window", "3"],
+    ["figure", *_SPACING_015, "--kappa", "1.2", "--window", "3"],
+    ["figure", *_CUBE_10, "--kappa", "1.2", "--window", "1", "--require-complete-1qp"],
+], ids=["import", "enumerate-1d", "enumerate-3d", "dispersion-1d", "dispersion-3d",
+        "figure-1d", "figure-3d"])
+def test_light_commands_load_neither_numpy_nor_the_ed_stack(tmp_path, args):
+    # the package's fock_ed and verify names resolve on first use, and
+    # the quasiparticle commands never use them, nor numpy
+    code = "import bogospec, bogospec.cli, bogospec.model"
+    if args is not None:
+        out = tmp_path / "out.csv"
+        code += f"\nassert bogospec.cli.main({args + ['--out', str(out)]!r}) == 0"
+    loaded = _loaded_modules(code)
+    assert "bogospec.cli" in loaded
+    if args is not None:
+        assert out.read_text().startswith("# bogospec")
+    heavy = sorted(m for m in loaded if m.split(".")[0] == "numpy"
+                   or m in ("bogospec.fock_ed", "bogospec.verify"))
+    assert heavy == []
+
+
 def test_eigensolver_failure_exit_code(monkeypatch, capsys):
     def unconverged(m, count, tol=1e-9, seed=fock_ed.DEFAULT_SEED):
         raise fock_ed.EigenConvergenceError(

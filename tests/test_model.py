@@ -184,8 +184,9 @@ def test_lattice_budget_checks_the_cube_first(monkeypatch):
 
 def test_lattice_shells_budget_counts_its_counters(monkeypatch):
     monkeypatch.setattr(model, "MAX_SHELL_COUNTERS", 9)
-    # spacing 1: 1D holds m + 1 shells, 2D an array over |n|^2 <= 2m^2
-    for d, admitted, over in [(1, 8.0, 9.0), (2, 2.0, 3.0)]:
+    # spacing 1: 1D holds m + 1 shells, 2D and 3D an array over |n|^2 <= K,
+    # K = m^2 at an integer radius m: K + 1 counters, 5 at m = 2, 10 at m = 3
+    for d, admitted, over in [(1, 8.0, 9.0), (2, 2.0, 3.0), (3, 2.0, 3.0)]:
         lat = LatticeSpec(TAU, d)
         assert lattice_shells(lat, admitted)
         with pytest.raises(LatticeBudgetError,
