@@ -994,6 +994,36 @@ def test_davidson_agrees_with_eigsh():
         assert np.abs(got.values - np.sort(want)).max() <= bound
 
 
+_L2PI = LatticeSpec(6.28318530718, 2)
+_L3PI = LatticeSpec(6.28318530718, 3)
+_CUBE_16 = EDConfig(16, _L3PI, Potential.gaussian(0.1, 5.0, 3), mode_radius=1.5, max_excited=6)
+
+
+@pytest.mark.parametrize("cfg, sector", [
+    (ED_1D_CASE[0], (0,)),  # 526 states
+    (ED_1D_CASE[0], (1,)),  # 519
+    (EDConfig(10, _L2PI, Potential.gaussian(0.1, 5.0, 2), mode_radius=1.5), (0, 0)),  # 538
+    (_CUBE_16, (1, 0, 0)),  # 891, with a doublet at j = 2, 3
+    (_CUBE_16, (0, 0, 0)),  # 1,040, with a doublet and a triplet at j = 5-9
+], ids=["1d-0", "1d-1", "2d-00", "3d-100", "3d-000"])
+def test_davidson_sweep_matches_dense_under_the_multiplet_rule(cfg, sector):
+    # every count from 2 to 6 from several seeds: exactly count values come
+    # back, extended through any cluster within tol * ||H||_inf that
+    # straddles count, and each value and residual is within that bound
+    m = assemble_hamiltonian(cfg, sector)
+    assert m.dim > fock_ed.DENSE_FALLBACK_DIM
+    dense, bound = _dense_reference(m)
+    for seed, count in itertools.product((0, 1, 2, fock_ed.DEFAULT_SEED), range(2, 7)):
+        want = count
+        while dense[want] - dense[want - 1] <= bound:
+            want += 1
+        res = lowest_eigenvalues(m, count, seed=seed)
+        assert res.method == "davidson"
+        assert len(res.values) == want, (seed, count)
+        assert np.abs(res.values - dense[:want]).max() <= bound, (seed, count)
+        assert np.all(res.residuals <= bound), (seed, count)
+
+
 def test_davidson_iteration_cap_raises(monkeypatch):
     m = assemble_hamiltonian(*ED_1D_CASE)
     monkeypatch.setattr(fock_ed, "DAVIDSON_MAX_ITER", 1)
