@@ -183,7 +183,9 @@ def energy_density_limit(pot: Potential, *, step: float = 0.005) -> DensityLimit
     Returns vhat(0)/2 - (1/(2 (2 pi)^d)) * integral of
     |p|^2 + vhat(p) - |p| sqrt(|p|^2 + 2 vhat(p)) over R^d, in mean-field
     units, together with a quadrature + tail error estimate.  The integral
-    is a composite Simpson rule of the given step, checked against half it.
+    is a composite Simpson rule of the given step, checked against half it;
+    the grids take at least 2 and 4 intervals of [0, r_max], so the check
+    grid is the finer one even where the step passes r_max.
     """
     if not step > 0.0:
         raise ValueError("quadrature step must be > 0")
@@ -203,8 +205,8 @@ def energy_density_limit(pot: Potential, *, step: float = 0.005) -> DensityLimit
         return f * r ** (d - 1)
 
     vals = []
-    for h in (step, 0.5 * step):
-        n = max(2, int(math.ceil(r_max / h)))
+    for h, least in ((step, 2), (0.5 * step, 4)):
+        n = max(least, int(math.ceil(r_max / h)))
         if n % 2:
             n += 1
         grid = np.linspace(0.0, r_max, n + 1)

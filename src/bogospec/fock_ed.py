@@ -37,10 +37,13 @@ sum as scipy's CSR product sums them, and the Hamiltonian's diagonal
 terms onto each state's kinetic energy as the per-state loop sums them,
 both bit for bit.  A sector of at most DENSE_FALLBACK_DIM states is
 solved densely, a larger one by a numpy block Davidson solver on that
-product, which reports degenerate multiplets whole.  Neither loads
-scipy: it is imported only where something reads `SectorMatrix.matrix`,
-a scipy view over the same arrays.  So no command of the CLI loads scipy
-at all.
+product; both report a degenerate multiplet that straddles the count
+whole.  The solver's only randomness is its start noise, uniform on
+[-1, 1) and drawn by the standard library's `random.Random(seed)`, so
+`--seed` seeds that generator and nothing else, and no command loads
+`numpy.random`.  Neither path loads scipy: it is imported only where
+something reads `SectorMatrix.matrix`, a scipy view over the same
+arrays.  So no command of the CLI loads scipy at all.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -78,10 +82,12 @@ DAVIDSON_GUARD = 3
 #: the Davidson subspace restarts where it would pass this many columns
 #: (or three times the block, if that is more)
 DAVIDSON_SUBSPACE = 40
-#: the size of the seeded random part of the Davidson start vectors, next
-#: to their unit part: large enough to give every symmetry class a
-#: component, small enough to leave the start close to the unit vectors
-#: (on the ed-1d sector 1e-2 took about 1.5 times the products of 1e-4)
+#: the half-width of the seeded noise in the Davidson start vectors,
+#: uniform on [-DAVIDSON_NOISE, DAVIDSON_NOISE), next to their unit part:
+#: large enough to give every symmetry class a component, small enough to
+#: leave the start close to the unit vectors (on the ed-1d sector, normal
+#: noise of standard deviation 1e-2 took about 1.5 times the products of
+#: 1e-4)
 DAVIDSON_NOISE = 1e-4
 #: Rayleigh-Ritz steps before the Davidson solver gives up
 DAVIDSON_MAX_ITER = 1000
@@ -912,18 +918,21 @@ def lowest_eigenvalues(
     """The `count` smallest eigenvalues with residual norms, ascending.
 
     Dense solve up to DENSE_FALLBACK_DIM states, else a block Davidson solve
-    (`_davidson`) seeded from seed, on `SectorMatrix.matvec`'s products.
-    Its block carries DAVIDSON_GUARD vectors past the count asked for, so
-    it holds every member of a multiplet up to that size, and it stops
-    only when all the block's residuals are at most tol * ||M||_inf.
-    Where the count-th and (count + 1)-th values lie within that bound,
-    a cluster straddles count: the block grows until it holds the cluster
-    and DAVIDSON_GUARD more, and the cluster is returned whole, so more
-    than count values come back.  The dense path returns exactly count.
-    Residuals are |M x - value x| with the products of matvec, which sums
-    as scipy's CSR product does; the Davidson path raises
-    EigenConvergenceError if one of them exceeds the bound.  Neither path
-    loads scipy.
+    (`_davidson`) on `SectorMatrix.matvec`'s products, whose start and
+    growth vectors take their noise from `random.Random(seed)`.  Its block
+    carries DAVIDSON_GUARD vectors past the count asked for, so it holds
+    every member of a multiplet up to that size, and it stops only when
+    all the block's residuals are at most tol * ||M||_inf.  Where the
+    count-th and (count + 1)-th values lie within that bound, a cluster
+    straddles count, and both paths return it whole, so more than count
+    values come back: the dense path extends count while the next value
+    lies within the bound of the last (it computes ||M||_inf only where
+    the gap at count is at most tol * sqrt(dim) * ||M||_2, an upper bound
+    on tol * ||M||_inf), and the Davidson block grows until it holds the
+    cluster and DAVIDSON_GUARD more.  Residuals are |M x - value x|
+    with the products of matvec, which sums as scipy's CSR product does;
+    the Davidson path raises EigenConvergenceError if one of them exceeds
+    the bound.  Neither path loads scipy, nor numpy.random.
     """
     _require_tol(tol)
     dim = m.dim
@@ -931,12 +940,16 @@ def lowest_eigenvalues(
         raise ValueError(f"count must be in [1, {dim}], got {count}")
     if dim <= DENSE_FALLBACK_DIM or count >= dim - 1:
         w, v = np.linalg.eigh(m.toarray())  # ascending
-        vals, vecs = w[:count], v[:, :count]
+        want = count
+        norm2 = max(abs(w[0]), abs(w[-1]))  # ||M||_inf <= sqrt(dim) * ||M||_2
+        if count < dim and w[count] - w[count - 1] <= tol * math.sqrt(dim) * norm2:
+            cluster = tol * _inf_norm(m)
+            while want < dim and w[want] - w[want - 1] <= cluster:
+                want += 1  # the cluster at count goes on
+        vals, vecs = w[:want], v[:, :want]
         method, bound = "dense", math.inf  # its residuals are reported, not checked
     else:
-        # the largest absolute row sum, each row summed as scipy's sum(axis=1) sums it
-        rows = np.add.reduceat(np.abs(m.data), m.indptr[np.flatnonzero(np.diff(m.indptr))])
-        bound = tol * (float(rows.max()) if m.nnz else 0.0)
+        bound = tol * _inf_norm(m)
         vals, vecs = _davidson(m, count, bound, seed)
         method = "davidson"
     product = m.matvec(vecs)
@@ -948,6 +961,15 @@ def lowest_eigenvalues(
     return EigenResult(values=vals, residuals=residuals, method=method)
 
 
+def _inf_norm(m: SectorMatrix) -> float:
+    """||m||_inf, the largest absolute row sum, each row summed as scipy's
+    sum(axis=1) sums it."""
+    if not m.nnz:
+        return 0.0
+    starts = m.indptr[np.flatnonzero(np.diff(m.indptr))]
+    return float(np.add.reduceat(np.abs(m.data), starts).max())
+
+
 def _davidson(
     m: SectorMatrix, count: int, bound: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -956,10 +978,12 @@ def _davidson(
     more where a cluster straddles count (`lowest_eigenvalues`).
 
     The block of count + DAVIDSON_GUARD vectors starts as unit vectors on
-    the smallest diagonal entries plus a small random part drawn from
-    seed, which gives it a component in every symmetry class.  Each step
-    takes the Rayleigh-Ritz pairs of the orthonormal subspace V, and
-    stops once every pair of the block has residual at most bound.
+    the smallest diagonal entries plus DAVIDSON_NOISE times values uniform
+    on [-1, 1) drawn by `random.Random(seed)` (`_uniform`), which gives it
+    a component in every symmetry class; the columns a growing block adds
+    come from the same generator.  Each step takes the Rayleigh-Ritz pairs
+    of the orthonormal subspace V, and stops once every pair of the block
+    has residual at most bound.
     Otherwise each unconverged residual r of a Ritz pair (value, x) is
     Jacobi-preconditioned with Olsen's correction (J. Olsen et al., Chem.
     Phys. Lett. 169, 463 (1990)): t = P (r - e x), with P = 1 / (value -
@@ -976,9 +1000,9 @@ def _davidson(
     """
     dim = m.dim
     diag = m.diagonal()
-    rng = np.random.default_rng(seed)
+    noise = random.Random(seed)
     block = min(count + DAVIDSON_GUARD, dim)
-    start = DAVIDSON_NOISE * rng.standard_normal((dim, block))
+    start = DAVIDSON_NOISE * _uniform(noise, dim, block)
     start[np.argsort(diag, kind="stable")[:block], np.arange(block)] += 1.0
     basis = _orthonormal_extension(np.empty((dim, 0)), start)
     image = m.matvec(basis)
@@ -1000,7 +1024,7 @@ def _davidson(
                 return theta[:want], ritz[:, :want]
             # too few guard vectors behind the cluster: grow the block and go on
             block = min(want + DAVIDSON_GUARD, dim)
-            extra = rng.standard_normal((dim, max(0, block - basis.shape[1])))
+            extra = _uniform(noise, dim, max(0, block - basis.shape[1]))
         else:
             shift = theta[open_] - diag[:, None]
             shift = np.where(np.abs(shift) < floor, np.copysign(floor, shift), shift)
@@ -1017,6 +1041,14 @@ def _davidson(
         f"Davidson solver did not converge within its cap of {DAVIDSON_MAX_ITER} iterations "
         f"({block - len(open_)}/{block} Ritz pairs within tolerance)", norms[:count]
     )
+
+
+def _uniform(noise: random.Random, rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) array uniform on [-1, 1), in steps of 2**-52: the
+    top 53 bits of each little-endian 8-byte word of noise's next
+    8 * rows * cols random bytes, scaled."""
+    words = np.frombuffer(noise.randbytes(8 * rows * cols), dtype="<u8")
+    return ((words >> 11) * 2.0**-52 - 1.0).reshape(rows, cols)
 
 
 def _orthonormal_extension(basis: np.ndarray, extra: np.ndarray) -> np.ndarray:
@@ -1072,9 +1104,8 @@ def many_body_excitations(
     hosts the ground state, is solved first when it is not requested.  A
     ground state found elsewhere signals a truncation artifact.  For the
     zero sector the ground state itself is skipped and subsequent gaps
-    are reported.  A sector solved by Davidson reports a cluster that
-    straddles its count whole, so it may hold more values than asked for
-    (`lowest_eigenvalues`).
+    are reported.  Each sector reports a cluster that straddles its count
+    whole, so it may hold more values than asked for (`lowest_eigenvalues`).
     """
     _require_tol(tol)
     if count < 1:

@@ -181,6 +181,17 @@ def test_density_limit_step_halving_within_estimate():
     assert abs(fine.value - coarse.value) < coarse.error_estimate
 
 
+@pytest.mark.parametrize("step", [12.0, 100.0, 1e9])
+def test_density_limit_estimate_covers_the_error_at_a_step_past_r_max(step):
+    # a step of r_max or more clamps the coarse grid to 2 intervals; the
+    # fine grid takes 4, so the estimate is more than the tail term (7.7e-29
+    # here) and covers the distance to the converged value, 0.0111
+    ref = energy_density_limit(V1)
+    out = energy_density_limit(V1, step=step)
+    assert out.r_max <= step
+    assert abs(out.value - ref.value) + ref.error_estimate <= out.error_estimate
+
+
 def test_density_limit_matches_lattice_density():
     # the full-lattice Riemann sum is the oracle for the quadrature
     quad = energy_density_limit(V1)
@@ -196,14 +207,14 @@ def test_density_limit_matches_lattice_density():
 def test_simpson_matches_scipy_bit_for_bit(pot, step):
     # the grids and integrand of energy_density_limit, at both of its steps
     r_max = energy_density_limit(pot, step=step).r_max
-    for h in (step, 0.5 * step):
-        n = max(2, math.ceil(r_max / h))
+    for h, least in ((step, 2), (0.5 * step, 4)):
+        n = max(least, math.ceil(r_max / h))
         grid = np.linspace(0.0, r_max, n + n % 2 + 1)
         v = np.array([pot.vhat_extended(float(t)) for t in grid])
         y = (grid * grid + v - grid * np.sqrt(grid * grid + 2.0 * v)) * grid ** (pot.dimension - 1)
         assert _simpson(y, grid) == float(simpson(y, x=grid))
         if step == 100.0 and not pot.compactly_supported:
-            assert len(grid) == 3
+            assert len(grid) == least + 1
 
 
 def test_density_limit_2d():

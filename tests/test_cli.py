@@ -662,7 +662,7 @@ def test_startup_imports_load_no_scipy():
     assert _scipy_modules(loaded) == []
 
 
-@pytest.mark.parametrize("args", [
+_COMMANDS = pytest.mark.parametrize("args", [
     ["energy", "--vhat", "gaussian:0.1:5", "--dim", "3", "--L", "10"],
     ["enumerate", "--vhat", "gaussian:0:1", "--kappa", "5.5", "--window", "2"],
     # sectors of 1-3 and 11 states, solved densely
@@ -672,15 +672,31 @@ def test_startup_imports_load_no_scipy():
      "--max-excited", "8", "--sectors", "0", "--count", "2"],
     ["verify", "--seed", "23"],
 ], ids=["energy-3d", "enumerate", "ed", "ed-davidson", "verify"])
-def test_only_ed_loads_scipy(tmp_path, args):
-    # no command loads any scipy module, an ed run whose sector is solved
-    # by the Davidson solver included
+
+
+def _loaded_by_command(tmp_path, args):
+    """The modules a fresh interpreter holds after running the command."""
     out = tmp_path / "out.csv"
     loaded = _loaded_modules(
         f"from bogospec.cli import main\nassert main({args + ['--out', str(out)]!r}) == 0")
     # verify's CSV has no header lines
     assert out.read_text().startswith("check," if args[0] == "verify" else "# bogospec")
-    assert _scipy_modules(loaded) == []
+    return loaded
+
+
+@_COMMANDS
+def test_only_ed_loads_scipy(tmp_path, args):
+    # no command loads any scipy module, an ed run whose sector is solved
+    # by the Davidson solver included
+    assert _scipy_modules(_loaded_by_command(tmp_path, args)) == []
+
+
+@_COMMANDS
+def test_no_command_loads_numpy_random(tmp_path, args):
+    # the Davidson solver draws its start noise from the standard library's
+    # random module, which the interpreter has loaded at start-up
+    loaded = _loaded_by_command(tmp_path, args)
+    assert sorted(m for m in loaded if m.split(".")[:2] == ["numpy", "random"]) == []
 
 
 _SPACING_015 = ["--vhat", "gaussian:0.1:5", "--L", "41.8879020479"]
@@ -829,11 +845,14 @@ def test_memory_error_exit_code(monkeypatch, capsys):
 # version bump changes them too.  The first case's sectors are solved by
 # Davidson, and it was re-pinned when that solver replaced Lanczos: its
 # eigenvalues moved by at most 39 ulps, its residuals from at most 3e-10
-# to at most 1.1e-7, below tol * ||H||_inf = 1.2e-7 to 1.3e-7
+# to at most 1.1e-7, below tol * ||H||_inf = 1.2e-7 to 1.3e-7.  It was
+# re-pinned again when the solver's start noise became uniform, drawn by
+# random.Random: eigenvalues moved by at most 42 ulps and K_N by at most
+# 72, and the largest residual went from 1.04e-7 to 8.6e-8
 GOLDEN_ED = [
     (["--N", "32", "--mode-radius", "4", "--max-excited", "8",
       "--sectors", "0;1;-1;2;-2"],
-     "8ccb3cab4b8bc11d2bb66a4307e0ea60c0a5b6310e2cf68787dc086723ff02e4"),
+     "5466420984ad3a41e138365f031c7ee1af805882bb8cbc7d43e16ed0d4f6101d"),
     (["--dim", "2", "--N", "6", "--mode-radius", "1.5", "--sectors", "0 0;1 0;1 1"],
      "3aa974ea3d44fddd3c0dbb27c9f2d58aff543cd0373f305c541b4712e5c27d2d"),
 ]

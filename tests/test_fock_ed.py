@@ -994,17 +994,17 @@ def test_davidson_agrees_with_eigsh():
         assert np.abs(got.values - np.sort(want)).max() <= bound
 
 
-_L2PI = LatticeSpec(6.28318530718, 2)
-_L3PI = LatticeSpec(6.28318530718, 3)
-_CUBE_16 = EDConfig(16, _L3PI, Potential.gaussian(0.1, 5.0, 3), mode_radius=1.5, max_excited=6)
+_CUBE_16 = EDConfig(16, LatticeSpec(6.28318530718, 3), Potential.gaussian(0.1, 5.0, 3),
+                    mode_radius=1.5, max_excited=6)
 
 
 @pytest.mark.parametrize("cfg, sector", [
     (ED_1D_CASE[0], (0,)),  # 526 states
     (ED_1D_CASE[0], (1,)),  # 519
-    (EDConfig(10, _L2PI, Potential.gaussian(0.1, 5.0, 2), mode_radius=1.5), (0, 0)),  # 538
-    (_CUBE_16, (1, 0, 0)),  # 891, with a doublet at j = 2, 3
-    (_CUBE_16, (0, 0, 0)),  # 1,040, with a doublet and a triplet at j = 5-9
+    (EDConfig(10, LatticeSpec(6.28318530718, 2), Potential.gaussian(0.1, 5.0, 2),
+              mode_radius=1.5), (0, 0)),  # 538
+    (_CUBE_16, (1, 0, 0)),  # 891: its 3rd and 4th values are a doublet
+    (_CUBE_16, (0, 0, 0)),  # 1,040: a doublet (5th, 6th) and a triplet (7th-9th)
 ], ids=["1d-0", "1d-1", "2d-00", "3d-100", "3d-000"])
 def test_davidson_sweep_matches_dense_under_the_multiplet_rule(cfg, sector):
     # every count from 2 to 6 from several seeds: exactly count values come
@@ -1022,6 +1022,30 @@ def test_davidson_sweep_matches_dense_under_the_multiplet_rule(cfg, sector):
         assert len(res.values) == want, (seed, count)
         assert np.abs(res.values - dense[:want]).max() <= bound, (seed, count)
         assert np.all(res.residuals <= bound), (seed, count)
+
+
+def test_dense_path_returns_a_straddling_cluster_whole(monkeypatch):
+    # 3D N = 4, mode radius 1, zero sector of 14 states: its 2nd and 3rd
+    # values are a doublet at 2.2075388366959, an ulp apart.  A count that
+    # ends inside the doublet is extended through it, and ||H||_inf is
+    # computed only for a gap at count below tol * sqrt(dim) * ||H||_2
+    cfg = EDConfig(4, LatticeSpec(2 * math.pi, 3), Potential.gaussian(0.1, 5.0, 3),
+                   mode_radius=1.0)
+    m = assemble_hamiltonian(cfg, (0, 0, 0))
+    dense, bound = _dense_reference(m)
+    assert m.dim <= fock_ed.DENSE_FALLBACK_DIM
+    assert dense[2] - dense[1] <= bound < min(dense[1] - dense[0], dense[3] - dense[2])
+    norms = []
+    inf_norm = fock_ed._inf_norm
+    monkeypatch.setattr(fock_ed, "_inf_norm", lambda m: norms.append(m) or inf_norm(m))
+    for count, want, normed in ((1, 1, False), (2, 3, True), (3, 3, False), (4, 4, False)):
+        norms.clear()
+        res = lowest_eigenvalues(m, count)
+        assert res.method == "dense"
+        assert len(res.values) == want
+        assert np.abs(res.values - dense[:want]).max() <= bound
+        assert np.all(res.residuals <= bound)
+        assert bool(norms) == normed
 
 
 def test_davidson_iteration_cap_raises(monkeypatch):
