@@ -142,14 +142,14 @@ def bogoliubov_energy(
     # every summand depends on |n|^2 = k only: evaluate it once per shell
     for k, count in Counter(q.norm2_int for q in pts).items():
         r = h * math.sqrt(k)
-        v = pot.vhat_extended(r)
+        v = pot.vhat_radial(r)
         e = _radial_dispersion(r, v)
         a = r * r + v
         direct.append(repeat(a - e, count))
         rational.append(repeat(v * v / (a + e), count))
     e_bog = -0.5 * math.fsum(chain.from_iterable(direct))
     e_bog_alt = -0.5 * math.fsum(chain.from_iterable(rational))
-    v0 = pot.vhat_extended(0.0)
+    v0 = pot.vhat_radial(0.0)
     density = 0.5 * v0 * (1.0 - 1.0 / lattice.volume) + e_bog / lattice.volume
     return EnergySummary(
         e_bog=e_bog, e_bog_alt=e_bog_alt, n_terms=len(pts), density_limit=density
@@ -163,7 +163,7 @@ def bogoliubov_energy_on_modes(modes: list[Momentum], pot: Potential) -> float:
         if q.is_zero:
             continue
         r = q.norm
-        v = pot.vhat_extended(r)
+        v = pot.vhat_radial(r)
         e = _radial_dispersion(r, v)
         terms.append(v * v / (r * r + v + e))
     return -0.5 * math.fsum(terms)
@@ -200,7 +200,7 @@ def energy_density_limit(pot: Potential, *, step: float = 0.005) -> DensityLimit
         tail = _integrand_tail(pot, r_max)
 
     def radial(r: np.ndarray) -> np.ndarray:
-        v = np.array([pot.vhat_extended(float(t)) for t in r])
+        v = np.array([pot.vhat_radial(float(t)) for t in r])
         f = r * r + v - r * np.sqrt(r * r + 2.0 * v)
         return f * r ** (d - 1)
 
@@ -213,7 +213,7 @@ def energy_density_limit(pot: Potential, *, step: float = 0.005) -> DensityLimit
         vals.append(_simpson(radial(grid), grid))
     coarse, fine = vals
     norm = 2.0 * TAU**d
-    value = 0.5 * pot.vhat_extended(0.0) - SPHERE_AREA[d] * fine / norm
+    value = 0.5 * pot.vhat_radial(0.0) - SPHERE_AREA[d] * fine / norm
     err = (SPHERE_AREA[d] * (abs(coarse - fine) + tail)) / norm
     return DensityLimit(value=value, error_estimate=err, r_max=r_max, step=step)
 

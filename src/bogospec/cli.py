@@ -48,6 +48,7 @@ from .model import (
     LatticeSpec,
     Momentum,
     Potential,
+    PotentialRangeError,
     TailBoundError,
     lattice_coords,
     lattice_points,
@@ -524,7 +525,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "config", None):
             args = _parse_with_config(parser, argv, args)
         return args.func(args)
-    except TailBoundError as exc:  # always the potential's: a finite bound falls to 0
+    except (PotentialRangeError, TailBoundError) as exc:  # always the potential's
         message, code = f"--vhat: {exc}", EXIT_USAGE
     except LatticeBudgetError as exc:
         message, code = f"{exc}; lower {_RADIUS_FLAGS[args.command]}", EXIT_USAGE

@@ -66,7 +66,7 @@ from .model import (  # the errors and DEFAULT_SEED are re-exported
     Momentum,
     MomentumCode,
     Potential,
-    TailBoundError,
+    PotentialRangeError,
     lattice_points,
     periodized_value,
 )
@@ -506,21 +506,22 @@ class _MoveTable:
     of target and coef; coef holds inv2n * v of the four ordered variants
     (p, q, t2, t1), (p, q, t1, t2), (q, p, t2, t1), (q, p, t1, t2) in loop
     order, 0.0 for a variant that repeats an earlier one.  A move whose
-    every variant has v == 0 is left out.  Where vhat_extended raised,
-    the coefficient is NaN and vhat_error holds the error, raised by the
-    first sector that needs such a transfer.
+    every variant has v == 0 is left out.  Where vhat_radial raised (a
+    transfer past the last sample of a table that does not decay), the
+    coefficient is NaN and vhat_error holds the PotentialRangeError,
+    raised by the first sector that needs such a transfer.
     """
 
     pair_coef: np.ndarray  # (n_modes, n_modes)
     move_start: np.ndarray  # (n_modes**2 + 1,)
     target: np.ndarray  # (moves, 2): t1, t2
     coef: np.ndarray  # (moves, 4 variant slots)
-    vhat_error: TailBoundError | None
+    vhat_error: PotentialRangeError | None
 
     def check(self, coef: np.ndarray, at: np.ndarray | tuple[np.ndarray, ...]) -> None:
         """Raise vhat_error if one of the coefficients coef[at] a sector needs is NaN."""
         if self.vhat_error is not None and np.isnan(coef[at]).any():
-            raise TailBoundError(*self.vhat_error.args)
+            raise PotentialRangeError(*self.vhat_error.args)
 
 
 def _move_table(cfg: EDConfig) -> _MoveTable:
@@ -538,8 +539,8 @@ def _move_table(cfg: EDConfig) -> _MoveTable:
     kvals, error = [], None
     for kvec in transfer[first_seen].tolist():
         try:
-            kvals.append(cfg.pot.vhat_extended(Momentum(tuple(kvec), cfg.lattice.L).norm))
-        except TailBoundError as exc:
+            kvals.append(cfg.pot.vhat_radial(Momentum(tuple(kvec), cfg.lattice.L).norm))
+        except PotentialRangeError as exc:
             kvals.append(math.nan)
             error = error or exc
     vhat = np.array(kvals, dtype=np.float64)[kindex].reshape(nmode, nmode)
@@ -643,8 +644,8 @@ def assemble_hamiltonian(
     four) are summed one slot at a time in loop order and the entry is
     written once.  Target states are found by exact search of their
     packed keys (`_Occupations`).  A basis that lists a state twice is
-    rejected.  A transfer whose vhat_extended raises raises only in a
-    sector that needs it.
+    rejected.  A transfer past the last sample of a table that does not
+    decay raises PotentialRangeError, only in a sector that needs it.
     """
     key, states = sector_basis(cfg, sector, basis)
     rows, cols, vals = _hamiltonian_entries(cfg, _Occupations(states, len(cfg.modes())))
@@ -795,9 +796,9 @@ def assemble_estimating(
     neg_of = _negation_index(modes)
     excited = np.arange(nmode) != zero_idx
     norm2 = np.array([m.norm2 for m in modes])
-    vhat_m = np.array([cfg.pot.vhat_extended(m.norm) for m in modes])
+    vhat_m = np.array([cfg.pot.vhat_radial(m.norm) for m in modes])
     n_part = cfg.n_particles
-    v0hat = cfg.pot.vhat_extended(0.0)
+    v0hat = cfg.pot.vhat_radial(0.0)
     v0real = cfg.v0real
     # the signed eps flips both the condensate-weighted term and the
     # coefficient (1 + 1/(sign*eps)) of the excited-pair repulsion
@@ -879,7 +880,7 @@ def assemble_bogoliubov_quadratic(
         raise ValueError(f"occupation basis of size {dim} is too large")
     nmode = len(modes)
     neg_of = _negation_index(modes)
-    vhat_m = np.array([pot.vhat_extended(m.norm) for m in modes])
+    vhat_m = np.array([pot.vhat_radial(m.norm) for m in modes])
     diag_w = np.array([m.norm2 for m in modes]) + vhat_m
     states = list(itertools.product(range(max_occupation + 1), repeat=nmode))
     basis_occ = _Occupations(states, nmode)

@@ -15,7 +15,10 @@ One rule, summation_radius, decides where every lattice sum and the
 density integral stop: a compactly supported potential at its support,
 anything else at the first radius start * 1.5^k whose tail bound is
 below the tolerance.  A table that does not decay, or a bound that stays
-above the tolerance for 200 growths, raises TailBoundError.
+above the tolerance for 200 growths, raises TailBoundError; nothing else
+does.  vhat too has one rule, Potential.vhat_radial, in every command:
+past a table's last sample it reads 0.0 if the table is compactly
+supported (last value 0) and raises PotentialRangeError if not.
 
 The module loads no numpy at import: only lattice_shells in 2D and 3D
 and MomentumCode.__call__ (which only the ED stack calls) use it, and
@@ -90,9 +93,6 @@ class LatticeBudgetError(ValueError):
         )
 
 
-_NO_DECAY = "tabulated potential does not decay to zero; cannot bound tail"
-
-
 @dataclass(frozen=True)
 class LatticeSpec:
     """Cubic torus of side L >= 1 in dimension d; momentum spacing 2*pi/L."""
@@ -134,14 +134,6 @@ class Momentum:
     L: float
 
     @property
-    def d(self) -> int:
-        return len(self.n)
-
-    @property
-    def spacing(self) -> float:
-        return TAU / self.L
-
-    @property
     def coords(self) -> tuple[float, ...]:
         h = TAU / self.L
         return tuple(h * c for c in self.n)
@@ -167,14 +159,6 @@ class Momentum:
     def __neg__(self) -> "Momentum":
         return Momentum(tuple(-c for c in self.n), self.L)
 
-    def __add__(self, other: "Momentum") -> "Momentum":
-        if other.L != self.L or other.d != self.d:
-            raise ValueError("momenta live on different lattices")
-        return Momentum(tuple(a + b for a, b in zip(self.n, other.n)), self.L)
-
-    def __sub__(self, other: "Momentum") -> "Momentum":
-        return self + (-other)
-
 
 MomentumLike = Union[Momentum, float, int, Sequence[float]]
 
@@ -194,9 +178,10 @@ class Potential:
 
     family "gaussian": vhat(p) = amplitude * exp(-|p|^2 / width).
     family "table": linear interpolation of (|p|, value) samples; the
-    first sample must sit at |p| = 0 and queries beyond the last sample
-    raise PotentialRangeError.  A table whose last value is zero is
-    treated as compactly supported in lattice sums.
+    first sample must sit at |p| = 0.  A table whose last value is zero
+    is compactly supported and reads 0.0 past its last sample; any other
+    table raises PotentialRangeError there.  Every command and lattice
+    sum evaluates vhat by this one rule, vhat_radial.
     """
 
     family: str
@@ -273,9 +258,13 @@ class Potential:
         return max(abs(v) for v in self._values)
 
     def vhat_radial(self, r: float) -> float:
-        """vhat at |p| = r; strict range check for tables."""
+        """vhat at |p| = r.  A table reads 0.0 past its last sample when
+        it is compactly supported and raises PotentialRangeError there
+        otherwise, since no value is known."""
         if self.family == "gaussian":
             return self.amplitude * math.exp(-(r * r) / self.width)
+        if r > self._grid[-1] and self.compactly_supported:
+            return 0.0
         if r < self._grid[0] or r > self._grid[-1]:
             raise PotentialRangeError(
                 f"|p| = {r} outside table range [{self._grid[0]}, {self._grid[-1]}]"
@@ -286,18 +275,6 @@ class Potential:
         a, b = self._grid[i - 1], self._grid[i]
         va, vb = self._values[i - 1], self._values[i]
         return va + (vb - va) * (r - a) / (b - a)
-
-    def vhat_extended(self, r: float) -> float:
-        """vhat with zero extension past a compact table's support.
-
-        Lattice sums use this form; non-compact tables queried beyond
-        range raise TailBoundError since no decay is known.
-        """
-        if self.family == "table" and r > self._grid[-1]:
-            if self.compactly_supported:
-                return 0.0
-            raise TailBoundError(_NO_DECAY)
-        return self.vhat_radial(r)
 
 
 def fourier_at(pot: Potential, p: MomentumLike) -> float:
@@ -489,7 +466,7 @@ def summation_radius(
     if pot.compactly_supported:
         return pot.support_radius
     if pot.family == "table":
-        raise TailBoundError(_NO_DECAY)
+        raise TailBoundError("tabulated potential does not decay to zero; cannot bound tail")
     r = start
     for _ in range(200):
         if tail(r) < tail_tol:
@@ -539,13 +516,13 @@ def periodized_value(
         tail_tol)
     if not any(xv):
         h = lattice.spacing
-        shells = [(pot.vhat_extended(h * math.sqrt(k)), count)
+        shells = [(pot.vhat_radial(h * math.sqrt(k)), count)
                   for k, count in lattice_shells(lattice, radius)]
         return _fsum_repeated(shells) / lattice.volume
     re_terms: list[float] = []
     im_terms: list[float] = []
     for p in lattice_points(lattice, radius, include_zero=True):
-        v = pot.vhat_extended(p.norm)
+        v = pot.vhat_radial(p.norm)
         if v == 0.0:
             continue
         phase = math.fsum(c * xc for c, xc in zip(p.coords, xv))
@@ -584,8 +561,8 @@ def validate_potential(
         )
     for p in lattice_points(lattice, radius, include_zero=True):
         try:
-            v = pot.vhat_extended(p.norm)
-        except (PotentialRangeError, TailBoundError):
+            v = pot.vhat_radial(p.norm)
+        except PotentialRangeError:
             warnings.append(f"table does not cover |p| = {p.norm:.6g}; scan truncated")
             break
         if v < 0.0:

@@ -125,7 +125,7 @@ def check_ground_bounds(ed_result: EDResult) -> list[Check]:
     """
     cfg = ed_result.cfg
     n, pot, lattice = cfg.n_particles, cfg.pot, cfg.lattice
-    v0hat = pot.vhat_extended(0.0)
+    v0hat = pot.vhat_radial(0.0)
     shift = ed_result.e_ground - 0.5 * v0hat * (n - 1)
     lower = 0.5 * (v0hat - lattice.volume * cfg.v0real)
     return [
@@ -287,7 +287,7 @@ def compare_spectra(
                                        f"in sectors {keys} below kappa 1e6")
         table = enumerate_below(base.lattice, base.pot, kappa, window, modes=modes)
 
-    v0hat = base.pot.vhat_extended(0.0)
+    v0hat = base.pot.vhat_radial(0.0)
     n_values: list[int] = []
     ground_errors: list[float] = []
     gap_errors: dict[tuple[tuple[int, ...], int], list[float]] = {

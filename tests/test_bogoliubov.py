@@ -17,7 +17,7 @@ from bogospec.bogoliubov import (
     energy_density_limit,
     identity_residuals,
 )
-from bogospec.model import LatticeSpec, Momentum, Potential, TailBoundError
+from bogospec.model import LatticeSpec, Momentum, Potential, PotentialRangeError, TailBoundError
 
 V1 = Potential.gaussian(0.1, 5.0, 1)
 V2 = Potential.gaussian(7.5, 2.0, 1)
@@ -53,6 +53,16 @@ def test_dispersion_rejects_zero_mode():
         dispersion(LAT_015.zero, V1)
     with pytest.raises(ValueError):
         coefficients(0.0, V1)
+
+
+def test_dispersion_past_a_compact_tables_last_sample_is_free():
+    # the verify suite's k0 potential: 0 from |p| = 0.5 on, last sampled at 8
+    k0 = Potential.table([(0.0, 0.3), (0.5, 0.0), (8.0, 0.0)])
+    assert dispersion(9.0, k0) == 81.0
+    assert dispersion(LatticeSpec(2 * math.pi, 1).momentum(-10), k0) == 100.0
+    co = coefficients(9.0, k0)
+    assert (co.A, co.B, co.alpha, co.c, co.s, co.e) == (81.0, 0.0, 0.0, 1.0, 0.0, 81.0)
+    assert identity_residuals(9.0, k0) == (0.0, 0.0, 0.0)
 
 
 def test_dispersion_lower_bounds():
@@ -170,6 +180,19 @@ def test_bogoliubov_energy_on_modes_matches_restriction():
     assert val == pytest.approx(direct, rel=1e-12)
 
 
+def test_bogoliubov_energy_on_modes_past_a_tables_last_sample():
+    lat = LatticeSpec(2 * math.pi, 1)
+    modes = [lat.momentum(n) for n in (-2, -1, 0, 1, 2)]
+    # a compact table adds nothing past its last sample at |p| = 1.5
+    compact = Potential.table([(0.0, 0.3), (1.5, 0.0)])
+    assert bogoliubov_energy_on_modes(modes, compact) == bogoliubov_energy_on_modes(
+        [m for m in modes if abs(m.n[0]) < 2], compact)
+    # one that does not decay has no value there
+    no_decay = Potential.table([(0.0, 0.3), (1.5, 0.2)])
+    with pytest.raises(PotentialRangeError, match="outside table range"):
+        bogoliubov_energy_on_modes(modes, no_decay)
+
+
 def test_density_limit_zero_potential():
     out = energy_density_limit(ZERO)
     assert out.value == 0.0
@@ -210,7 +233,7 @@ def test_simpson_matches_scipy_bit_for_bit(pot, step):
     for h, least in ((step, 2), (0.5 * step, 4)):
         n = max(least, math.ceil(r_max / h))
         grid = np.linspace(0.0, r_max, n + n % 2 + 1)
-        v = np.array([pot.vhat_extended(float(t)) for t in grid])
+        v = np.array([pot.vhat_radial(float(t)) for t in grid])
         y = (grid * grid + v - grid * np.sqrt(grid * grid + 2.0 * v)) * grid ** (pot.dimension - 1)
         assert _simpson(y, grid) == float(simpson(y, x=grid))
         if step == 100.0 and not pot.compactly_supported:

@@ -82,6 +82,31 @@ def test_dispersion_empty_window_header_only(capsys):
     assert cols and rows == []
 
 
+def test_dispersion_past_a_compact_tables_last_sample_is_free(capsys):
+    # the verify suite's k0 potential: 0 from |p| = 0.5 on, last sampled at 8
+    code, out, err = run_cli(
+        ["dispersion", "--vhat", "table:0,0.3;0.5,0;8,0", "--window", "10"], capsys)
+    assert (code, err) == (0, "")
+    _, cols, rows = parse_csv(out)
+    assert cols == ["n1", "abs_p", "energy", "alpha", "c", "s"]
+    assert [int(r[0]) for r in rows] == [n for k in range(1, 11) for n in (-k, k)]
+    for n, abs_p, energy, alpha, c, s in rows[16:]:  # |p| = 9 and 10
+        assert (abs_p, energy) == (f"{abs(int(n))}.0", f"{int(n) ** 2}.0")
+        assert (alpha, c, s) == ("0.0", "1.0", "0.0")
+
+
+def test_enumerate_past_a_compact_tables_last_sample(capsys):
+    args = ["enumerate", "--vhat", "table:0,0.3;0.5,0;8,0", "--L", "1.5707963267948966",
+            "--kappa", "150", "--window", "12"]
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == (0, "")
+    _, _, rows = parse_csv(out)
+    # spacing 4, and vhat = 0 from |p| = 0.5 on: each mode's energy is |p|^2,
+    # the one at |p| = 12, past the last sample at 8, too
+    assert ["3", "6", "144.0", "1", "3"] in rows
+    assert ["-3", "6", "144.0", "1", "-3"] in rows
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     args = ["dispersion", "--vhat", "gaussian:0.1:5", "--L", "41.887902047863905",
             "--window", "3"]
@@ -96,7 +121,7 @@ def test_byte_identical_reruns(tmp_path, capsys):
 FAILING_DISPERSION = ["dispersion", "--vhat", "table:0,0.3;1,0.2", "--L", "6.28318530718",
                       "--window", "3"]
 FAILING_DISPERSION_ERR = (
-    "bogospec: error: |p| = 1.9999999999998683 outside table range [0.0, 1.0]\n"
+    "bogospec: error: --vhat: |p| = 1.9999999999998683 outside table range [0.0, 1.0]\n"
 )
 
 
@@ -460,6 +485,21 @@ def test_ed_config_errors_exit_2(tmp_path, capsys, extra, named):
     assert named in err
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read '{path}': [Errno 2] No such file or directory: '{path}'"),
+    ('{"N": 4,', "cannot read '{path}': "
+                 "Expecting property name enclosed in double quotes: line 1 column 9 (char 8)"),
+    ("[4, 2]", "top level must be an object"),
+], ids=["missing", "invalid-json", "list"])
+def test_ed_config_that_cannot_be_read_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(["ed", "--config", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"bogospec: error: --config: {message.format(path=path)}\n"
+
+
 def test_ed_config_rejects_unknown_key(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"N": 4, "wavelength": 2.0}))
@@ -575,7 +615,7 @@ ED_4 = ["ed", "--vhat", "gaussian:0.1:5", "--N", "4", "--mode-radius", "2"]
      "argument --N: must be >= 1, got 0"),
     (["energy", "--vhat", "gaussian:1e200:5"], "--vhat: tail bound did not converge"),
     (["ed", "--vhat", "table:0,0.3;1,0.2", "--N", "4", "--mode-radius", "2"],
-     "--vhat: tabulated potential does not decay to zero; cannot bound tail"),
+     "--vhat: |p| = 4.0 outside table range [0.0, 1.0]"),
     (["figure", "--vhat", "gaussian:0.1:5", "--kappa", "1e9", "--window", "0.5"],
      "enumeration below kappa 1e+09 exceeds the cap of 2,500,000 multisets; lower kappa"),
     (["enumerate", "--vhat", "gaussian:0.1:5", "--dim", "3", "--L", "10", "--kappa", "1e4",
@@ -593,6 +633,12 @@ ED_4 = ["ed", "--vhat", "gaussian:0.1:5", "--N", "4", "--mode-radius", "2"]
      "lattice ball of radius 1.7e+308 exceeds the cap of 2,500,000 points; lower --window"),
     (["ed", "--vhat", "gaussian:0.1:5", "--N", "4", "--mode-radius", "1e300"],
      "lattice ball of radius 1e+300 exceeds the cap of 2,500,000 points; lower --mode-radius"),
+    (["ed", "--vhat", "gaussian:0.1:5", "--mode-radius", "2"],
+     "--N (or config key N) is required"),
+    (["ed", "--vhat", "gaussian:0.1:5", "--N", "4"],
+     "--mode-radius (or config key mode_radius) is required"),
+    (ED_4 + ["--sectors", "0;x"],
+     "--sectors: cannot parse 'x': invalid literal for int() with base 10: 'x'"),
 ], ids=["ed-count-0", "ed-count-negative", "ed-tol-negative", "ed-tol-nan", "verify-tol-0",
         "energy-L-inf", "enumerate-kappa-nan", "dispersion-window-nan", "ed-mode-radius-nan",
         "energy-amplitude-nan", "energy-width-inf", "energy-tail-tol-0", "energy-quad-step-nan",
@@ -600,7 +646,8 @@ ED_4 = ["ed", "--vhat", "gaussian:0.1:5", "--N", "4", "--mode-radius", "2"]
         "ed-seed-lanczos", "verify-seed-negative", "energy-dim-4", "ed-dim-5", "ed-N-0",
         "energy-tail-overflow", "ed-table-no-decay", "figure-kappa-budget",
         "enumerate-3d-budget", "energy-3d-lattice-budget", "dispersion-3d-lattice-budget",
-        "dispersion-window-overflow", "figure-1qp-window-overflow", "ed-mode-radius-budget"])
+        "dispersion-window-overflow", "figure-1qp-window-overflow", "ed-mode-radius-budget",
+        "ed-no-N", "ed-no-mode-radius", "ed-sector-not-an-integer"])
 def test_count_and_tol_range_exit_2(capsys, args, message):
     code, out, err = run_cli(args, capsys)
     assert code == 2
@@ -754,6 +801,27 @@ def test_davidson_iteration_cap_exit_code(monkeypatch, capsys):
     assert err.startswith("bogospec: error: eigensolver failed: Davidson solver did not "
                           "converge within its cap of 1 iterations") and err.count("\n") == 1
     assert "against tolerance 1e-09 x ||M||_inf" in err
+
+
+def test_davidson_residual_check_exit_code(monkeypatch, capsys):
+    # the ed-1d sector, whose Davidson result has its first vector turned
+    # by 1e-3 towards the second: the final residual check fails
+    davidson = fock_ed._davidson
+
+    def perturbed(m, count, bound, seed):
+        vals, vecs = davidson(m, count, bound, seed)
+        vecs = vecs.copy()
+        vecs[:, 0] += 1e-3 * vecs[:, 1]
+        return vals, vecs / np.linalg.norm(vecs, axis=0)
+
+    monkeypatch.setattr(fock_ed, "_davidson", perturbed)
+    code, out, err = run_cli(["ed", "--vhat", "gaussian:0.1:5", "--N", "32",
+                              "--mode-radius", "4", "--max-excited", "8",
+                              "--sectors", "0", "--count", "2"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("bogospec: error: eigensolver failed: Davidson solver residuals "
+                          "exceed tolerance; largest residual ") and err.count("\n") == 1
+    assert err.endswith(" against tolerance 1e-09 x ||M||_inf\n")
 
 
 def _ed_rows_against_dense(out, cfg, tol=1e-9):
@@ -976,6 +1044,17 @@ def test_verify_output_bytes_pinned(tmp_path, capsys):
     code, _, _ = run_cli(["verify", "--seed", "23", "--out", str(out)], capsys)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_VERIFY
+
+
+def test_verify_writes_to_stdout_the_bytes_it_writes_to_out(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    code, stdout, err_out = run_cli(["verify", "--seed", "23", "--out", str(out)], capsys)
+    assert (code, stdout) == (0, "")
+    code, stdout, err = run_cli(["verify", "--seed", "23"], capsys)
+    assert code == 0
+    assert stdout.encode() == out.read_bytes()
+    assert err == err_out == out.with_suffix(".txt").read_text()
+    assert sorted(tmp_path.iterdir()) == [out, out.with_suffix(".txt")]
 
 
 def test_verify_csv_fields_are_plain_floats(tmp_path, capsys):

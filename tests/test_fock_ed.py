@@ -30,7 +30,7 @@ from bogospec.fock_ed import (
     many_body_excitations,
     sector_basis,
 )
-from bogospec.model import LatticeSpec, Momentum, Potential, TailBoundError, periodized_value
+from bogospec.model import LatticeSpec, Momentum, Potential, PotentialRangeError, periodized_value
 
 LAT = LatticeSpec(2 * math.pi, 1)
 V1 = Potential.gaussian(0.1, 5.0, 1)
@@ -316,7 +316,7 @@ def _reference_hamiltonian(cfg, states):
                     if t1_i is None:
                         continue
                     kvec = tuple(a - b for a, b in zip(mode_n[t2_i], mode_n[p_i]))
-                    v = cfg.pot.vhat_extended(Momentum(kvec, cfg.lattice.L).norm)
+                    v = cfg.pot.vhat_radial(Momentum(kvec, cfg.lattice.L).norm)
                     if v == 0.0:
                         continue
                     s3 = list(s1)
@@ -339,11 +339,11 @@ def _reference_estimating(cfg, states, eps, sign):
     index = {s: i for i, s in enumerate(states)}
     zero_idx = next(i for i, m in enumerate(modes) if m.is_zero)
     norm2 = [m.norm2 for m in modes]
-    vhat_m = [cfg.pot.vhat_extended(m.norm) for m in modes]
+    vhat_m = [cfg.pot.vhat_radial(m.norm) for m in modes]
     neg_of = {i: next(j for j, mm in enumerate(modes) if mm.n == tuple(-c for c in modes[i].n))
               for i in range(nmode)}
     n_part = cfg.n_particles
-    v0hat = cfg.pot.vhat_extended(0.0)
+    v0hat = cfg.pot.vhat_radial(0.0)
     v0real = periodized_value(cfg.pot, cfg.lattice, (0.0,) * cfg.lattice.d)
     eps_signed = sign * eps
     coef_last = (1.0 + 1.0 / eps_signed) * v0real * cfg.lattice.volume / (2.0 * n_part)
@@ -436,8 +436,8 @@ def _reference_quadratic(modes, pot, max_occupation):
         i: next(j for j, mm in enumerate(modes) if mm.n == tuple(-c for c in modes[i].n))
         for i in range(nmode)
     }
-    diag_w = [m.norm2 + pot.vhat_extended(m.norm) for m in modes]
-    vhat_m = [pot.vhat_extended(m.norm) for m in modes]
+    diag_w = [m.norm2 + pot.vhat_radial(m.norm) for m in modes]
+    vhat_m = [pot.vhat_radial(m.norm) for m in modes]
     states = list(itertools.product(range(max_occupation + 1), repeat=nmode))
     index = {s: i for i, s in enumerate(states)}
     entries = {}
@@ -599,7 +599,7 @@ def test_a_transfer_past_a_table_raises_only_in_a_sector_that_needs_it():
     for sector, states in (((0,), [(0, 2, 0)]), ((1,), basis[(1,)])):
         _assert_same_csr(assemble_hamiltonian(cfg, sector, states).matrix,
                          _reference_hamiltonian(cfg, states))
-    with pytest.raises(TailBoundError):
+    with pytest.raises(PotentialRangeError, match=r"\|p\| = 2.0 outside table range"):
         assemble_hamiltonian(cfg, (0,))
 
 
@@ -1055,6 +1055,63 @@ def test_davidson_iteration_cap_raises(monkeypatch):
                        match="Davidson solver did not converge") as exc:
         lowest_eigenvalues(m, 3)
     assert len(exc.value.residuals) == 3 and np.all(exc.value.residuals > 0)
+
+
+def test_davidson_result_past_the_residual_bound_raises(monkeypatch):
+    # the final check of lowest_eigenvalues, on a Davidson result whose
+    # first vector is turned by 1e-3 towards the second
+    m = assemble_hamiltonian(*ED_1D_CASE)
+    davidson = fock_ed._davidson
+
+    def perturbed(m, count, bound, seed):
+        vals, vecs = davidson(m, count, bound, seed)
+        vecs = vecs.copy()
+        vecs[:, 0] += 1e-3 * vecs[:, 1]
+        vecs[:, 0] /= np.linalg.norm(vecs[:, 0])
+        return vals, vecs
+
+    monkeypatch.setattr(fock_ed, "_davidson", perturbed)
+    _, bound = _dense_reference(m)
+    with pytest.raises(fock_ed.EigenConvergenceError,
+                       match="^Davidson solver residuals exceed tolerance$") as exc:
+        lowest_eigenvalues(m, 3)
+    residuals = exc.value.residuals
+    assert len(residuals) == 3
+    assert residuals[0] > 1e3 * bound and np.all(residuals[1:] <= bound)
+
+
+def test_orthonormal_extension_takes_a_second_pass_on_a_small_pivot(monkeypatch):
+    # columns v and v + 1e-5 w: the QR pivot of the second is about 1e-5,
+    # below 1e-2, so the passes and the QR run again on the QR'd columns
+    rng = np.random.default_rng(7)
+    basis = np.linalg.qr(rng.standard_normal((50, 3)))[0]
+    v, w = rng.standard_normal(50), rng.standard_normal(50)
+    pivots, qr = [], np.linalg.qr
+
+    def recorded(a):
+        q, r = qr(a)
+        pivots.append(np.abs(np.diag(r)))
+        return q, r
+
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    q = fock_ed._orthonormal_extension(basis, np.column_stack([v, v + 1e-5 * w]))
+    assert len(pivots) == 2
+    assert pivots[0][0] == pytest.approx(1.0) and 1e-6 < pivots[0][1] < 1e-4
+    assert np.all(pivots[1] >= 1e-2)
+    assert q.shape == (50, 2)
+    assert np.abs(q.T @ q - np.eye(2)).max() < 1e-12
+    assert np.abs(basis.T @ q).max() < 1e-12
+
+
+def test_a_matrix_with_no_stored_entries():
+    # ||m||_inf of no entries is 0.0, so every gap is within the cluster
+    # bound and the count-1 request returns all three zeros as one cluster
+    m = fock_ed.SectorMatrix(None, [], np.zeros(4, dtype=np.int64),
+                             np.empty(0, dtype=np.int64), np.empty(0), "csr")
+    assert m.nnz == 0 and fock_ed._inf_norm(m) == 0.0
+    res = lowest_eigenvalues(m, 1)
+    assert res.method == "dense"
+    assert list(res.values) == [0.0, 0.0, 0.0] and list(res.residuals) == [0.0, 0.0, 0.0]
 
 
 def test_lowest_eigenvalues_count_validation():

@@ -89,10 +89,21 @@ def test_table_requires_zero_start_and_monotone_grid():
 def test_table_interpolation_and_range_error():
     pot = Potential.table([(0.0, 1.0), (2.0, 0.0)])
     assert pot.vhat_radial(1.0) == pytest.approx(0.5)
-    with pytest.raises(PotentialRangeError):
-        pot.vhat_radial(2.5)
-    # compact support: lattice sums may extend by zero
-    assert pot.vhat_extended(2.5) == 0.0
+    # compact support: zero past the last sample
+    assert pot.vhat_radial(2.5) == 0.0
+    # no decay: no value is known past the last sample
+    no_decay = Potential.table([(0.0, 1.0), (2.0, 0.3)])
+    with pytest.raises(PotentialRangeError, match=r"2.5 outside table range \[0.0, 2.0\]"):
+        no_decay.vhat_radial(2.5)
+
+
+def test_fourier_at_reads_zero_past_a_compact_tables_last_sample():
+    # the verify suite's k0 potential: 0 from |p| = 0.5 on, last sampled at 8
+    k0 = Potential.table([(0.0, 0.3), (0.5, 0.0), (8.0, 0.0)])
+    assert fourier_at(k0, 8.0) == 0.0
+    assert fourier_at(k0, 9.0) == 0.0
+    assert fourier_at(k0, (6.0, 8.0)) == 0.0  # |p| = 10
+    assert fourier_at(k0, LatticeSpec(2 * math.pi, 1).momentum(-12)) == 0.0
 
 
 def test_potential_rejects_non_finite_parameters():
@@ -293,7 +304,7 @@ def _reference_periodized_at_zero(pot, lattice):
         lambda r: (1.0 / lattice.volume) * gaussian_lattice_tail(
             lattice, pot.amplitude, 1.0 / pot.width, r),
         default_tail_tol(pot))
-    terms = [pot.vhat_extended(p.norm)
+    terms = [pot.vhat_radial(p.norm)
              for p in _reference_lattice_points(lattice, radius, include_zero=True)]
     return math.fsum(terms) / lattice.volume
 
