@@ -1,6 +1,7 @@
 """Dispersion, transformation coefficients, energy sums, density limit."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,7 +18,17 @@ from bogospec.bogoliubov import (
     energy_density_limit,
     identity_residuals,
 )
-from bogospec.model import LatticeSpec, Momentum, Potential, PotentialRangeError, TailBoundError
+from bogospec.model import (
+    LatticeSpec,
+    Momentum,
+    Potential,
+    PotentialRangeError,
+    TailBoundError,
+    ball_norm2,
+    gaussian_lattice_tail,
+    lattice_shells,
+    summation_radius,
+)
 
 V1 = Potential.gaussian(0.1, 5.0, 1)
 V2 = Potential.gaussian(7.5, 2.0, 1)
@@ -150,6 +161,57 @@ def test_bogoliubov_energy_tail_stability():
     tight = bogoliubov_energy(LAT_015, V1, tail_tol=1e-13)
     assert abs(loose.e_bog - tight.e_bog) < 1e-8
     assert tight.n_terms >= loose.n_terms
+
+
+def _per_point_energy(lattice, pot):
+    """(e_bog, e_bog_alt, n_terms, density_limit, radius) at
+    bogoliubov_energy's default tolerance, one term per lattice point of a cube scan, each sum
+    taken by one math.fsum: the reference its shell grouping must meet."""
+    h = lattice.spacing
+    a2 = pot.amplitude * pot.amplitude
+
+    def tail(r):
+        r_eff = max(r, h)
+        return 0.5 * (gaussian_lattice_tail(lattice, a2, 2.0 / pot.width, r) / (r_eff * r_eff))
+
+    radius = summation_radius(pot, h, tail, 1e-10)
+    K = math.floor(ball_norm2(lattice, radius))
+    m = math.isqrt(K)
+    direct, rational = [], []
+    for n in product(range(-m, m + 1), repeat=lattice.d):
+        q = Momentum(n, lattice.L)
+        if q.is_zero or q.norm2_int > K:
+            continue
+        r = q.norm
+        v = pot.vhat_radial(r)
+        a = r * r + v
+        e = r * math.sqrt(r * r + 2.0 * v)
+        direct.append(a - e)
+        rational.append(v * v / (a + e))
+    e_bog = -0.5 * math.fsum(direct)
+    density = 0.5 * pot.vhat_radial(0.0) * (1.0 - 1.0 / lattice.volume) + e_bog / lattice.volume
+    return e_bog, -0.5 * math.fsum(rational), len(direct), density, radius
+
+
+ENERGY_CASES = [
+    (d, amplitude, width, L)
+    for d, sides in ((1, (10.0, 41.8879020479, 200.0)), (2, (10.0, 20.0, 40.0)),
+                     (3, (5.0, 7.5, 10.0)))
+    for amplitude, width in ((0.1, 5.0), (7.5, 2.0))
+    for L in sides
+]
+
+
+@pytest.mark.parametrize("d, amplitude, width, L", ENERGY_CASES)
+def test_bogoliubov_energy_is_the_per_point_sum_bit_for_bit(d, amplitude, width, L):
+    lattice, pot = LatticeSpec(L, d), Potential.gaussian(amplitude, width, d)
+    out = bogoliubov_energy(lattice, pot)
+    e_bog, e_bog_alt, n_terms, density, radius = _per_point_energy(lattice, pot)
+    assert (out.e_bog, out.e_bog_alt, out.n_terms, out.density_limit) == (
+        e_bog, e_bog_alt, n_terms, density)
+    shells = lattice_shells(lattice, radius)
+    assert shells[0] == (0, 1)
+    assert out.n_terms == sum(count for _, count in shells[1:])
 
 
 def test_bogoliubov_energy_rejects_nondecaying_table():

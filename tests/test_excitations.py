@@ -103,6 +103,18 @@ def test_sector_takes_the_searchs_window_test():
         table.sector((1, 0))
 
 
+def test_sector_rejects_a_coordinate_that_is_not_an_integer():
+    # int() would read (1.5,) as sector (1,) and (-0.9,) as the zero sector
+    table = enumerate_below(LAT, ZERO, 7.5, momentum_window=3.0)
+    for c in (1.5, -0.9, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"momentum coordinate {c!r} is not an integer"):
+            kth_excitation(table, (c,), 1)
+        with pytest.raises(ValueError, match="is not an integer"):
+            table.sector((c,))
+    assert kth_excitation(table, (1.0,), 1) == kth_excitation(table, (1,), 1) == 1.0
+    assert table.sector((-2.0,)) == table.sector((-2,)) == table.sectors[(-2,)]
+
+
 def test_record_invariants():
     table = enumerate_below(LAT, V1, 3.0, momentum_window=2.0)
     for key, recs in table.sectors.items():

@@ -1,6 +1,9 @@
 """Potential and lattice layer: Fourier values, periodization, point sets."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -70,6 +73,47 @@ def test_momentum_integer_norm():
     assert m.norm2_int == 25
     assert m.norm == pytest.approx(5.0, rel=1e-15)
     assert (-m).n == (-3, 4)
+
+
+def test_momentum_is_a_slotted_frozen_value():
+    m = Momentum((3, -4, 0), 2 * math.pi)
+    ref = ((3, -4, 0), 2 * math.pi)
+    assert Momentum.__slots__ == ("n", "L")
+    assert not hasattr(m, "__dict__")
+    for name, value in (("n", (1, 2, 3)), ("L", 1.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(m, name)
+    # no other attribute either: Python 3.11's frozen slotted __setattr__
+    # raises TypeError here, not FrozenInstanceError
+    with pytest.raises((AttributeError, TypeError)):
+        m.x = 0
+    assert (m.n, m.L) == ref
+    assert m == Momentum(*ref) and m != Momentum((3, -4, 1), ref[1])
+    assert m != Momentum(ref[0], 2.0) and m != ref
+    assert hash(m) == hash(ref) == hash(Momentum(*ref))
+    assert repr(m) == f"Momentum(n={ref[0]!r}, L={ref[1]!r})"
+    assert Momentum(n=ref[0], L=ref[1]) == m
+    assert dataclasses.replace(m, L=1.0) == Momentum(ref[0], 1.0)
+    assert dataclasses.astuple(m) == ref
+    for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert type(clone) is Momentum and clone == m and hash(clone) == hash(ref)
+        assert (clone.n, clone.L) == ref
+
+
+def test_momentum_coordinates_must_be_integers():
+    lat = LatticeSpec(2 * math.pi, 1)
+    for c in (2, 2.0, np.int64(2), np.float64(2.0), (2,), [2.0]):
+        n = lat.momentum(c).n
+        assert n == (2,) and type(n[0]) is int
+    assert LatticeSpec(2 * math.pi, 3).momentum(1, np.int32(-2), 0.0).n == (1, -2, 0)
+    for c, name in ((1.5, "1.5"), (-0.9, "-0.9"), (math.inf, "inf"), (math.nan, "nan"),
+                    (np.float64(0.5), "0.5"), ("2", "'2'")):
+        with pytest.raises(ValueError, match=f"momentum coordinate .*{name}.* is not an integer"):
+            lat.momentum(c)
+        with pytest.raises(ValueError, match="is not an integer"):
+            lat.momentum((c,))
 
 
 def test_lattice_spec_validation():
