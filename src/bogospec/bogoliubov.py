@@ -4,8 +4,10 @@ coefficients, ground-state energy and its infinite-volume density.
 Every formula is kept in a rationalized, cancellation-free form (the
 difference A - sqrt(A^2 - B^2) is never evaluated through a subtraction
 of nearly equal numbers unless that is the quantity under test), and
-lattice sums accumulate with math.fsum, which rounds the exact sum once,
-so results reproduce bit-for-bit whatever the order of the terms.
+lattice sums go shell by shell through model._fsum_repeated, which rounds
+the exact sum of each summand times its point count once, as math.fsum
+rounds the per-point sum, so results reproduce bit-for-bit whatever the
+order of the terms.
 Only the density quadrature uses numpy, and imports it where it runs.
 """
 
@@ -14,8 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .model import (
     LatticeSpec,
@@ -24,6 +25,7 @@ from .model import (
     Potential,
     SPHERE_AREA,
     TAU,
+    _fsum_repeated,
     as_radius,
     gaussian_integral_tail,
     gaussian_lattice_tail,
@@ -119,8 +121,10 @@ def bogoliubov_energy(
 
     The sum runs over all lattice points within a radius chosen so that
     the omitted tail, each summand being at most vhat(p)^2/|p|^2, is
-    below tail_tol.  The points are grouped by |n|^2 and each shell's
-    summands are evaluated once and repeated by its point count.
+    below tail_tol.  It follows model's one shell rule: the points are
+    grouped by |n|^2 = k, each shell's summands are evaluated once at
+    |p| = h sqrt(k), and `_energy_sums` weights them by the shell's point
+    count, the same floats as the fsum of the per-point terms.
     """
     # default honours tail_tol = 1e-10 * max(1, |e_bog|) >= 1e-10
     if tail_tol is None:
@@ -137,18 +141,8 @@ def bogoliubov_energy(
 
     radius = summation_radius(pot, h, tail, tail_tol)
     pts = lattice_points(lattice, radius, include_zero=False)
-    direct = []
-    rational = []
-    # every summand depends on |n|^2 = k only: evaluate it once per shell
-    for k, count in Counter(q.norm2_int for q in pts).items():
-        r = h * math.sqrt(k)
-        v = pot.vhat_radial(r)
-        e = _radial_dispersion(r, v)
-        a = r * r + v
-        direct.append(repeat(a - e, count))
-        rational.append(repeat(v * v / (a + e), count))
-    e_bog = -0.5 * math.fsum(chain.from_iterable(direct))
-    e_bog_alt = -0.5 * math.fsum(chain.from_iterable(rational))
+    shells = Counter(q.norm2_int for q in pts).items()
+    e_bog, e_bog_alt = _energy_sums([(h * math.sqrt(k), count) for k, count in shells], pot)
     v0 = pot.vhat_radial(0.0)
     density = 0.5 * v0 * (1.0 - 1.0 / lattice.volume) + e_bog / lattice.volume
     return EnergySummary(
@@ -156,17 +150,24 @@ def bogoliubov_energy(
     )
 
 
-def bogoliubov_energy_on_modes(modes: list[Momentum], pot: Potential) -> float:
-    """Bogoliubov energy restricted to an explicit (truncated) mode set."""
-    terms = []
-    for q in modes:
-        if q.is_zero:
-            continue
-        r = q.norm
+def _energy_sums(shells: Iterable[tuple[float, int]], pot: Potential) -> tuple[float, float]:
+    """-1/2 sum (A - e) and -1/2 sum B^2/(A + e) over shells (|p|, point
+    count), each summand evaluated once per shell and weighted exactly by
+    its count (`_fsum_repeated`): the fsum of the per-point terms."""
+    direct, rational = [], []
+    for r, count in shells:
         v = pot.vhat_radial(r)
         e = _radial_dispersion(r, v)
-        terms.append(v * v / (r * r + v + e))
-    return -0.5 * math.fsum(terms)
+        a = r * r + v
+        direct.append((a - e, count))
+        rational.append((v * v / (a + e), count))
+    return -0.5 * _fsum_repeated(direct), -0.5 * _fsum_repeated(rational)
+
+
+def bogoliubov_energy_on_modes(modes: list[Momentum], pot: Potential) -> float:
+    """Bogoliubov energy restricted to an explicit (truncated) mode set:
+    the rationalized sum of `_energy_sums` over the modes grouped by |p|."""
+    return _energy_sums(Counter(q.norm for q in modes if not q.is_zero).items(), pot)[1]
 
 
 @dataclass(frozen=True)

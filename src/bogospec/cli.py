@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -422,7 +423,10 @@ _nonnegative = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 _side = _checked(float, lambda v: 1.0 <= v < math.inf, "finite and >= 1")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The six-command parser, built once per process: main and
+    _parse_with_config parse with it, and parsing does not change it."""
     parser = _ArgumentParser(
         prog="bogospec",
         description="Bogoliubov spectra and truncated-Fock-space diagonalization "

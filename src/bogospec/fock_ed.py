@@ -6,8 +6,8 @@ and the excited-particle count optionally capped.  `build_basis` builds
 only the sectors asked for, by a walk over the excited modes that numpy
 runs one mode (level) at a time, pruned exactly by a reach table that
 gives, per mode and partial momentum, the fewest particles still needed
-to reach a requested sector; momenta there, and the transfer vectors of
-the move table, are single integers (model's MomentumCode).  Assembled
+to reach a requested sector; momenta there, and the pair momenta of the
+move table, are single integers (model's MomentumCode).  Assembled
 matrices are exact compressions P H P of the second-quantized operators
 to that basis, so operator inequalities survive as matrix inequalities
 per sector.
@@ -214,7 +214,7 @@ def build_basis(
     fit, is bisected by trial walks cut the same way.
     """
     keys = None if sectors is None else list(dict.fromkeys(tuple(map(int, s)) for s in sectors))
-    modes = cfg.modes()
+    modes = cfg._modes
     d = cfg.lattice.d
     zero = modes.index(cfg.lattice.zero)
     excited = [i for i in range(len(modes)) if i != zero]
@@ -401,7 +401,7 @@ class SectorMatrix:
         return out.reshape(x.shape)
 
 
-def _negation_index(modes: list[Momentum]) -> list[int]:
+def _negation_index(modes: Sequence[Momentum]) -> list[int]:
     """neg[i] is the index of the mode -modes[i]; the set must be symmetric."""
     index = {m.n: i for i, m in enumerate(modes)}
     return [index[tuple(-c for c in m.n)] for m in modes]
@@ -525,21 +525,25 @@ class _MoveTable:
 
 
 def _move_table(cfg: EDConfig) -> _MoveTable:
-    modes = cfg.modes()
+    """The configuration's `_MoveTable`, vectorised over its mode set.
+
+    vhat follows model's one shell rule: it is read once per distinct
+    transfer |k|^2, outward, at h sqrt(|k|^2), the float Momentum.norm
+    gives, so no Momentum is built per transfer vector.  vhat_error is
+    the error of the smallest |k| past a table that does not decay.
+    """
+    modes = cfg._modes
     nmode = len(modes)
     d = cfg.lattice.d
     mode_n = np.array([m.n for m in modes], dtype=np.int64).reshape(nmode, d)
-    # a sum or difference of two modes has coordinates in [-half, half]:
-    # one integer key per vector
-    key = MomentumCode(d, 2 * int(np.abs(mode_n).max()))
-
-    # vhat of every transfer mode b - mode a, evaluated once per distinct vector
+    # vhat of every transfer mode b - mode a, once per distinct |k|^2
     transfer = (mode_n[None, :, :] - mode_n[:, None, :]).reshape(-1, d)
-    _, first_seen, kindex = np.unique(key(transfer), return_index=True, return_inverse=True)
+    shells, kindex = np.unique((transfer * transfer).sum(axis=1), return_inverse=True)
+    h = cfg.lattice.spacing
     kvals, error = [], None
-    for kvec in transfer[first_seen].tolist():
+    for k in shells.tolist():
         try:
-            kvals.append(cfg.pot.vhat_radial(Momentum(tuple(kvec), cfg.lattice.L).norm))
+            kvals.append(cfg.pot.vhat_radial(h * math.sqrt(k)))
         except PotentialRangeError as exc:
             kvals.append(math.nan)
             error = error or exc
@@ -549,6 +553,8 @@ def _move_table(cfg: EDConfig) -> _MoveTable:
     # two pairs of one total momentum are equal or disjoint, so the moves
     # are the ordered (source, target) pairs of distinct pairs in a group
     first, second = np.triu_indices(nmode)  # pairs p <= q in (p, q) order
+    # a sum of two modes has coordinates in [-half, half]: one integer key per sum
+    key = MomentumCode(d, 2 * int(np.abs(mode_n).max()))
     _, group = np.unique(key(mode_n[first] + mode_n[second]), return_inverse=True)
     members = np.argsort(group, kind="stable")  # each group's pairs in (p, q) order
     group_size = np.bincount(group)
@@ -648,7 +654,7 @@ def assemble_hamiltonian(
     decay raises PotentialRangeError, only in a sector that needs it.
     """
     key, states = sector_basis(cfg, sector, basis)
-    rows, cols, vals = _hamiltonian_entries(cfg, _Occupations(states, len(cfg.modes())))
+    rows, cols, vals = _hamiltonian_entries(cfg, _Occupations(states, len(cfg._modes)))
     return SectorMatrix(key, states, *_csr(rows, cols, vals, len(states)), "H")
 
 
@@ -692,7 +698,7 @@ def _hamiltonian_entries(
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
     """(rows, cols, values) of `assemble_hamiltonian`'s entries: the
     diagonal first, then the moves of each slice."""
-    modes = cfg.modes()
+    modes = cfg._modes
     nmode = len(modes)
     occ = basis_occ.occ
     n = len(occ)
@@ -789,7 +795,7 @@ def assemble_estimating(
     if sign < 0 and eps > 1.0:
         raise ValueError("lower estimate requires 0 < eps <= 1")
     key, states = sector_basis(cfg, sector, basis)
-    modes = cfg.modes()
+    modes = cfg._modes
     nmode = len(modes)
     basis_occ = _Occupations(states, nmode)
     zero_idx = modes.index(cfg.lattice.zero)
@@ -839,7 +845,7 @@ def assemble_kinetic(
 ) -> SectorMatrix:
     """Kinetic energy sum_p |p|^2 n_p (diagonal)."""
     key, states = sector_basis(cfg, sector, basis)
-    modes = cfg.modes()
+    modes = cfg._modes
     diag = _Occupations(states, len(modes)).fsum(np.array([m.norm2 for m in modes]))
     idx = np.arange(len(states))
     return SectorMatrix(key, states, *_csr([idx], [idx], [diag], len(states)), "T")
@@ -850,7 +856,7 @@ def assemble_excited_count(
 ) -> SectorMatrix:
     """Excited-particle number N^> (diagonal)."""
     key, states = sector_basis(cfg, sector, basis)
-    modes = cfg.modes()
+    modes = cfg._modes
     n0 = _Occupations(states, len(modes)).occ[:, modes.index(cfg.lattice.zero)]
     diag = (cfg.n_particles - n0).astype(np.float64)
     idx = np.arange(len(states))

@@ -6,8 +6,11 @@ level.  A momentum of bounded coordinates can also be carried as one
 integer (MomentumCode): the excitation search and the ED basis walk add
 momenta by integer additions.  One rule, ball_norm2, decides which
 points every window, mode radius and lattice sum holds; a walk over the
-ball, never the enclosing cube, finds them, and a radial sum is taken
-once per shell |n|^2 = k with the shell's exact integer point count.  Potentials enter only
+ball, never the enclosing cube, finds them.  One shell rule holds for
+every radial sum and scan (periodized_value at x = 0, bogoliubov's
+energy sums, the ED move table's vhat, validate_potential): each shell
+|n|^2 = k is evaluated once, at |p| = h * sqrt(k), and weighted by its
+exact integer point count (_fsum_repeated).  Potentials enter only
 through their radial Fourier transform vhat >= 0; real-space values are
 recovered by periodized lattice sums with rigorously bounded Gaussian tails.
 
@@ -574,7 +577,14 @@ class ValidationResult:
 def validate_potential(
     pot: Potential, lattice: LatticeSpec, radius: float
 ) -> ValidationResult:
-    """Check vhat >= 0 on lattice points within radius and v(0) >= 0."""
+    """Check vhat >= 0 on lattice points within radius and v(0) >= 0.
+
+    The scan follows the one shell rule: vhat is read once per shell of
+    lattice_shells, outward, and stops at the first shell a table that
+    does not decay leaves uncovered, with a "scan truncated" warning.
+    Only a negative shell lists lattice_points; its points are the
+    violations, in lattice order.
+    """
     if radius < 0.0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     violations: list[tuple[object, float]] = []
@@ -586,14 +596,21 @@ def validate_potential(
         warnings.append(
             "tabulated potential does not decay to zero; tail bounds unavailable"
         )
-    for p in lattice_points(lattice, radius, include_zero=True):
+    h = lattice.spacing
+    negative: dict[int, float] = {}  # vhat < 0 on the shell |n|^2 = k
+    for k, _ in lattice_shells(lattice, radius):
+        r = h * math.sqrt(k)
         try:
-            v = pot.vhat_radial(p.norm)
+            v = pot.vhat_radial(r)
         except PotentialRangeError:
-            warnings.append(f"table does not cover |p| = {p.norm:.6g}; scan truncated")
+            warnings.append(f"table does not cover |p| = {r:.6g}; scan truncated")
             break
         if v < 0.0:
-            violations.append((p, v))
+            negative[k] = v
+    if negative:
+        violations += [(p, negative[p.norm2_int])
+                       for p in lattice_points(lattice, radius, include_zero=True)
+                       if p.norm2_int in negative]
     try:
         v0 = periodized_value(pot, lattice, (0.0,) * lattice.d)
         if v0 < 0.0:

@@ -1,6 +1,8 @@
 """Dispersion, transformation coefficients, energy sums, density limit."""
 
 import math
+import random
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -26,6 +28,7 @@ from bogospec.model import (
     TailBoundError,
     ball_norm2,
     gaussian_lattice_tail,
+    lattice_points,
     lattice_shells,
     summation_radius,
 )
@@ -240,6 +243,35 @@ def test_bogoliubov_energy_on_modes_matches_restriction():
         e = dispersion(p, V1)
         direct += -(a - e)  # both members of the +/- pair
     assert val == pytest.approx(direct, rel=1e-12)
+
+
+MODE_CASES = [
+    (d, L, radius, amplitude, width)
+    for d, L, radius in ((1, 41.8879020479, 3.0), (2, 7.3, 3.5), (3, 6.28318530718, 2.5))
+    for amplitude, width in ((0.1, 5.0), (7.5, 2.0))
+]
+
+
+@pytest.mark.parametrize("d, L, radius, amplitude, width", MODE_CASES)
+def test_bogoliubov_energy_on_modes_is_the_per_mode_sum_bit_for_bit(d, L, radius, amplitude,
+                                                                     width):
+    # mode sets whose largest shells hold 2, 8 and 24 modes, listed in
+    # lattice order and shuffled, against one term per mode summed by one math.fsum
+    lat, pot = LatticeSpec(L, d), Potential.gaussian(amplitude, width, d)
+    modes = lattice_points(lat, radius, include_zero=True)
+    assert max(Counter(m.norm2_int for m in modes).values()) == (2, 8, 24)[d - 1]
+    terms = []
+    for q in modes:
+        if q.is_zero:
+            continue
+        r = q.norm
+        v = pot.vhat_radial(r)
+        e = r * math.sqrt(r * r + 2.0 * v)
+        terms.append(v * v / (r * r + v + e))
+    expected = -0.5 * math.fsum(terms)
+    assert bogoliubov_energy_on_modes(modes, pot) == expected
+    random.Random(d).shuffle(modes)
+    assert bogoliubov_energy_on_modes(modes, pot) == expected
 
 
 def test_bogoliubov_energy_on_modes_past_a_tables_last_sample():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import bogospec
-from bogospec import fock_ed, verify
+from bogospec import cli, fock_ed, verify
 from bogospec.cli import ROWS_PER_WRITE, main, parse_sectors, parse_vhat
 from bogospec.excitations import SpectrumTable, damping_scan, enumerate_below
 from bogospec.model import TAU, LatticeSpec, Potential
@@ -445,6 +445,31 @@ def test_header_config_reproduces_csv(tmp_path, capsys):
     assert main(in_2d + ["--vhat", "table:0,0.3;1.5,-0.2;2.5,0"]) == 0
 
 
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    # two main calls, the second re-parsing through --config, build one
+    # top-level parser, and the config still reproduces the CSV
+    built = []
+
+    class Counting(cli._ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.prog == "bogospec":
+                built.append(self)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli, "_ArgumentParser", Counting)
+    first, again, cfg = tmp_path / "first.csv", tmp_path / "again.csv", tmp_path / "cfg.json"
+    try:
+        assert main(["ed", "--vhat", "gaussian:0.1:5", "--N", "4", "--mode-radius", "2",
+                     "--sectors", "0;1", "--count", "2", "--out", str(first)]) == 0
+        cfg.write_text(first.read_text().splitlines()[2][len("# config: "):])
+        assert main(["ed", "--config", str(cfg), "--out", str(again)]) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
+    assert again.read_bytes() == first.read_bytes()
+
+
 def test_ed_repeated_sector_solved_and_listed_once(tmp_path):
     # the header lists the sectors solved, so a repeat changes no byte
     base = ["ed", "--vhat", "gaussian:0.1:5", "--N", "4", "--mode-radius", "2", "--count", "1"]
@@ -615,7 +640,7 @@ ED_4 = ["ed", "--vhat", "gaussian:0.1:5", "--N", "4", "--mode-radius", "2"]
      "argument --N: must be >= 1, got 0"),
     (["energy", "--vhat", "gaussian:1e200:5"], "--vhat: tail bound did not converge"),
     (["ed", "--vhat", "table:0,0.3;1,0.2", "--N", "4", "--mode-radius", "2"],
-     "--vhat: |p| = 4.0 outside table range [0.0, 1.0]"),
+     "--vhat: |p| = 2.0 outside table range [0.0, 1.0]"),
     (["figure", "--vhat", "gaussian:0.1:5", "--kappa", "1e9", "--window", "0.5"],
      "enumeration below kappa 1e+09 exceeds the cap of 2,500,000 multisets; lower kappa"),
     (["enumerate", "--vhat", "gaussian:0.1:5", "--dim", "3", "--L", "10", "--kappa", "1e4",

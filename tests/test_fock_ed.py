@@ -603,6 +603,26 @@ def test_a_transfer_past_a_table_raises_only_in_a_sector_that_needs_it():
         assemble_hamiltonian(cfg, (0,))
 
 
+def test_move_table_reads_vhat_once_per_transfer_shell(monkeypatch):
+    # 2D modes of radius 2: 69 distinct transfer vectors on 13 shells |k|^2,
+    # read outward at h sqrt(|k|^2), which differs from sqrt(h^2 |k|^2) at
+    # |k|^2 = 2 and 8 for this L
+    cfg = EDConfig(4, LatticeSpec(7.1, 2), Potential.gaussian(0.1, 5.0, 2), mode_radius=2.0)
+    n = [m.n for m in cfg.modes()]
+    transfers = {tuple(b - a for a, b in zip(p, q)) for p in n for q in n}
+    shells = sorted({sum(c * c for c in k) for k in transfers})
+    assert (len(transfers), len(shells)) == (69, 13)
+    radii, vhat_radial = [], Potential.vhat_radial
+
+    def recorded(pot, r):
+        radii.append(r)
+        return vhat_radial(pot, r)
+
+    monkeypatch.setattr(Potential, "vhat_radial", recorded)
+    fock_ed._move_table(cfg)
+    assert radii == [cfg.lattice.spacing * math.sqrt(k) for k in shells]
+
+
 def test_two_word_cases_take_two_key_words():
     for cfg, sector in TWO_WORD_CASES:
         states = build_basis(cfg, [sector])[sector]

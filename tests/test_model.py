@@ -439,6 +439,35 @@ def test_validate_flags_negative_sample():
     assert bad_v < 0.0
 
 
+@pytest.mark.parametrize("d, first_uncovered, negative", [
+    (1, "3", [(-1,), (1,)]),
+    (2, "2.23607", [(-1, 0), (0, -1), (0, 1), (1, 0)]),
+])
+def test_validate_scans_shells_outward_to_the_end_of_a_table(d, first_uncovered, negative):
+    # the table covers |p| <= 2 and does not decay: the scan checks every
+    # shell it covers, vhat(1) = -0.2 among them, and stops at the first
+    # it does not; no tail bound gives v(0)
+    lat = LatticeSpec(2 * math.pi, d)
+    pot = Potential.table([(0.0, 1.0), (1.0, -0.2), (2.0, 0.3)], dimension=d)
+    res = validate_potential(pot, lat, 3.0)
+    assert not res.ok
+    assert res.violations == [(lat.momentum(n), -0.2) for n in negative]
+    assert res.warnings == [
+        "tabulated potential does not decay to zero; tail bounds unavailable",
+        f"table does not cover |p| = {first_uncovered}; scan truncated",
+        "real-space check at x = 0 skipped: tail unboundable",
+    ]
+
+
+def test_validate_flags_a_negative_value_at_the_origin():
+    # vhat(0) = -1 and 0 from |p| = 1 on: v(0) = -1/L
+    lat = LatticeSpec(2 * math.pi, 1)
+    pot = Potential.table([(0.0, -1.0), (1.0, 0.0)])
+    res = validate_potential(pot, lat, 2.0)
+    assert not res.ok and res.warnings == []
+    assert res.violations == [(lat.zero, -1.0), ("v(0)", -1.0 / lat.L)]
+
+
 def test_validate_radius_zero_vacuous():
     lat = LatticeSpec(2 * math.pi, 1)
     res = validate_potential(V1, lat, 0.0)
