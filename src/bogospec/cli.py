@@ -13,7 +13,9 @@ commas: none needs quoting, being an integer, a float's repr, a fixed
 token or one of `enumerate`'s constituent labels (digits, spaces, minus
 signs and semicolons).  `enumerate` and `figure` write their lines
 straight from the search's ranked entries (`SpectrumTable.entries`),
-formatting each distinct energy's text once per call; `dispersion`
+formatting each distinct energy's text once per call; `enumerate` writes
+each entry's constituents text as the search formed it, and `figure`
+skips that field and the index code beside it; `dispersion`
 formats each shell |n|^2 = k once per call, its fields depending on k
 alone.  Every command lists sectors in (|n|^2, n) order.
 
@@ -223,15 +225,14 @@ def cmd_energy(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     lattice, pot, cfg = _setup(args, kappa=args.kappa, window=args.window)
     table = enumerate_below(lattice, pot, args.kappa, args.window)
-    # one constituent label per candidate index, one text per distinct energy
-    label = [" ".join(map(str, m.n)) for m in table.candidates].__getitem__
+    # one text per distinct energy; the search formed each constituents field
     text = _Reprs()
 
     def lines() -> Iterator[str]:
         for key in sector_order(table.entries):
             head = "".join(f"{c}," for c in key)
-            for rank, (energy, n_quasi, enc) in enumerate(table.entries[key], 1):
-                yield f"{head}{rank},{text[energy]},{n_quasi},{';'.join(map(label, enc))}\n"
+            for rank, (energy, n_quasi, _, constituents) in enumerate(table.entries[key], 1):
+                yield f"{head}{rank},{text[energy]},{n_quasi},{constituents}\n"
 
     cols = [f"n{i + 1}" for i in range(args.dim)] + ["j", "energy", "n_quasi", "constituents"]
     _emit(args.out, "enumerate", cfg, cols, lines())
@@ -259,7 +260,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         # the class sets the figure's marker: dot, triangle or square
         for key in sector_order(table.entries):
             head = "".join(f"{c}," for c in key) + "".join(f"{h * c!r}," for c in key)
-            for energy, n_quasi, _ in table.entries[key]:
+            for energy, n_quasi, _, _ in table.entries[key]:
                 cls = "1qp" if n_quasi == 1 else "2qp" if n_quasi == 2 else "3qp+"
                 yield f"{head}{text[energy]},{n_quasi},{cls}\n"
 

@@ -6,22 +6,25 @@ over canonically ordered constituent sequences (each extension appends a
 momentum that is lexicographically >= the last one), so every multiset is
 generated exactly once; each sector is then sorted once on (energy,
 number of quasiparticles, constituent encoding).  The search carries a
-multiset as a tuple of indices into the candidate list, which is sorted
-by coordinates, so index order is the encoding's order and the sort and
-every rank come out as they would on the coordinate tuples.  It carries
-a total momentum as one integer (model's `MomentumCode`), so a step adds
-one integer, and looks each distinct total up once, for its window
-verdict and its sector; each kept total is decoded to its coordinates
-once, at the end.
+multiset as two strings.  Its code spells the indices into the candidate
+list, which is sorted by coordinates, as code points (index i is chr(i)):
+strings compare by code point as index tuples compare, and index order is
+the coordinates' order, so the sort and every rank come out as they would
+on the coordinate tuples.  Its text is the CSV constituents field, each
+constituent's coordinates joined by spaces and the constituents by ";",
+formed by one concatenation from its parent's.  It carries a total
+momentum as one integer (model's `MomentumCode`), so a step adds one
+integer, and looks each distinct total up once, for its window verdict
+and its sector; each kept total is decoded to its coordinates once, at
+the end.
 
 A multiset is recorded where it is formed, as a child of the node being
 extended.  A child whose energy plus the lowest candidate energy from
 its last index on already exceeds kappa is a leaf: float addition is
 monotone, so none of its extensions could stay below kappa, and it is
-never pushed.  The table keeps the sorted index-coded entries; its
-records are NamedTuples, built on first read of `sectors`.  Every window
-test here is model's ball test (`ball_norm2`), as in the CLI's other
-listings.
+never pushed.  The table keeps the sorted entries; its records are
+NamedTuples, built on first read of `sectors`.  Every window test here
+is model's ball test (`ball_norm2`), as in the CLI's other listings.
 
 Completeness below the cutoff kappa is certified by dispersion(k) >= |k|^2:
 each constituent satisfies dispersion(k) <= kappa, hence |k| <= sqrt(kappa),
@@ -33,9 +36,13 @@ or not, a leaf's extensions included although it skips forming them:
 the candidates are the 1-multisets.  A pushed multiset is charged when
 it is popped, a leaf when it is formed; the total, and so whether it
 passes the cap, does not depend on when.  Past MAX_MULTISETS formed it
-raises EnumerationBudgetError, and before listing the candidates when
-the cube [-m, m]^d around their ball already holds more points, or when
-a candidate of zero energy would repeat without end.  Counting what is
+raises EnumerationBudgetError.  It raises before listing the candidates
+when the cube [-m, m]^d around their ball already holds more points,
+and before searching when a candidate of zero energy would repeat
+without end, or when the n candidates alone charge more: the empty
+multiset forms all n, and candidate i is charged n - i, so n + n(n+1)/2
+is a floor of the charge.  That refuses only what the search would
+refuse, and keeps every index below chr's limit.  Counting what is
 formed, not only what is kept, bounds the time: a kappa of 1e9 keeps
 few of the multisets it forms.
 """
@@ -44,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -101,9 +109,14 @@ class SpectrumTable:
 
     Sector keys are integer coordinate tuples; a missing key inside the
     window means no excitation of that momentum exists below kappa.
-    entries holds each sector's (energy, n_quasi, candidate indices) in
-    rank order, the indices into candidates; sectors holds the same
-    excitations as ExcitationRecords, built the first time it is read.
+    entries holds each sector's (energy, n_quasi, code, text) in rank
+    order.  code spells the constituents' indices into candidates as code
+    points, in candidate order (index i is chr(i), so
+    `tuple(map(ord, code))` gives the indices), and ties in energy and
+    n_quasi rank by it; text is the constituents' CSV field, each one's
+    coordinates joined by spaces and the constituents by ";".  sectors
+    holds the same excitations as ExcitationRecords, built the first time
+    it is read.
     The keys of both come in the order the search first reached each
     total, which is no order to rely on: a listing takes `sector_order`,
     a lookup `.get`.
@@ -114,7 +127,7 @@ class SpectrumTable:
     kappa: float
     window: float
     candidates: tuple[Momentum, ...]
-    entries: dict[tuple[int, ...], list[tuple[float, int, tuple[int, ...]]]]
+    entries: dict[tuple[int, ...], list[tuple[float, int, str, str]]]
 
     @cached_property
     def sectors(self) -> dict[tuple[int, ...], list[ExcitationRecord]]:
@@ -122,8 +135,8 @@ class SpectrumTable:
         moms, make, L = self.candidates, ExcitationRecord._make, self.lattice.L
         return {
             total: [
-                make((p, energy, tuple(map(moms.__getitem__, enc)), rank, cnt))
-                for rank, (energy, cnt, enc) in enumerate(entries, 1)
+                make((p, energy, tuple(moms[ord(c)] for c in code), rank, cnt))
+                for rank, (energy, cnt, code, _) in enumerate(entries, 1)
             ]
             for total, entries in self.entries.items()
             for p in [Momentum(total, L)]
@@ -138,6 +151,13 @@ class SpectrumTable:
         return self.sectors.get(key, [])
 
 
+def _reject_repeated(modes: list[Momentum]) -> None:
+    """A mode listed twice would count each multiset of it more than once."""
+    repeated = sorted(n for n, c in Counter(m.n for m in modes).items() if c > 1)
+    if repeated:
+        raise ValueError("modes list " + ", ".join(map(str, repeated)) + " more than once")
+
+
 def _candidates(
     lattice: LatticeSpec,
     pot: Potential,
@@ -150,6 +170,8 @@ def _candidates(
         if cube_exceeds(lattice, radius, MAX_MULTISETS):
             raise EnumerationBudgetError(kappa)
         modes = lattice_points(lattice, radius, include_zero=False)
+    else:
+        _reject_repeated(modes)
     out = []
     for m in sorted(modes, key=lambda q: q.n):
         if m.is_zero:
@@ -172,16 +194,22 @@ def enumerate_below(
     Constituents may lie outside the momentum window; only the total
     momentum is filtered, at emission.  Ties in energy are ranked by
     (number of quasiparticles, lexicographic constituent encoding).
+    kappa and the window must be >= 0 (not NaN; an infinite window is
+    valid), and given modes distinct: a repeated one raises ValueError.
     """
-    if kappa < 0.0:
+    if not kappa >= 0.0:  # NaN too
         raise ValueError(f"kappa must be >= 0, got {kappa}")
-    if momentum_window < 0.0:
+    if not momentum_window >= 0.0:
         raise ValueError(f"momentum window must be >= 0, got {momentum_window}")
     cand = _candidates(lattice, pot, kappa, modes)
     n = len(cand)
     energies = [e for _, e in cand]
     e_min = min(energies, default=math.inf)
     if e_min == 0.0:  # repeats of that candidate stay below kappa without end
+        raise EnumerationBudgetError(kappa)
+    # the root forms every candidate, and candidate i is charged n - i: a
+    # floor of the search's own charge, which also keeps chr(i) in range
+    if n + n * (n + 1) // 2 > MAX_MULTISETS:
         raise EnumerationBudgetError(kappa)
     # a multiset below kappa has at most kappa / e_min constituents (the
     # budget stops the search before one has MAX_MULTISETS), each with
@@ -191,19 +219,25 @@ def enumerate_below(
     code = MomentumCode(lattice.d, size * m)
     steps = [code.step(nv) for nv, _ in cand]
     moms = tuple(Momentum(nv, lattice.L) for nv, _ in cand)
+    chars = [chr(i) for i in range(n)]
+    # a constituent's CSV label; a child of the root takes it bare, any other
+    # child after its parent's text and a ";"
+    labels = [" ".join(map(str, nv)) for nv, _ in cand]
+    tails = [";" + s for s in labels]
     del cand  # the search's stack reuses the pairs' memory
     # floor[i]: the lowest candidate energy from index i on (inf past the end)
     floor = list(itertools.accumulate(reversed(energies), min, initial=math.inf))
     floor.reverse()
     win2 = ball_norm2(lattice, momentum_window)
-    entries: dict[tuple[int, ...], list[tuple[float, int, tuple[int, ...]]]] = {}
+    entries: dict[tuple[int, ...], list[tuple[float, int, str, str]]] = {}
     # each coded total reached: its sector's list in entries, or None outside the window
-    found: dict[int, list[tuple[float, int, tuple[int, ...]]] | None] = {}
-    # stack entries: (energy, candidate indices, coded total, next candidate index)
-    stack = [(0.0, (), code.origin, 0)]
+    found: dict[int, list[tuple[float, int, str, str]] | None] = {}
+    # stack entries: (energy, index code, text, coded total, next candidate
+    # index, the labels its children append)
+    stack = [(0.0, "", "", code.origin, 0, labels)]
     tried = 0
     while stack:
-        energy, enc, total, start = stack.pop()
+        energy, enc, text, total, start, after = stack.pop()
         tried += n - start
         if tried > MAX_MULTISETS:
             raise EnumerationBudgetError(kappa)
@@ -211,7 +245,8 @@ def enumerate_below(
             ne = energy + energies[i]
             if ne > kappa:
                 continue
-            child, t = enc + (i,), total + steps[i]
+            child, t = enc + chars[i], total + steps[i]
+            child_text = text + after[i]
             try:
                 sector = found[t]
             except KeyError:
@@ -220,13 +255,13 @@ def enumerate_below(
                     sector = entries[nv] = []
                 found[t] = sector
             if sector is not None:
-                sector.append((ne, len(child), child))
+                sector.append((ne, len(child), child, child_text))
             # float addition is monotone: no extension of a leaf stays below
             # kappa, so its extensions are charged here and never formed
             if ne + floor[i] > kappa:
                 tried += n - i
             else:
-                stack.append((ne, child, t, i))
+                stack.append((ne, child, child_text, t, i, tails))
     if tried > MAX_MULTISETS:  # the last leaves' charges
         raise EnumerationBudgetError(kappa)
     for sector in entries.values():
@@ -296,10 +331,13 @@ def oracle_enumerate(
     exactly like the main search.  Energies are summed left to right, as
     there, so near-ties rank alike.  Guarded to small instances:
     constituent shells |n| <= 5, multiset size <= 8 and at most 10^6
-    multisets tried.
+    multisets tried.  Refuses a NaN kappa and repeated modes, as the
+    search does.
     """
-    if kappa < 0.0:
+    if not kappa >= 0.0:  # NaN too
         raise ValueError(f"kappa must be >= 0, got {kappa}")
+    if modes is not None:
+        _reject_repeated(modes)
     pts = lattice_points(lattice, math.sqrt(kappa)) if modes is None else modes
     cand = sorted((m.n, dispersion(m, pot)) for m in pts if not m.is_zero)
     cand = [(nv, e) for nv, e in cand if e <= kappa]

@@ -19,7 +19,7 @@ from bogospec.excitations import (
 )
 from bogospec.bogoliubov import dispersion
 from bogospec.cli import main
-from bogospec.model import LatticeSpec, Potential
+from bogospec.model import LatticeSpec, MomentumCode, Potential
 
 LAT = LatticeSpec(2 * math.pi, 1)
 ZERO = Potential.zero(1)
@@ -77,6 +77,30 @@ def test_kappa_zero_empty():
 def test_negative_kappa_rejected():
     with pytest.raises(ValueError):
         enumerate_below(LAT, V1, -1.0, momentum_window=1.0)
+
+
+def test_nan_kappa_and_window_rejected():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="kappa must be >= 0, got nan"):
+        enumerate_below(LAT, V1, nan, 1.0)
+    with pytest.raises(ValueError, match="momentum window must be >= 0, got nan"):
+        enumerate_below(LAT, V1, 1.0, nan)
+    with pytest.raises(ValueError, match="kappa must be >= 0, got nan"):
+        oracle_enumerate(LAT, V1, nan, (1,))
+    # an infinite window keeps every sector the search reaches
+    assert enumerate_below(LAT, ZERO, 7.5, math.inf).entries == \
+        enumerate_below(LAT, ZERO, 7.5, 100.0).entries
+
+
+def test_repeated_modes_rejected():
+    # listed twice, p = 1 would count as two 1-quasiparticle records in (1,)
+    p1, m1 = LAT.momentum(1), LAT.momentum(-1)
+    with pytest.raises(ValueError, match=r"modes list \(1,\) more than once"):
+        enumerate_below(LAT, ZERO, 4.0, 2.0, modes=[p1, m1, p1])
+    with pytest.raises(ValueError, match=r"modes list \(1,\) more than once"):
+        oracle_enumerate(LAT, ZERO, 4.0, (1,), modes=[p1, m1, p1])
+    assert _multisets(enumerate_below(LAT, ZERO, 4.0, 2.0, modes=[p1, m1]), (1,)) == \
+        [((1,),), ((-1,), (1,), (1,))]
 
 
 def test_kth_excitation_semantics():
@@ -140,12 +164,36 @@ def test_records_are_built_once_from_the_ranked_entries():
         entries = table.entries[key]
         assert entries == sorted(entries)
         assert [r.rank for r in recs] == list(range(1, len(recs) + 1))
-        for r, (energy, n_quasi, enc) in zip(recs, entries, strict=True):
+        for r, (energy, n_quasi, code, text) in zip(recs, entries, strict=True):
+            enc = tuple(map(ord, code))
             assert (r.total_momentum.n, r.energy, r.n_quasi) == (key, energy, n_quasi)
             assert r.constituents == tuple(table.candidates[i] for i in enc)
             assert all(m is table.candidates[i] for m, i in zip(r.constituents, enc))
+            assert enc == tuple(table.candidates.index(m) for m in r.constituents)
+            assert text == ";".join(" ".join(map(str, m.n)) for m in r.constituents)
     with pytest.raises(TypeError):
         excitations.SpectrumTable(table.lattice, table.pot, 3.0, 2.0, sectors=sectors)
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "3d", "modes", "free-ties"])
+def test_entry_text_is_the_join_of_its_constituents(case):
+    lat2, lat3 = LatticeSpec(12.0, 2), LatticeSpec(8.0, 3)
+    table = {
+        "1d": lambda: enumerate_below(LAT_1D_SPECTRUM, V1, 1.2, 3.0),
+        "2d": lambda: enumerate_below(lat2, Potential.gaussian(0.1, 5.0, 2), 3.0, 2.0),
+        "3d": lambda: enumerate_below(lat3, Potential.gaussian(0.1, 5.0, 3), 4.0, 1.5),
+        "modes": lambda: enumerate_below(
+            lat2, Potential.gaussian(0.1, 5.0, 2), 6.0, 3.0,
+            modes=[lat2.momentum(n) for n in [(2, -1), (0, 1), (-1, 0), (1, 1), (0, -1)]],
+        ),
+        "free-ties": lambda: enumerate_below(LAT, ZERO, 7.5, 3.0),
+    }[case]()
+    rows = 0
+    for key, recs in table.sectors.items():
+        for r, (_, _, _, text) in zip(recs, table.entries[key], strict=True):
+            assert text == ";".join(" ".join(map(str, m.n)) for m in r.constituents)
+            rows += 1
+    assert rows > 20 and any(r.n_quasi >= 3 for recs in table.sectors.values() for r in recs)
 
 
 def test_canonicality_no_duplicate_multisets():
@@ -323,6 +371,39 @@ def test_budget_count_is_exact_with_leaf_pruning(monkeypatch):
     monkeypatch.setattr(excitations, "MAX_MULTISETS", formed - 1)
     with pytest.raises(EnumerationBudgetError):
         enumerate_below(LAT, ZERO, 5.5, 2.0)
+
+
+def test_budget_refuses_up_front_where_the_candidates_alone_pass_the_cap(monkeypatch):
+    # the empty multiset forms all n candidates and candidate i is charged
+    # n - i: n + n(n+1)/2 is a floor of the search's charge, refused before
+    # the search builds its momentum code
+    codes = []
+
+    def counting_code(*args):
+        codes.append(args)
+        return MomentumCode(*args)
+
+    monkeypatch.setattr(excitations, "MomentumCode", counting_code)
+    lat2 = LatticeSpec(2 * math.pi, 2)
+    # the first two charge exactly the floor (every candidate is a leaf);
+    # kappa 2 on LAT forms {-1,-1}, {-1,1} and {1,1} too, 9 against a floor of 5
+    for lat, pot, kappa, n, charge in [(LAT, ZERO, 1.5, 2, 5),
+                                       (lat2, Potential.zero(2), 1.5, 4, 14),
+                                       (LAT, ZERO, 2.0, 2, 9)]:
+        floor = n + n * (n + 1) // 2
+        monkeypatch.setattr(excitations, "MAX_MULTISETS", charge)
+        enumerate_below(lat, pot, kappa, 2.0)
+        assert len(codes) == 1
+        for cap in range(floor, charge):  # the search's own refusal
+            monkeypatch.setattr(excitations, "MAX_MULTISETS", cap)
+            with pytest.raises(EnumerationBudgetError):
+                enumerate_below(lat, pot, kappa, 2.0)
+        assert len(codes) == 1 + charge - floor
+        monkeypatch.setattr(excitations, "MAX_MULTISETS", floor - 1)
+        with pytest.raises(EnumerationBudgetError, match=f"cap of {floor - 1} multisets"):
+            enumerate_below(lat, pot, kappa, 2.0)
+        assert len(codes) == 1 + charge - floor
+        codes.clear()
 
 
 def test_budget_checks_candidates_before_allocating(monkeypatch):
