@@ -10,7 +10,10 @@ to reach a requested sector; momenta there, and the pair momenta of the
 move table, are single integers (model's MomentumCode).  Assembled
 matrices are exact compressions P H P of the second-quantized operators
 to that basis, so operator inequalities survive as matrix inequalities
-per sector.
+per sector.  The cube's signed coordinate permutations leave the mode
+set, the cap, |p|^2 and the radial vhat unchanged, so sectors k and g.k
+share a spectrum, and `many_body_excitations` solves one sector per
+orbit of its keys.
 
 Every operator, number-conserving or not, is assembled on one
 representation of its basis: the (n_states, n_modes) occupation array
@@ -1089,7 +1092,8 @@ def _orthonormal_extension(basis: np.ndarray, extra: np.ndarray) -> np.ndarray:
 @dataclass
 class EDResult:
     """Low spectrum per sector of one configuration: raw eigenvalues and
-    gaps over the ground state, keyed by sector in the order solved."""
+    gaps over the ground state, keyed by sector in request order, the zero
+    sector first when it was not requested."""
 
     cfg: EDConfig
     e_ground: float
@@ -1107,12 +1111,20 @@ def many_body_excitations(
 ) -> EDResult:
     """Diagonalize the requested sectors and report excitation gaps.
 
-    Each sector is solved once, in request order; the zero sector, which
-    hosts the ground state, is solved first when it is not requested.  A
-    ground state found elsewhere signals a truncation artifact.  For the
-    zero sector the ground state itself is skipped and subsequent gaps
-    are reported.  Each sector reports a cluster that straddles its count
-    whole, so it may hold more values than asked for (`lowest_eigenvalues`).
+    The keys keep request order, the zero sector, which hosts the ground
+    state, put first when it is not requested.  A ground state found
+    elsewhere signals a truncation artifact.  For the zero sector the
+    ground state itself is skipped and subsequent gaps are reported.  Each
+    sector reports a cluster that straddles its count whole, so it may
+    hold more values than asked for (`lowest_eigenvalues`).
+
+    One sector is solved per orbit of keys under the signed coordinate
+    permutations g of the cube: the mode ball, |p|^2, the cap and the
+    radial vhat are unchanged by g (a LatticeSpec has one side L, a
+    Potential is radial), so sector g.k has the spectrum of sector k.  An
+    orbit is named by its sorted absolute coordinates; its first
+    requested member is built and solved, and every member reports that
+    solve's values and residuals, each in its own array copy.
     """
     _require_tol(tol)
     if count < 1:
@@ -1121,21 +1133,21 @@ def many_body_excitations(
     zero = (0,) * cfg.lattice.d
     if zero not in keys:
         keys.insert(0, zero)
-    basis_map = build_basis(cfg, keys)
-    missing = [k for k in keys if not basis_map[k]]
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+    solved = {k: first.setdefault(tuple(sorted(map(abs, k))), k) for k in keys}
+    basis_map = build_basis(cfg, first.values())
+    missing = [k for k in keys if not basis_map[solved[k]]]
     if missing:
         raise ValueError(f"no basis states in sectors {missing}")
 
-    values: dict[tuple[int, ...], np.ndarray] = {}
-    residuals: dict[tuple[int, ...], np.ndarray] = {}
-    for key in keys:
-        basis = basis_map[key]
+    spectra: dict[tuple[int, ...], EigenResult] = {}
+    for key, basis in basis_map.items():
         want = count + 1 if key == zero else count
         want = min(want, len(basis))
         mat = assemble_hamiltonian(cfg, key, basis)
-        res = lowest_eigenvalues(mat, want, tol=tol, seed=seed)
-        values[key] = res.values
-        residuals[key] = res.residuals
+        spectra[key] = lowest_eigenvalues(mat, want, tol=tol, seed=seed)
+    values = {k: spectra[s].values.copy() for k, s in solved.items()}
+    residuals = {k: spectra[s].residuals.copy() for k, s in solved.items()}
     scale = max(float(np.max(np.abs(v))) for v in values.values())
     guard = tol * max(1.0, scale)
     e_ground = values[zero][0]

@@ -904,6 +904,38 @@ def test_ed_output_of_the_pinned_davidson_case_matches_dense(tmp_path, capsys):
         assert np.all(got[:, 1] <= bound)
 
 
+def test_ed_solves_the_first_requested_member_of_an_orbit(tmp_path, capsys):
+    # "-1;1" solves sector -1 by Davidson, and sector 1 reports its rows:
+    # byte for byte those of a run that asks for -1 alone
+    base = _golden_ed_args(["--N", "32", "--mode-radius", "4", "--max-excited", "8"])
+    bodies = {}
+    for sectors in ("-1;1", "-1"):
+        out = tmp_path / f"ed{len(sectors)}.csv"
+        code, _, _ = run_cli(base + [f"--sectors={sectors}", "--out", str(out)], capsys)
+        assert code == 0
+        bodies[sectors] = [ln.split(",", 1) for ln in out.read_text().splitlines()
+                           if not ln.startswith("#")][1:]
+    pair, alone = bodies["-1;1"], bodies["-1"]
+    assert [s for s, _ in pair] == ["0"] * 4 + ["-1"] * 3 + ["1"] * 3
+    assert [r for s, r in pair if s == "1"] == [r for s, r in alone if s == "-1"]
+    assert [row for row in pair if row[0] != "1"] == alone
+
+
+@pytest.mark.parametrize("args, sector", [
+    (["--N", "32", "--mode-radius", "4", "--max-excited", "8", "--sectors", "1;-1"], "(1,)"),
+    (["--dim", "3", "--N", "4", "--mode-radius", "2", "--max-excited", "4",
+      "--sectors", "0 0 1;1 0 0"], "(0, 0, 1)"),
+])
+def test_ed_basis_cap_names_the_first_requested_member(monkeypatch, capsys, args, sector):
+    # only the first requested member of an orbit is built, so it is the
+    # one an overfull basis names
+    monkeypatch.setattr(fock_ed, "MAX_BASIS_STATES", 10)
+    code, out, err = run_cli(_golden_ed_args(args), capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"bogospec: error: sector {sector} basis has 11 states (cap 10); ")
+
+
 def test_ground_sector_failure_exit_code(monkeypatch, capsys):
     # lower every nonzero sector so that the ground state leaves sector 0
     orig = fock_ed.assemble_hamiltonian
@@ -941,11 +973,16 @@ def test_memory_error_exit_code(monkeypatch, capsys):
 # to at most 1.1e-7, below tol * ||H||_inf = 1.2e-7 to 1.3e-7.  It was
 # re-pinned again when the solver's start noise became uniform, drawn by
 # random.Random: eigenvalues moved by at most 42 ulps and K_N by at most
-# 72, and the largest residual went from 1.04e-7 to 8.6e-8
+# 72, and the largest residual went from 1.04e-7 to 8.6e-8.  It was
+# re-pinned once more when one sector per orbit of keys began to be
+# solved: the -1 and -2 rows became copies of the 1 and 2 rows, their
+# eigenvalues moving by at most 22 ulps and K_N by at most 44, their
+# residuals by at most 7.1e-9 (the largest, 6.0e-8 to 6.7e-8), all below
+# tol * ||H||_inf = 1.18e-7 to 1.23e-7; the 0, 1 and 2 rows kept their bytes
 GOLDEN_ED = [
     (["--N", "32", "--mode-radius", "4", "--max-excited", "8",
       "--sectors", "0;1;-1;2;-2"],
-     "5466420984ad3a41e138365f031c7ee1af805882bb8cbc7d43e16ed0d4f6101d"),
+     "0791f8ceb2b655167f7d61c44b2a34d6e1b2cce191a5a8f4dccb8c21ed8faaad"),
     (["--dim", "2", "--N", "6", "--mode-radius", "1.5", "--sectors", "0 0;1 0;1 1"],
      "3aa974ea3d44fddd3c0dbb27c9f2d58aff543cd0373f305c541b4712e5c27d2d"),
 ]

@@ -1214,6 +1214,58 @@ def test_many_body_solves_each_sector_once_zero_first(monkeypatch):
             np.testing.assert_array_equal(getattr(got, field)[key], getattr(want, field)[key])
 
 
+ORBIT_CASES = [
+    # the ed-1d benchmark configuration: sectors of 515 to 519 states, so
+    # each solve takes the Davidson path
+    (EDConfig(32, LatticeSpec(6.28318530718, 1), V1, mode_radius=4.0, max_excited=8),
+     [(1,), (-2,), (2,), (-1,)], [(1,), (-2,)]),
+    # the second GOLDEN_ED configuration: the members of (1, 0) and (1, 1)
+    (EDConfig(6, LatticeSpec(2 * math.pi, 2), Potential.gaussian(0.1, 5.0, 2), mode_radius=1.5),
+     [(1, 1), (0, -1), (-1, 1), (1, 0), (-1, 0), (1, -1), (0, 1), (-1, -1)],
+     [(1, 1), (0, -1)]),
+    # 3D: the six members of (1, 0, 0), 459 states each
+    (EDConfig(4, LatticeSpec(2 * math.pi, 3), Potential.gaussian(0.1, 5.0, 3), mode_radius=2.0,
+              max_excited=4),
+     [(0, 0, -1), (1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, 0, 1), (0, -1, 0)], [(0, 0, -1)]),
+]
+
+
+@pytest.mark.parametrize("cfg, keys, solved", ORBIT_CASES)
+def test_many_body_solves_one_sector_per_orbit(monkeypatch, cfg, keys, solved):
+    # a signed coordinate permutation g maps sector k onto g.k with the same
+    # spectrum: only the first requested member of each orbit is solved, and
+    # every member's rows agree with its own solve within tol * ||H||_inf
+    import bogospec.fock_ed as fe
+
+    calls = []
+
+    def counting(m, count, tol=1e-9, seed=fe.DEFAULT_SEED):
+        calls.append(m.sector)
+        return lowest_eigenvalues(m, count, tol=tol, seed=seed)
+
+    monkeypatch.setattr(fe, "lowest_eigenvalues", counting)
+    zero = (0,) * cfg.lattice.d
+    ed = fe.many_body_excitations(cfg, keys, count=3)
+    assert calls == [zero] + solved
+    assert list(ed.sector_values) == [zero] + keys
+    for key in keys:
+        mat = assemble_hamiltonian(cfg, key)
+        own = lowest_eigenvalues(mat, 3)
+        bound = 1e-9 * fe._inf_norm(mat)
+        got = ed.sector_values[key]
+        assert len(own.values) == len(got) == len(ed.sector_residuals[key])
+        assert np.abs(own.values - got).max() <= bound
+        assert np.all(ed.sector_residuals[key] <= bound)
+    # each member holds its own arrays: the last key shares the first's orbit
+    first, other = solved[0], keys[-1]
+    assert sorted(map(abs, first)) == sorted(map(abs, other))
+    values, residuals = ed.sector_values[other].copy(), ed.sector_residuals[other].copy()
+    ed.sector_values[first][:] = np.nan
+    ed.sector_residuals[first][:] = np.nan
+    np.testing.assert_array_equal(ed.sector_values[other], values)
+    np.testing.assert_array_equal(ed.sector_residuals[other], residuals)
+
+
 def test_many_body_rejects_empty_sector():
     cfg = EDConfig(2, LAT, V1, mode_radius=1.0)
     with pytest.raises(ValueError):
