@@ -516,6 +516,20 @@ def _memory_message(args: argparse.Namespace) -> str:
     return "out of memory"
 
 
+def _join_negative_sectors(argv: list[str]) -> list[str]:
+    """argv with each --sectors value that starts with "-" and a digit,
+    such as "-1;1", joined onto its flag as --sectors=-1;1: argparse
+    would read the value as an option.  Nothing else is joined, so
+    "--sectors --count 1" still lacks its argument."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--sectors" and arg[:1] == "-" and arg[1:2].isdecimal():
+            out[-1] = f"--sectors={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; the failures below become one line on stderr.
 
@@ -524,7 +538,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     zero sector, 5 out of memory.
     """
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _join_negative_sectors(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):

@@ -332,10 +332,13 @@ def oracle_enumerate(
     there, so near-ties rank alike.  Guarded to small instances:
     constituent shells |n| <= 5, multiset size <= 8 and at most 10^6
     multisets tried.  Refuses a NaN kappa and repeated modes, as the
-    search does.
+    search does.  Keys p as SpectrumTable.sector does, through
+    LatticeSpec.momentum: a coordinate that is not an integer, or a key
+    of another dimension, raises ValueError.
     """
     if not kappa >= 0.0:  # NaN too
         raise ValueError(f"kappa must be >= 0, got {kappa}")
+    target = lattice.momentum(p.n if isinstance(p, Momentum) else tuple(p)).n
     if modes is not None:
         _reject_repeated(modes)
     pts = lattice_points(lattice, math.sqrt(kappa)) if modes is None else modes
@@ -343,7 +346,6 @@ def oracle_enumerate(
     cand = [(nv, e) for nv, e in cand if e <= kappa]
     if any(max(abs(c) for c in nv) > 5 for nv, _ in cand):
         raise ValueError("oracle guard: constituent shells beyond |n| = 5")
-    target = p.n if isinstance(p, Momentum) else tuple(int(c) for c in p)
     if not cand:
         return []
     min_e = min(e for _, e in cand)

@@ -13,7 +13,11 @@ to that basis, so operator inequalities survive as matrix inequalities
 per sector.  The cube's signed coordinate permutations leave the mode
 set, the cap, |p|^2 and the radial vhat unchanged, so sectors k and g.k
 share a spectrum, and `many_body_excitations` solves one sector per
-orbit of its keys.
+orbit of its keys.  Counts and sector keys follow model's one integer
+rule (`as_int`): EDConfig's particle number and cap, the solvers' count,
+the quadratic's max_occupation and every sector coordinate take a value
+of integer value (2.0, a numpy integer) as that int and refuse any other
+with a ValueError that names it; none is truncated.
 
 Every operator, number-conserving or not, is assembled on one
 representation of its basis: the (n_states, n_modes) occupation array
@@ -70,6 +74,7 @@ from .model import (  # the errors and DEFAULT_SEED are re-exported
     MomentumCode,
     Potential,
     PotentialRangeError,
+    as_int,
     lattice_points,
     periodized_value,
 )
@@ -134,7 +139,12 @@ def default_max_excited(n_particles: int) -> int:
 
 @dataclass(frozen=True)
 class EDConfig:
-    """One diagonalization setup; mean-field coupling L^d/N is implied."""
+    """One diagonalization setup; mean-field coupling L^d/N is implied.
+
+    n_particles and max_excited are stored as Python ints by model's
+    integer rule (`as_int`): 4.0 and np.int64(4) give the configuration
+    of 4, and 4.5 raises ValueError.
+    """
 
     n_particles: int
     lattice: LatticeSpec
@@ -143,6 +153,9 @@ class EDConfig:
     max_excited: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_particles", as_int(self.n_particles, "n_particles"))
+        if self.max_excited is not None:
+            object.__setattr__(self, "max_excited", as_int(self.max_excited, "max_excited"))
         if self.n_particles < 1:
             raise ValueError("need at least one particle")
         if self.pot.dimension != self.lattice.d:
@@ -216,7 +229,7 @@ def build_basis(
     overflow.  Its suggestion, the largest max_excited at which all sectors
     fit, is bisected by trial walks cut the same way.
     """
-    keys = None if sectors is None else list(dict.fromkeys(tuple(map(int, s)) for s in sectors))
+    keys = None if sectors is None else list(dict.fromkeys(map(_sector_key, sectors)))
     modes = cfg._modes
     d = cfg.lattice.d
     zero = modes.index(cfg.lattice.zero)
@@ -606,8 +619,13 @@ def sector_basis(
 ) -> tuple[tuple[int, ...], list[FockState]]:
     """(key, basis) of one sector: its integer coordinate tuple, and the
     given basis unchanged or else the one build_basis builds for it."""
-    key = tuple(int(c) for c in sector)
+    key = _sector_key(sector)
     return key, basis if basis is not None else build_basis(cfg, [key])[key]
+
+
+def _sector_key(sector: Sequence[int]) -> tuple[int, ...]:
+    # a key of any length: one of another dimension is reached by no walk
+    return tuple(as_int(c, "momentum coordinate") for c in sector)
 
 
 def _occupied_pairs(occ: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -874,8 +892,11 @@ def assemble_bogoliubov_quadratic(
     sum_{p != 0} (|p|^2 + vhat(p)) a+_p a_p
     + (1/2) sum_{p != 0} vhat(p) (a_p a_{-p} + a+_p a+_{-p})
     on modes given in +/- pairs; particle number is not conserved so the
-    truncation caps each mode's occupation instead.
+    truncation caps each mode's occupation instead.  A basis of more than
+    400,000 states is refused before any state is built, with the largest
+    max_occupation that fits.
     """
+    max_occupation = as_int(max_occupation, "max_occupation")
     if max_occupation < 0:
         raise ValueError("max_occupation must be >= 0")
     modes = sorted(modes, key=lambda m: m.n)
@@ -884,10 +905,14 @@ def assemble_bogoliubov_quadratic(
     keys = {m.n for m in modes}
     if len(keys) != len(modes) or any(tuple(-c for c in k) not in keys for k in keys):
         raise ValueError("modes must come in distinct +/- pairs")
-    dim = (max_occupation + 1) ** len(modes)
-    if dim > 400_000:
-        raise ValueError(f"occupation basis of size {dim} is too large")
     nmode = len(modes)
+    dim = (max_occupation + 1) ** nmode
+    if dim > 400_000:
+        per_mode = round(400_000 ** (1 / nmode))  # occupations 0..per_mode - 1 fit
+        while per_mode**nmode > 400_000:
+            per_mode -= 1
+        raise ValueError(f"occupation basis has {dim} states (cap 400000); "
+                         f"try max_occupation <= {per_mode - 1}")
     neg_of = _negation_index(modes)
     vhat_m = np.array([pot.vhat_radial(m.norm) for m in modes])
     diag_w = np.array([m.norm2 for m in modes]) + vhat_m
@@ -946,6 +971,7 @@ def lowest_eigenvalues(
     """
     _require_tol(tol)
     dim = m.dim
+    count = as_int(count, "count")
     if count < 1 or count > dim:
         raise ValueError(f"count must be in [1, {dim}], got {count}")
     if dim <= DENSE_FALLBACK_DIM or count >= dim - 1:
@@ -1127,9 +1153,10 @@ def many_body_excitations(
     solve's values and residuals, each in its own array copy.
     """
     _require_tol(tol)
+    count = as_int(count, "count")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    keys = list(dict.fromkeys(tuple(int(c) for c in s) for s in sectors))
+    keys = list(dict.fromkeys(map(_sector_key, sectors)))
     zero = (0,) * cfg.lattice.d
     if zero not in keys:
         keys.insert(0, zero)

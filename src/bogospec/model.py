@@ -2,7 +2,11 @@
 
 Momenta live on (2*pi/L)*Z^d and are stored through their integer
 coordinates, so squared norms and degeneracies are exact at the integer
-level.  A momentum of bounded coordinates can also be carried as one
+level.  One integer rule, as_int, turns what a caller passes into those
+coordinates and into every particle count, cap and solver count of the
+ED stack: a value of integer value (2.0, a numpy integer) becomes that
+Python int, and anything else raises a ValueError that names it; nothing
+is truncated.  A momentum of bounded coordinates can also be carried as one
 integer (MomentumCode): the excitation search and the ED basis walk add
 momenta by integer additions.  One rule, ball_norm2, decides which
 points every window, mode radius and lattice sum holds; a walk over the
@@ -126,20 +130,24 @@ class LatticeSpec:
             n = tuple(n[0])
         if len(n) != self.d:
             raise ValueError(f"expected {self.d} integer coordinates, got {n}")
-        return Momentum(tuple(map(_integer_coordinate, n)), self.L)
+        return Momentum(tuple(as_int(c, "momentum coordinate") for c in n), self.L)
 
     @property
     def zero(self) -> "Momentum":
         return Momentum((0,) * self.d, self.L)
 
 
-def _integer_coordinate(c: float) -> int:
+def as_int(value: object, what: str) -> int:
+    """value as a Python int, where it has an integer value (2, 2.0, a
+    numpy integer); anything else raises ValueError naming what it is,
+    as in "momentum coordinate 1.5 is not an integer".  The one rule for
+    every particle count, cap, solver count and sector coordinate."""
     try:
-        i = int(c)
+        i = int(value)
     except (TypeError, ValueError, OverflowError):
         i = None
-    if i is None or i != c:
-        raise ValueError(f"momentum coordinate {c!r} is not an integer")
+    if i is None or i != value:
+        raise ValueError(f"{what} {value!r} is not an integer")
     return i
 
 

@@ -921,6 +921,23 @@ def test_ed_solves_the_first_requested_member_of_an_orbit(tmp_path, capsys):
     assert [row for row in pair if row[0] != "1"] == alone
 
 
+@pytest.mark.parametrize("dim, sectors", [("1", "-1;1"), ("2", "-1 0;1 0")])
+def test_ed_reads_a_sector_list_that_starts_negative(tmp_path, capsys, dim, sectors):
+    # argparse reads "-1;1" as an option; main joins it onto its flag
+    base = ["ed", "--vhat", "gaussian:0.1:5", "--L", "6.28318530718", "--dim", dim,
+            "--N", "6", "--mode-radius", "2", "--count", "3"]
+    outs = {}
+    for form in (["--sectors", sectors], [f"--sectors={sectors}"]):
+        outs[len(form)] = tmp_path / f"ed{len(form)}.csv"
+        code, out, err = run_cli(base + form + ["--out", str(outs[len(form)])], capsys)
+        assert (code, out, err) == (0, "", "")
+    assert outs[1].read_bytes() == outs[2].read_bytes()
+    # a flag after --sectors is not its value
+    code, out, err = run_cli(base + ["--sectors", "--count", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "bogospec: error: argument --sectors: expected one argument\n"
+
+
 @pytest.mark.parametrize("args, sector", [
     (["--N", "32", "--mode-radius", "4", "--max-excited", "8", "--sectors", "1;-1"], "(1,)"),
     (["--dim", "3", "--N", "4", "--mode-radius", "2", "--max-excited", "4",

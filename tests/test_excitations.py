@@ -139,6 +139,23 @@ def test_sector_rejects_a_coordinate_that_is_not_an_integer():
     assert table.sector((-2.0,)) == table.sector((-2,)) == table.sectors[(-2,)]
 
 
+@pytest.mark.parametrize("key, message", [
+    ((1.5,), "momentum coordinate 1.5 is not an integer"),
+    ((-0.9,), "momentum coordinate -0.9 is not an integer"),
+    (("1",), "momentum coordinate '1' is not an integer"),
+    ((1, 0), r"expected 1 integer coordinates, got \(1, 0\)"),
+])
+def test_oracle_keys_its_sector_as_the_table_does(key, message):
+    # int() would read (1.5,) as sector (1,), and a key of another
+    # dimension would match no total and list nothing
+    table = enumerate_below(LAT, V1, 3.0, momentum_window=2.0)
+    for lookup in (table.sector, lambda k: oracle_enumerate(LAT, V1, 3.0, k)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lookup(key)
+    assert oracle_enumerate(LAT, V1, 3.0, (1.0,)) == oracle_enumerate(LAT, V1, 3.0, (1,))
+    assert oracle_enumerate(LAT, V1, 3.0, [-1]) == oracle_enumerate(LAT, V1, 3.0, LAT.momentum(-1))
+
+
 def test_record_invariants():
     table = enumerate_below(LAT, V1, 3.0, momentum_window=2.0)
     for key, recs in table.sectors.items():

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import json
 import math
 import random
 import time
@@ -917,6 +918,84 @@ def test_quadratic_rejects_unpaired_modes():
         assemble_bogoliubov_quadratic([LAT.momentum(1)], V1, 4)
     with pytest.raises(ValueError):
         assemble_bogoliubov_quadratic([LAT.momentum(0), LAT.momentum(1)], V1, 4)
+
+
+@pytest.mark.parametrize("pairs, cutoff, fits", [(4, 5, 4), (1, 700, 631), (3, 10, 7)])
+def test_quadratic_refusal_names_its_cap_and_a_setting_that_fits(monkeypatch, pairs, cutoff, fits):
+    # (fits + 1) ** (2 * pairs) <= 400,000 < (fits + 2) ** (2 * pairs):
+    # 5**8 = 390,625, 632**2 = 399,424 and 8**6 = 262,144 states fit
+    modes = [LAT.momentum(s * n) for n in range(1, pairs + 1) for s in (1, -1)]
+    dim = (cutoff + 1) ** len(modes)
+    assert (fits + 1) ** len(modes) <= 400_000 < (fits + 2) ** len(modes) <= dim
+    # refused before any state is built
+    monkeypatch.setattr(fock_ed, "itertools", None)
+    monkeypatch.setattr(fock_ed, "_Occupations", None)
+    with pytest.raises(ValueError, match=rf"^occupation basis has {dim} states \(cap 400000\); "
+                                         rf"try max_occupation <= {fits}$"):
+        assemble_bogoliubov_quadratic(modes, V1, cutoff)
+
+
+_PAIR = [LAT.momentum(1), LAT.momentum(-1)]
+
+
+@pytest.mark.parametrize("call, what", [
+    pytest.param(lambda cfg: build_basis(cfg, [(0,), (1.5,)]), "momentum coordinate 1.5",
+                 id="build_basis"),
+    pytest.param(lambda cfg: build_basis(cfg, ["1"]), "momentum coordinate '1'",
+                 id="build_basis-str"),
+    pytest.param(lambda cfg: sector_basis(cfg, (1.5,)), "momentum coordinate 1.5",
+                 id="sector_basis"),
+    pytest.param(lambda cfg: assemble_hamiltonian(cfg, (0.7,)), "momentum coordinate 0.7",
+                 id="assemble_hamiltonian"),
+    pytest.param(lambda cfg: assemble_estimating(cfg, (1.5,), 0.5, 1), "momentum coordinate 1.5",
+                 id="assemble_estimating"),
+    pytest.param(lambda cfg: assemble_kinetic(cfg, (-0.5,)), "momentum coordinate -0.5",
+                 id="assemble_kinetic"),
+    pytest.param(lambda cfg: assemble_excited_count(cfg, (1.5,)), "momentum coordinate 1.5",
+                 id="assemble_excited_count"),
+    pytest.param(lambda cfg: many_body_excitations(cfg, [(1.5,)], 1), "momentum coordinate 1.5",
+                 id="many_body-key"),
+    pytest.param(lambda cfg: many_body_excitations(cfg, [(1,)], 1.5), "count 1.5",
+                 id="many_body-count"),
+    pytest.param(lambda cfg: lowest_eigenvalues(assemble_hamiltonian(cfg, (0,)), 1.5), "count 1.5",
+                 id="lowest_eigenvalues-count"),
+    pytest.param(lambda cfg: assemble_bogoliubov_quadratic(_PAIR, V1, 1.5), "max_occupation 1.5",
+                 id="quadratic-max_occupation"),
+    pytest.param(lambda cfg: EDConfig(4.5, LAT, V1, mode_radius=1.0), "n_particles 4.5",
+                 id="EDConfig-n_particles"),
+    pytest.param(lambda cfg: EDConfig(4, LAT, V1, mode_radius=1.0, max_excited=1.5),
+                 "max_excited 1.5", id="EDConfig-max_excited"),
+    pytest.param(lambda cfg: EDConfig("4", LAT, V1, mode_radius=1.0), "n_particles '4'",
+                 id="EDConfig-str"),
+])
+def test_a_count_or_key_that_is_not_an_integer_is_refused(call, what):
+    # int() would read 1.5 as 1, 0.7 as 0 and "1" as 1; a float count or
+    # cap would fail in numpy indexing instead
+    cfg = EDConfig(4, LAT, V1, mode_radius=1.0)
+    with pytest.raises(ValueError, match=f"^{what} is not an integer$"):
+        call(cfg)
+
+
+def test_integer_valued_counts_and_keys_are_taken_as_ints():
+    cfg = EDConfig(4, LAT, V1, mode_radius=2.0, max_excited=4)
+    same = EDConfig(4.0, LAT, V1, mode_radius=2.0, max_excited=np.int64(4))
+    assert same == cfg and hash(same) == hash(cfg)
+    assert type(same.n_particles) is int and type(same.max_excited) is int
+    assert json.loads(json.dumps(same.snapshot())) == cfg.snapshot()
+    got = many_body_excitations(same, [(np.int64(1),), (2.0,)], 2.0)
+    want = many_body_excitations(cfg, [(1,), (2,)], 2)
+    assert list(got.sector_values) == [(0,), (1,), (2,)]
+    assert all(type(c) is int for k in got.sector_values for c in k)
+    for field in ("sector_values", "sector_gaps", "sector_residuals"):
+        assert list(getattr(got, field)) == list(getattr(want, field))
+        for k, v in getattr(want, field).items():
+            assert getattr(got, field)[k].tobytes() == v.tobytes()
+    m = assemble_hamiltonian(cfg, (0,))
+    assert lowest_eigenvalues(m, 2.0).values.tobytes() == lowest_eigenvalues(m, 2).values.tobytes()
+    quad = assemble_bogoliubov_quadratic(_PAIR, V1, np.int64(3)).toarray()
+    assert quad.tobytes() == assemble_bogoliubov_quadratic(_PAIR, V1, 3).toarray().tobytes()
+    # a key of another dimension is still reached by no walk
+    assert build_basis(cfg, [(0, 0), [1.0]]) == {(0, 0): [], (1,): build_basis(cfg, [(1,)])[(1,)]}
 
 
 def _wrapped(a):
