@@ -8,7 +8,9 @@ lattice sums go shell by shell through model._fsum_repeated, which rounds
 the exact sum of each summand times its point count once, as math.fsum
 rounds the per-point sum, so results reproduce bit-for-bit whatever the
 order of the terms.
-Only the density quadrature uses numpy, and imports it where it runs.
+numpy is imported where it runs: by the density quadrature, and by
+`_point_shells`, which counts the listed lattice points of
+`bogoliubov_energy` into shells in integers, a chunk at a time.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable
 
 from .model import (
@@ -121,10 +125,11 @@ def bogoliubov_energy(
 
     The sum runs over all lattice points within a radius chosen so that
     the omitted tail, each summand being at most vhat(p)^2/|p|^2, is
-    below tail_tol.  It follows model's one shell rule: the points are
-    grouped by |n|^2 = k, each shell's summands are evaluated once at
-    |p| = h sqrt(k), and `_energy_sums` weights them by the shell's point
-    count, the same floats as the fsum of the per-point terms.
+    below tail_tol.  It follows model's one shell rule: `_point_shells`
+    counts the listed points by |n|^2 = k from their integer coordinates,
+    each shell's summands are evaluated once at |p| = h sqrt(k), and
+    `_energy_sums` weights them by the shell's point count, the same
+    floats as the fsum of the per-point terms.
     """
     # default honours tail_tol = 1e-10 * max(1, |e_bog|) >= 1e-10
     if tail_tol is None:
@@ -141,13 +146,42 @@ def bogoliubov_energy(
 
     radius = summation_radius(pot, h, tail, tail_tol)
     pts = lattice_points(lattice, radius, include_zero=False)
-    shells = Counter(q.norm2_int for q in pts).items()
+    shells = _point_shells(pts, lattice.d)
     e_bog, e_bog_alt = _energy_sums([(h * math.sqrt(k), count) for k, count in shells], pot)
     v0 = pot.vhat_radial(0.0)
     density = 0.5 * v0 * (1.0 - 1.0 / lattice.volume) + e_bog / lattice.volume
     return EnergySummary(
         e_bog=e_bog, e_bog_alt=e_bog_alt, n_terms=len(pts), density_limit=density
     )
+
+
+_SHELL_CHUNK = 4096  # points per chunk: 32 kB of int64 coordinates per axis
+
+
+def _point_shells(points: list[Momentum], d: int) -> list[tuple[int, int]]:
+    """(k, count) for each nonempty shell |n|^2 = k of the points, in
+    increasing k; for a ball listed by lattice_points without its zero
+    point this is lattice_shells(lattice, radius)[1:].
+
+    The integer coordinates are read a chunk at a time into an int64
+    array (no Python code runs per point) and counted by np.bincount:
+    of |n|^2 in two and more dimensions, of |c| in one, where the ball's
+    K + 1 counters would outnumber its 2 isqrt(K) + 1 points.
+    """
+    import numpy as np
+
+    counts = np.zeros(0, dtype=np.int64)
+    for start in range(0, len(points), _SHELL_CHUNK):
+        chunk = points[start:start + _SHELL_CHUNK]
+        n = np.fromiter(chain.from_iterable(map(attrgetter("n"), chunk)),
+                        dtype=np.int64, count=len(chunk) * d).reshape(-1, d)
+        add = np.bincount(np.abs(n[:, 0]) if d == 1 else (n * n).sum(axis=1))
+        if len(add) > len(counts):
+            counts, add = add, counts
+        counts[:len(add)] += add
+    nonempty = np.flatnonzero(counts)
+    keys = nonempty * nonempty if d == 1 else nonempty
+    return list(zip(keys.tolist(), counts[nonempty].tolist()))
 
 
 def _energy_sums(shells: Iterable[tuple[float, int]], pot: Potential) -> tuple[float, float]:
@@ -201,7 +235,7 @@ def energy_density_limit(pot: Potential, *, step: float = 0.005) -> DensityLimit
         tail = _integrand_tail(pot, r_max)
 
     def radial(r: np.ndarray) -> np.ndarray:
-        v = np.array([pot.vhat_radial(float(t)) for t in r])
+        v = np.array([pot.vhat_radial(t) for t in r.tolist()])
         f = r * r + v - r * np.sqrt(r * r + 2.0 * v)
         return f * r ** (d - 1)
 

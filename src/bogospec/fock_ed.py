@@ -143,7 +143,8 @@ class EDConfig:
 
     n_particles and max_excited are stored as Python ints by model's
     integer rule (`as_int`): 4.0 and np.int64(4) give the configuration
-    of 4, and 4.5 raises ValueError.
+    of 4, and 4.5 raises ValueError.  A negative or NaN mode_radius
+    raises ValueError naming it.
     """
 
     n_particles: int
@@ -160,8 +161,8 @@ class EDConfig:
             raise ValueError("need at least one particle")
         if self.pot.dimension != self.lattice.d:
             raise ValueError("potential and lattice dimensions differ")
-        if self.mode_radius < 0.0:
-            raise ValueError("mode_radius must be >= 0")
+        if not self.mode_radius >= 0.0:  # NaN too
+            raise ValueError(f"mode_radius must be >= 0, got {self.mode_radius}")
 
     @property
     def effective_max_excited(self) -> int:

@@ -324,7 +324,7 @@ def ball_norm2(lattice: LatticeSpec, radius: float) -> float:
     """The ball test: n has |p| <= radius iff |n|^2 <= (radius / h)^2,
     widened by 1e-12 so that a point on the sphere (h = 0.1, radius 0.3)
     stays in whatever the rounding of h and the radius."""
-    if radius < 0.0:
+    if not radius >= 0.0:  # NaN too
         raise ValueError(f"radius must be >= 0, got {radius}")
     q = radius / lattice.spacing
     return q * q * (1.0 + 1e-12)  # inf, not OverflowError, for a huge radius
@@ -593,7 +593,7 @@ def validate_potential(
     Only a negative shell lists lattice_points; its points are the
     violations, in lattice order.
     """
-    if radius < 0.0:
+    if not radius >= 0.0:  # NaN too
         raise ValueError(f"radius must be >= 0, got {radius}")
     violations: list[tuple[object, float]] = []
     warnings: list[str] = []

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from bogospec.bogoliubov import (
+    _point_shells,
     _simpson,
     bogoliubov_energy,
     bogoliubov_energy_on_modes,
@@ -166,10 +167,8 @@ def test_bogoliubov_energy_tail_stability():
     assert tight.n_terms >= loose.n_terms
 
 
-def _per_point_energy(lattice, pot):
-    """(e_bog, e_bog_alt, n_terms, density_limit, radius) at
-    bogoliubov_energy's default tolerance, one term per lattice point of a cube scan, each sum
-    taken by one math.fsum: the reference its shell grouping must meet."""
+def _energy_radius(lattice, pot):
+    """bogoliubov_energy's summation radius at its default tolerance."""
     h = lattice.spacing
     a2 = pot.amplitude * pot.amplitude
 
@@ -177,7 +176,14 @@ def _per_point_energy(lattice, pot):
         r_eff = max(r, h)
         return 0.5 * (gaussian_lattice_tail(lattice, a2, 2.0 / pot.width, r) / (r_eff * r_eff))
 
-    radius = summation_radius(pot, h, tail, 1e-10)
+    return summation_radius(pot, h, tail, 1e-10)
+
+
+def _per_point_energy(lattice, pot):
+    """(e_bog, e_bog_alt, n_terms, density_limit, radius) at
+    bogoliubov_energy's default tolerance, one term per lattice point of a cube scan, each sum
+    taken by one math.fsum: the reference its shell grouping must meet."""
+    radius = _energy_radius(lattice, pot)
     K = math.floor(ball_norm2(lattice, radius))
     m = math.isqrt(K)
     direct, rational = [], []
@@ -215,6 +221,32 @@ def test_bogoliubov_energy_is_the_per_point_sum_bit_for_bit(d, amplitude, width,
     shells = lattice_shells(lattice, radius)
     assert shells[0] == (0, 1)
     assert out.n_terms == sum(count for _, count in shells[1:])
+
+
+@pytest.mark.parametrize("d, amplitude, width, L", ENERGY_CASES)
+def test_point_shells_are_the_lattice_shells(d, amplitude, width, L):
+    lattice = LatticeSpec(L, d)
+    radius = _energy_radius(lattice, Potential.gaussian(amplitude, width, d))
+    points = lattice_points(lattice, radius, include_zero=False)
+    assert _point_shells(points, d) == lattice_shells(lattice, radius)[1:]
+    assert _point_shells(points[:0], d) == []
+
+
+@pytest.mark.parametrize("amplitude, width", [(0.1, 5.0), (7.5, 2.0)])
+def test_bogoliubov_energy_reads_no_momentum_norm(monkeypatch, amplitude, width):
+    # the shells are counted from the points' integer coordinates: no
+    # Momentum property runs per point
+    lattice, pot = LatticeSpec(10.0, 3), Potential.gaussian(amplitude, width, 3)
+    e_bog, e_bog_alt, n_terms, density, _ = _per_point_energy(lattice, pot)
+
+    def refuse(self):
+        raise AssertionError("a Momentum norm was read")
+
+    monkeypatch.setattr(Momentum, "norm2_int", property(refuse))
+    monkeypatch.setattr(Momentum, "norm", property(refuse))
+    out = bogoliubov_energy(lattice, pot)
+    assert (out.e_bog, out.e_bog_alt, out.n_terms, out.density_limit) == (
+        e_bog, e_bog_alt, n_terms, density)
 
 
 def test_bogoliubov_energy_rejects_nondecaying_table():

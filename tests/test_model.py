@@ -481,6 +481,31 @@ def test_validate_rejects_negative_radius():
         validate_potential(V1, lat, -1.0)
 
 
+def _ed_config(lat, mode_radius):
+    from bogospec.fock_ed import EDConfig
+
+    return EDConfig(4, lat, V1, mode_radius)
+
+
+# (call on a lattice and a radius, the argument its message names)
+NAN_RADIUS_CALLS = {
+    "ball_norm2": (model.ball_norm2, "radius"),
+    "lattice_points": (lattice_points, "radius"),
+    "lattice_coords": (lattice_coords, "radius"),
+    "lattice_shells": (lattice_shells, "radius"),
+    "validate_potential": (lambda lat, r: validate_potential(V1, lat, r), "radius"),
+    "EDConfig": (_ed_config, "mode_radius"),
+}
+
+
+@pytest.mark.parametrize("call, name", NAN_RADIUS_CALLS.values(), ids=NAN_RADIUS_CALLS.keys())
+def test_a_nan_radius_is_refused_by_name(call, name):
+    # NaN passes a `radius < 0.0` test, and math.floor then fails on it
+    # with a message that names no argument
+    with pytest.raises(ValueError, match=rf"^{name} must be >= 0, got nan$"):
+        call(LatticeSpec(2 * math.pi, 1), math.nan)
+
+
 def _decimal_pi() -> Decimal:
     """pi by Machin's formula, to the precision of the current decimal context."""
     eps = Decimal(10) ** -(getcontext().prec + 2)
