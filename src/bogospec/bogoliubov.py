@@ -8,9 +8,10 @@ lattice sums go shell by shell through model._fsum_repeated, which rounds
 the exact sum of each summand times its point count once, as math.fsum
 rounds the per-point sum, so results reproduce bit-for-bit whatever the
 order of the terms.
-numpy is imported where it runs: by the density quadrature, and by
-`_point_shells`, which counts the listed lattice points of
-`bogoliubov_energy` into shells in integers, a chunk at a time.
+numpy is loaded only where it runs: by the density quadrature, and by
+model.lattice_shells, which counts the shells of `bogoliubov_energy` in
+integers (in 2D and 3D).  The lattice_points listing that
+`bogoliubov_energy` keeps serves only its n_terms and its lattice budget.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Collection
 
 from .model import (
     LatticeSpec,
@@ -34,6 +33,7 @@ from .model import (
     gaussian_integral_tail,
     gaussian_lattice_tail,
     lattice_points,
+    lattice_shells,
     summation_radius,
 )
 
@@ -125,11 +125,13 @@ def bogoliubov_energy(
 
     The sum runs over all lattice points within a radius chosen so that
     the omitted tail, each summand being at most vhat(p)^2/|p|^2, is
-    below tail_tol.  It follows model's one shell rule: `_point_shells`
-    counts the listed points by |n|^2 = k from their integer coordinates,
-    each shell's summands are evaluated once at |p| = h sqrt(k), and
-    `_energy_sums` weights them by the shell's point count, the same
-    floats as the fsum of the per-point terms.
+    below tail_tol.  It follows model's one shell rule: lattice_shells
+    counts the points by |n|^2 = k in integers, each shell's summands are
+    evaluated once at |p| = h sqrt(k), and `_energy_sums` weights them by
+    the shell's point count, the same floats as the fsum of the per-point
+    terms.  lattice_points lists the points only for n_terms and for its
+    LatticeBudgetError, which comes before any the shell counters could
+    raise.
     """
     # default honours tail_tol = 1e-10 * max(1, |e_bog|) >= 1e-10
     if tail_tol is None:
@@ -145,49 +147,21 @@ def bogoliubov_energy(
         return 0.5 * (gaussian_lattice_tail(lattice, a2, 2.0 / pot.width, r) / (r_eff * r_eff))
 
     radius = summation_radius(pot, h, tail, tail_tol)
-    pts = lattice_points(lattice, radius, include_zero=False)
-    shells = _point_shells(pts, lattice.d)
+    n_terms = len(lattice_points(lattice, radius, include_zero=False))
+    shells = lattice_shells(lattice, radius)[1:]  # all but the zero point
     e_bog, e_bog_alt = _energy_sums([(h * math.sqrt(k), count) for k, count in shells], pot)
     v0 = pot.vhat_radial(0.0)
     density = 0.5 * v0 * (1.0 - 1.0 / lattice.volume) + e_bog / lattice.volume
     return EnergySummary(
-        e_bog=e_bog, e_bog_alt=e_bog_alt, n_terms=len(pts), density_limit=density
+        e_bog=e_bog, e_bog_alt=e_bog_alt, n_terms=n_terms, density_limit=density
     )
 
 
-_SHELL_CHUNK = 4096  # points per chunk: 32 kB of int64 coordinates per axis
-
-
-def _point_shells(points: list[Momentum], d: int) -> list[tuple[int, int]]:
-    """(k, count) for each nonempty shell |n|^2 = k of the points, in
-    increasing k; for a ball listed by lattice_points without its zero
-    point this is lattice_shells(lattice, radius)[1:].
-
-    The integer coordinates are read a chunk at a time into an int64
-    array (no Python code runs per point) and counted by np.bincount:
-    of |n|^2 in two and more dimensions, of |c| in one, where the ball's
-    K + 1 counters would outnumber its 2 isqrt(K) + 1 points.
-    """
-    import numpy as np
-
-    counts = np.zeros(0, dtype=np.int64)
-    for start in range(0, len(points), _SHELL_CHUNK):
-        chunk = points[start:start + _SHELL_CHUNK]
-        n = np.fromiter(chain.from_iterable(map(attrgetter("n"), chunk)),
-                        dtype=np.int64, count=len(chunk) * d).reshape(-1, d)
-        add = np.bincount(np.abs(n[:, 0]) if d == 1 else (n * n).sum(axis=1))
-        if len(add) > len(counts):
-            counts, add = add, counts
-        counts[:len(add)] += add
-    nonempty = np.flatnonzero(counts)
-    keys = nonempty * nonempty if d == 1 else nonempty
-    return list(zip(keys.tolist(), counts[nonempty].tolist()))
-
-
-def _energy_sums(shells: Iterable[tuple[float, int]], pot: Potential) -> tuple[float, float]:
+def _energy_sums(shells: Collection[tuple[float, int]], pot: Potential) -> tuple[float, float]:
     """-1/2 sum (A - e) and -1/2 sum B^2/(A + e) over shells (|p|, point
     count), each summand evaluated once per shell and weighted exactly by
-    its count (`_fsum_repeated`): the fsum of the per-point terms."""
+    its count (`_fsum_repeated`): the fsum of the per-point terms.  A
+    summand that is not finite raises ValueError naming its |p|."""
     direct, rational = [], []
     for r, count in shells:
         v = pot.vhat_radial(r)
@@ -195,7 +169,13 @@ def _energy_sums(shells: Iterable[tuple[float, int]], pot: Potential) -> tuple[f
         a = r * r + v
         direct.append((a - e, count))
         rational.append((v * v / (a + e), count))
-    return -0.5 * _fsum_repeated(direct), -0.5 * _fsum_repeated(rational)
+    try:
+        return -0.5 * _fsum_repeated(direct), -0.5 * _fsum_repeated(rational)
+    except (OverflowError, ValueError):  # an inf or NaN summand has no integer ratio
+        r = next(r for (r, _), (a, _), (b, _) in zip(shells, direct, rational)
+                 if not (math.isfinite(a) and math.isfinite(b)))
+        raise ValueError(f"the Bogoliubov summand at |p| = {r!r} is not finite "
+                         f"(vhat = {pot.vhat_radial(r)!r})") from None
 
 
 def bogoliubov_energy_on_modes(modes: list[Momentum], pot: Potential) -> float:

@@ -676,7 +676,9 @@ def assemble_hamiltonian(
     decay raises PotentialRangeError, only in a sector that needs it.
     """
     key, states = sector_basis(cfg, sector, basis)
-    rows, cols, vals = _hamiltonian_entries(cfg, _Occupations(states, len(cfg._modes)))
+    # an entry past the float range is kept as inf or NaN: lowest_eigenvalues refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, cols, vals = _hamiltonian_entries(cfg, _Occupations(states, len(cfg._modes)))
     return SectorMatrix(key, states, *_csr(rows, cols, vals, len(states)), "H")
 
 
@@ -969,30 +971,38 @@ def lowest_eigenvalues(
     with the products of matvec, which sums as scipy's CSR product does;
     the Davidson path raises EigenConvergenceError if one of them exceeds
     the bound.  Neither path loads scipy, nor numpy.random.
+    A matrix with a non-finite entry raises ValueError before any solve;
+    a value or residual that overflows (numpy's warnings are off while
+    they form) raises EigenConvergenceError.
     """
     _require_tol(tol)
     dim = m.dim
     count = as_int(count, "count")
     if count < 1 or count > dim:
         raise ValueError(f"count must be in [1, {dim}], got {count}")
-    if dim <= DENSE_FALLBACK_DIM or count >= dim - 1:
-        w, v = np.linalg.eigh(m.toarray())  # ascending
-        want = count
-        norm2 = max(abs(w[0]), abs(w[-1]))  # ||M||_inf <= sqrt(dim) * ||M||_2
-        if count < dim and w[count] - w[count - 1] <= tol * math.sqrt(dim) * norm2:
-            cluster = tol * _inf_norm(m)
-            while want < dim and w[want] - w[want - 1] <= cluster:
-                want += 1  # the cluster at count goes on
-        vals, vecs = w[:want], v[:, :want]
-        method, bound = "dense", math.inf  # its residuals are reported, not checked
-    else:
-        bound = tol * _inf_norm(m)
-        vals, vecs = _davidson(m, count, bound, seed)
-        method = "davidson"
-    product = m.matvec(vecs)
-    residuals = np.array(
-        [float(np.linalg.norm(product[:, j] - vals[j] * vecs[:, j])) for j in range(len(vals))]
-    )
+    if not np.isfinite(m.data).all():
+        raise ValueError(f"the matrix of sector {m.sector} has a non-finite entry")
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below see what overflows
+        if dim <= DENSE_FALLBACK_DIM or count >= dim - 1:
+            w, v = np.linalg.eigh(m.toarray())  # ascending
+            want = count
+            norm2 = max(abs(w[0]), abs(w[-1]))  # ||M||_inf <= sqrt(dim) * ||M||_2
+            if count < dim and w[count] - w[count - 1] <= tol * math.sqrt(dim) * norm2:
+                cluster = tol * _inf_norm(m)
+                while want < dim and w[want] - w[want - 1] <= cluster:
+                    want += 1  # the cluster at count goes on
+            vals, vecs = w[:want], v[:, :want]
+            method, bound = "dense", math.inf  # its residuals are reported, not checked
+        else:
+            bound = tol * _inf_norm(m)
+            vals, vecs = _davidson(m, count, bound, seed)
+            method = "davidson"
+        product = m.matvec(vecs)
+        residuals = np.array([float(np.linalg.norm(product[:, j] - vals[j] * vecs[:, j]))
+                              for j in range(len(vals))])
+    if not np.isfinite(residuals).all():  # a non-finite value has one too
+        raise EigenConvergenceError(
+            f"{method} solver gave a non-finite eigenvalue or residual", residuals)
     if np.any(residuals > bound):
         raise EigenConvergenceError("Davidson solver residuals exceed tolerance", residuals)
     return EigenResult(values=vals, residuals=residuals, method=method)

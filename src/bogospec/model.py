@@ -463,10 +463,11 @@ def gaussian_integral_tail(s: float, r: float, d: int) -> float:
         return math.sqrt(math.pi / s) * math.erfc(math.sqrt(s) * r)
     if d == 2:
         return (math.pi / s) * math.exp(-s * r * r)
-    return 2.0 * TAU * (
-        r * math.exp(-s * r * r) / (2.0 * s)
-        + math.sqrt(math.pi) * math.erfc(math.sqrt(s) * r) / (4.0 * s**1.5)
-    )
+    try:
+        erfc_term = math.sqrt(math.pi) * math.erfc(math.sqrt(s) * r) / (4.0 * s**1.5)
+    except OverflowError:  # s**1.5 past the float range: the term is 0, as its limit
+        erfc_term = 0.0
+    return 2.0 * TAU * (r * math.exp(-s * r * r) / (2.0 * s) + erfc_term)
 
 
 def gaussian_lattice_tail(lattice: LatticeSpec, a: float, s: float, radius: float) -> float:

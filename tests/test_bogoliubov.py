@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from bogospec.bogoliubov import (
-    _point_shells,
     _simpson,
     bogoliubov_energy,
     bogoliubov_energy_on_modes,
@@ -223,15 +222,6 @@ def test_bogoliubov_energy_is_the_per_point_sum_bit_for_bit(d, amplitude, width,
     assert out.n_terms == sum(count for _, count in shells[1:])
 
 
-@pytest.mark.parametrize("d, amplitude, width, L", ENERGY_CASES)
-def test_point_shells_are_the_lattice_shells(d, amplitude, width, L):
-    lattice = LatticeSpec(L, d)
-    radius = _energy_radius(lattice, Potential.gaussian(amplitude, width, d))
-    points = lattice_points(lattice, radius, include_zero=False)
-    assert _point_shells(points, d) == lattice_shells(lattice, radius)[1:]
-    assert _point_shells(points[:0], d) == []
-
-
 @pytest.mark.parametrize("amplitude, width", [(0.1, 5.0), (7.5, 2.0)])
 def test_bogoliubov_energy_reads_no_momentum_norm(monkeypatch, amplitude, width):
     # the shells are counted from the points' integer coordinates: no
@@ -261,6 +251,18 @@ def test_bogoliubov_energy_raises_when_tail_bound_never_converges():
     pot = Potential.gaussian(1e200, 5.0)
     with pytest.raises(TailBoundError, match="did not converge"):
         bogoliubov_energy(LatticeSpec(2 * math.pi, 1), pot)
+
+
+def test_bogoliubov_energy_names_the_first_momentum_whose_summand_overflows():
+    # vhat^2 passes the float range from the first shell on: its rational
+    # summand is inf, which has no integer ratio for the exact shell sum
+    pot = Potential.table([(0.0, 1e300), (1.0, 0.0)])
+    lattice = LatticeSpec(12.5, 1)
+    r = lattice.spacing
+    with pytest.raises(ValueError) as exc:
+        bogoliubov_energy(lattice, pot)
+    assert str(exc.value) == (f"the Bogoliubov summand at |p| = {r!r} is not finite "
+                              f"(vhat = {pot.vhat_radial(r)!r})")
 
 
 def test_bogoliubov_energy_on_modes_matches_restriction():

@@ -680,6 +680,42 @@ def test_count_and_tol_range_exit_2(capsys, args, message):
     assert err == f"bogospec: error: {message}\n"
 
 
+#: the ed run of the extreme-potential cases: one sector of 8 states, solved densely
+_EXTREME_ED = ["ed", "--L", "40", "--N", "3", "--mode-radius", "0.5", "--count", "16",
+               "--tol", "2.5", "--max-excited", "16"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("args, code, message", [
+    (["energy", "--vhat", "table:0,1e300;1,0", "--L", "12.5"], 2,
+     "the Bogoliubov summand at |p| = 0.5026548245743669 is not finite "
+     "(vhat = 4.973451754256331e+299)"),
+    (_EXTREME_ED + ["--vhat", "gaussian:1e308:5"], 2,
+     "the matrix of sector (0,) has a non-finite entry"),
+    (_EXTREME_ED + ["--vhat", "gaussian:1e300:5"], 3,
+     "eigensolver failed: dense solver gave a non-finite eigenvalue or residual; "
+     "largest residual inf against tolerance 2.5 x ||M||_inf"),
+], ids=["energy-table-summand-overflow", "ed-matrix-overflow", "ed-residual-overflow"])
+def test_extreme_potentials_exit_with_one_line(capsys, args, code, message):
+    # one line, no traceback and no CSV with nan or inf in it; numpy's
+    # RuntimeWarnings are errors here, as in CI
+    assert run_cli(args, capsys) == (code, "", f"bogospec: error: {message}\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_energy_past_the_tails_float_range_is_finite(capsys, dim):
+    # width 1e-300: s = 2 / width = 2e300, where the 3D tail's s**1.5
+    # overflows; vhat is 0 at every p != 0, so e_bog is -0.0
+    code, out, err = run_cli(["energy", "--vhat", "gaussian:0.1:1e-300", "--dim", str(dim),
+                              "--L", "12.5"], capsys)
+    assert (code, err) == (0, "")
+    _, cols, rows = parse_csv(out)
+    assert cols == ["quantity", "value"]
+    assert all(math.isfinite(float(value)) for _, value in rows)
+    assert rows[0] == ["e_bog", "-0.0"]
+
+
 def _src_env():
     """os.environ with this checkout's bogospec first on PYTHONPATH."""
     src = str(Path(bogospec.__file__).resolve().parents[1])

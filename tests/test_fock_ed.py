@@ -1147,6 +1147,53 @@ def test_dense_path_returns_a_straddling_cluster_whole(monkeypatch):
         assert bool(norms) == normed
 
 
+def _huge_ed_1d(amplitude):
+    """The ed-1d configuration with the Gaussian amplitude given."""
+    cfg, sector = ED_1D_CASE
+    return EDConfig(cfg.n_particles, cfg.lattice, Potential.gaussian(amplitude, 5.0, 1),
+                    mode_radius=cfg.mode_radius, max_excited=cfg.max_excited), sector
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cfg, sector", [
+    (EDConfig(3, LatticeSpec(40.0, 1), Potential.gaussian(1e308, 5.0, 1), mode_radius=0.5,
+              max_excited=16), (0,)),  # 8 states: the dense path
+    _huge_ed_1d(1e308),  # 526 states: the Davidson path; the assembly overflows
+], ids=["dense", "davidson"])
+def test_non_finite_hamiltonian_raises_before_any_solve(cfg, sector):
+    m = assemble_hamiltonian(cfg, sector)
+    assert not np.isfinite(m.data).all()
+    with pytest.raises(ValueError, match=r"^the matrix of sector \(0,\) has a non-finite entry$"):
+        lowest_eigenvalues(m, 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [8, 600], ids=["dense", "davidson"])
+def test_residual_past_the_float_range_raises(monkeypatch, dim):
+    # finite entries near 1e300, whose residual norms square past the float
+    # range; the Davidson path stops at its iteration cap, cut to 3 here
+    monkeypatch.setattr(fock_ed, "DAVIDSON_MAX_ITER", 3)
+    off = np.ones(dim - 1)
+    m = _wrapped(1e300 * sp.diags([off, np.linspace(1.0, 3.0, dim), off], [-1, 0, 1]))
+    assert np.isfinite(m.data).all()
+    with pytest.raises(fock_ed.EigenConvergenceError) as exc:
+        lowest_eigenvalues(m, 2)
+    assert not np.isfinite(exc.value.residuals).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_davidson_recovers_from_residuals_past_the_float_range():
+    # at amplitude 1e160 the start block's residuals square past the float
+    # range, yet the converged ones do not: the result is the 1e150 one,
+    # scaled by 1e10 to within the bound
+    m = assemble_hamiltonian(*_huge_ed_1d(1e160))
+    res = lowest_eigenvalues(m, 3)
+    want = lowest_eigenvalues(assemble_hamiltonian(*_huge_ed_1d(1e150)), 3)
+    assert res.method == "davidson" and np.isfinite(res.residuals).all()
+    _, bound = _dense_reference(m)
+    assert np.abs(res.values - 1e10 * want.values).max() <= bound
+
+
 def test_davidson_iteration_cap_raises(monkeypatch):
     m = assemble_hamiltonian(*ED_1D_CASE)
     monkeypatch.setattr(fock_ed, "DAVIDSON_MAX_ITER", 1)

@@ -572,3 +572,11 @@ def test_gaussian_integral_tail_within_4_ulps_of_exact_erfc():
                 assert _ulps(got, exact) <= 4, (s, r, d)
                 if _ulps(got, old) > 4:
                     assert _ulps(old, exact) > _ulps(got, exact), (s, r, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_integral_tail_past_the_float_range_is_its_limit(d):
+    # s = 2e300: the 3D form's s**1.5 overflows, and its erfc term is its
+    # limit 0, as the whole tail is in 1D and 2D past r = 0
+    assert gaussian_integral_tail(2e300, 0.5, d) == 0.0
+    assert 0.0 <= gaussian_integral_tail(2e300, 0.0, d) < 2e-150
