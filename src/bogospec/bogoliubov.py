@@ -8,6 +8,11 @@ lattice sums go shell by shell through model._fsum_repeated, which rounds
 the exact sum of each summand times its point count once, as math.fsum
 rounds the per-point sum, so results reproduce bit-for-bit whatever the
 order of the terms.
+A formula that leaves the reals or the float range is refused by a
+ValueError naming the first |p| where it does, and its vhat, before any
+value is returned: the dispersion where |p|^2 + 2 vhat < 0 or it is not
+finite, the rotation where alpha rounds to 1, an energy summand or a
+density integrand that is not finite.
 numpy is loaded only where it runs: by the density quadrature, and by
 model.lattice_shells, which counts the shells of `bogoliubov_energy` in
 integers (in 2D and 3D).  The lattice_points listing that
@@ -60,11 +65,19 @@ class BogoCoefficients:
 
 
 def _radial_dispersion(r: float, v: float) -> float:
-    return r * math.sqrt(r * r + 2.0 * v)
+    """|p| sqrt(|p|^2 + 2 vhat) at |p| = r, vhat = v; ValueError naming
+    both where it is imaginary (|p|^2 + 2 vhat < 0) or not finite."""
+    q = r * r + 2.0 * v
+    e = r * math.sqrt(q) if q >= 0.0 else math.nan
+    if not math.isfinite(e):
+        raise ValueError(f"the Bogoliubov dispersion at |p| = {r!r} is "
+                         f"{'imaginary' if q < 0.0 else 'not finite'} (vhat = {v!r})")
+    return e
 
 
 def dispersion(p: MomentumLike, pot: Potential) -> float:
-    """Elementary excitation energy |p| * sqrt(|p|^2 + 2 vhat(p))."""
+    """Elementary excitation energy |p| * sqrt(|p|^2 + 2 vhat(p)); ValueError
+    naming |p| and vhat where it is imaginary or not finite."""
     r = as_radius(p)
     if r == 0.0:
         raise ValueError("dispersion undefined at p = 0; the zero mode is excluded")
@@ -72,7 +85,12 @@ def dispersion(p: MomentumLike, pot: Potential) -> float:
 
 
 def coefficients(p: MomentumLike, pot: Potential) -> BogoCoefficients:
-    """Diagonalizing coefficients at p, computed without cancellation."""
+    """Diagonalizing coefficients at p, computed without cancellation.
+
+    ValueError, naming |p| and vhat, where the dispersion is imaginary or
+    not finite (`_radial_dispersion`) or alpha rounds to 1, where beta
+    and c would be infinite.
+    """
     r = as_radius(p)
     if r == 0.0:
         raise ValueError("coefficients undefined at p = 0; the zero mode is excluded")
@@ -81,6 +99,9 @@ def coefficients(p: MomentumLike, pot: Potential) -> BogoCoefficients:
     e = _radial_dispersion(r, v)
     # alpha = (A - sqrt(A^2 - B^2))/B rationalized; exact 0 when vhat = 0
     alpha = v / (r2 + v + e)
+    if not abs(alpha) < 1.0:
+        raise ValueError(f"the Bogoliubov rotation at |p| = {r!r} is singular: alpha rounds "
+                         f"to 1 (vhat = {v!r})")
     beta = 0.5 * math.atanh(alpha)
     c = 1.0 / math.sqrt(1.0 - alpha * alpha)
     s = alpha * c
@@ -200,7 +221,9 @@ def energy_density_limit(pot: Potential, *, step: float = 0.005) -> DensityLimit
     units, together with a quadrature + tail error estimate.  The integral
     is a composite Simpson rule of the given step, checked against half it;
     the grids take at least 2 and 4 intervals of [0, r_max], so the check
-    grid is the finer one even where the step passes r_max.
+    grid is the finer one even where the step passes r_max.  An integrand
+    that is not finite on either grid (vhat < 0 near p = 0, or a grid past
+    the float range) raises ValueError naming its first such |p| and vhat.
     """
     if not step > 0.0:
         raise ValueError("quadrature step must be > 0")
@@ -216,8 +239,14 @@ def energy_density_limit(pot: Potential, *, step: float = 0.005) -> DensityLimit
 
     def radial(r: np.ndarray) -> np.ndarray:
         v = np.array([pot.vhat_radial(t) for t in r.tolist()])
-        f = r * r + v - r * np.sqrt(r * r + 2.0 * v)
-        return f * r ** (d - 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+            f = (r * r + v - r * np.sqrt(r * r + 2.0 * v)) * r ** (d - 1)
+        bad = ~np.isfinite(f)
+        if bad.any():
+            i = int(bad.argmax())  # the first
+            raise ValueError(f"the density integrand at |p| = {float(r[i])!r} is not finite "
+                             f"(vhat = {float(v[i])!r})")
+        return f
 
     vals = []
     for h, least in ((step, 2), (0.5 * step, 4)):

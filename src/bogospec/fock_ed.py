@@ -963,11 +963,10 @@ def lowest_eigenvalues(
     all the block's residuals are at most tol * ||M||_inf.  Where the
     count-th and (count + 1)-th values lie within that bound, a cluster
     straddles count, and both paths return it whole, so more than count
-    values come back: the dense path extends count while the next value
-    lies within the bound of the last (it computes ||M||_inf only where
-    the gap at count is at most tol * sqrt(dim) * ||M||_2, an upper bound
-    on tol * ||M||_inf), and the Davidson block grows until it holds the
-    cluster and DAVIDSON_GUARD more.  Residuals are |M x - value x|
+    values come back: the bound is computed once, before the path is
+    chosen, and on both paths `_multiplet_end` extends count while the
+    next value lies within it of the last; the Davidson block grows until
+    it holds the cluster and DAVIDSON_GUARD more.  Residuals are |M x - value x|
     with the products of matvec, which sums as scipy's CSR product does;
     the Davidson path raises EigenConvergenceError if one of them exceeds
     the bound.  Neither path loads scipy, nor numpy.random.
@@ -983,18 +982,12 @@ def lowest_eigenvalues(
     if not np.isfinite(m.data).all():
         raise ValueError(f"the matrix of sector {m.sector} has a non-finite entry")
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below see what overflows
+        bound = tol * _inf_norm(m)
         if dim <= DENSE_FALLBACK_DIM or count >= dim - 1:
             w, v = np.linalg.eigh(m.toarray())  # ascending
-            want = count
-            norm2 = max(abs(w[0]), abs(w[-1]))  # ||M||_inf <= sqrt(dim) * ||M||_2
-            if count < dim and w[count] - w[count - 1] <= tol * math.sqrt(dim) * norm2:
-                cluster = tol * _inf_norm(m)
-                while want < dim and w[want] - w[want - 1] <= cluster:
-                    want += 1  # the cluster at count goes on
-            vals, vecs = w[:want], v[:, :want]
-            method, bound = "dense", math.inf  # its residuals are reported, not checked
+            want = _multiplet_end(w, count, bound)
+            vals, vecs, method = w[:want], v[:, :want], "dense"
         else:
-            bound = tol * _inf_norm(m)
             vals, vecs = _davidson(m, count, bound, seed)
             method = "davidson"
         product = m.matvec(vecs)
@@ -1003,9 +996,17 @@ def lowest_eigenvalues(
     if not np.isfinite(residuals).all():  # a non-finite value has one too
         raise EigenConvergenceError(
             f"{method} solver gave a non-finite eigenvalue or residual", residuals)
-    if np.any(residuals > bound):
+    if method == "davidson" and np.any(residuals > bound):  # dense ones are reported, not checked
         raise EigenConvergenceError("Davidson solver residuals exceed tolerance", residuals)
     return EigenResult(values=vals, residuals=residuals, method=method)
+
+
+def _multiplet_end(values: np.ndarray, count: int, bound: float) -> int:
+    """count, extended while the next of the ascending values lies within
+    bound of the last: a multiplet that straddles count is kept whole."""
+    while count < len(values) and values[count] - values[count - 1] <= bound:
+        count += 1
+    return count
 
 
 def _inf_norm(m: SectorMatrix) -> float:
@@ -1064,9 +1065,7 @@ def _davidson(
         norms = np.linalg.norm(resid, axis=0)
         open_ = np.flatnonzero(norms > bound)
         if not len(open_):
-            want = count
-            while want < block and theta[want] - theta[want - 1] <= bound:
-                want += 1  # the cluster at count goes on
+            want = _multiplet_end(theta, count, bound)
             if want + DAVIDSON_GUARD <= block or block == dim:
                 return theta[:want], ritz[:, :want]
             # too few guard vectors behind the cluster: grow the block and go on

@@ -23,9 +23,11 @@ density integral stop: a compactly supported potential at its support,
 anything else at the first radius start * 1.5^k whose tail bound is
 below the tolerance.  A table that does not decay, or a bound that stays
 above the tolerance for 200 growths, raises TailBoundError; nothing else
-does.  vhat too has one rule, Potential.vhat_radial, in every command:
-past a table's last sample it reads 0.0 if the table is compactly
-supported (last value 0) and raises PotentialRangeError if not.
+does; a Gaussian too wide for the float range is such a bound in every
+dimension (gaussian_integral_tail).  vhat too has one rule,
+Potential.vhat_radial, in every command: past a table's last sample it
+reads 0.0 if the table is compactly supported (last value 0) and raises
+PotentialRangeError if not.
 
 The module loads no numpy at import: only lattice_shells in 2D and 3D
 and MomentumCode.__call__ (which only the ED stack calls) use it, and
@@ -457,7 +459,13 @@ def lattice_shells(lattice: LatticeSpec, radius: float) -> list[tuple[int, int]]
 
 
 def gaussian_integral_tail(s: float, r: float, d: int) -> float:
-    """Closed form of S_{d-1} * int_r^inf exp(-s t^2) t^(d-1) dt."""
+    """Closed form of S_{d-1} * int_r^inf exp(-s t^2) t^(d-1) dt.
+
+    In 3D, where s**1.5 leaves the float range, the erfc term takes its
+    limit: 0 where s**1.5 overflows, +inf where it underflows to 0, so an
+    extreme width gives a tail of 0 or one that never converges, as the
+    1D and 2D forms do.
+    """
     r = max(r, 0.0)
     if d == 1:
         return math.sqrt(math.pi / s) * math.erfc(math.sqrt(s) * r)
@@ -467,6 +475,8 @@ def gaussian_integral_tail(s: float, r: float, d: int) -> float:
         erfc_term = math.sqrt(math.pi) * math.erfc(math.sqrt(s) * r) / (4.0 * s**1.5)
     except OverflowError:  # s**1.5 past the float range: the term is 0, as its limit
         erfc_term = 0.0
+    except ZeroDivisionError:  # s**1.5 below it: the term is +inf, as its limit
+        erfc_term = math.inf
     return 2.0 * TAU * (r * math.exp(-s * r * r) / (2.0 * s) + erfc_term)
 
 

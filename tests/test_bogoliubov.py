@@ -69,6 +69,44 @@ def test_dispersion_rejects_zero_mode():
         coefficients(0.0, V1)
 
 
+# a table negative near 0: |p|^2 + 2 vhat < 0 at |p| = 1, and vhat(0) < 0
+DIPPED = Potential.table([(0.0, -3.0), (3.0, 0.0)])
+HUGE = Potential.gaussian(1e300, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: bogoliubov_energy(LatticeSpec(2 * math.pi, 1), V1, tail_tol=0.0),
+                 "tail_tol must be > 0", id="energy-tail_tol-0"),
+    pytest.param(lambda: energy_density_limit(V1, step=0.0), "quadrature step must be > 0",
+                 id="density-step-0"),
+    pytest.param(lambda: dispersion(1.0, DIPPED),
+                 "the Bogoliubov dispersion at |p| = 1.0 is imaginary (vhat = -2.0)",
+                 id="dispersion-imaginary"),
+    pytest.param(lambda: dispersion(1.0, Potential.gaussian(1e308, 1e300)),
+                 "the Bogoliubov dispersion at |p| = 1.0 is not finite (vhat = 1e+308)",
+                 id="dispersion-overflow"),
+    pytest.param(lambda: coefficients(0.5, HUGE),
+                 "the Bogoliubov rotation at |p| = 0.5 is singular: alpha rounds to 1 "
+                 f"(vhat = {HUGE.vhat_radial(0.5)!r})", id="coefficients-alpha-1"),
+    pytest.param(lambda: bogoliubov_energy(LatticeSpec(2 * math.pi, 1), DIPPED),
+                 "the Bogoliubov dispersion at |p| = 1.0 is imaginary (vhat = -2.0)",
+                 id="energy-imaginary"),
+    pytest.param(lambda: energy_density_limit(Potential.table([(0.0, -1.0), (1.0, 0.0)])),
+                 "the density integrand at |p| = 0.0 is not finite (vhat = -1.0)",
+                 id="density-imaginary"),
+    pytest.param(lambda: energy_density_limit(Potential.zero(2), step=1e300),
+                 "the density integrand at |p| = 1e+300 is not finite (vhat = 0.0)",
+                 id="density-grid-overflow"),
+])
+def test_inputs_out_of_range_are_refused_by_name(call, message):
+    # each names its rule, or the first |p| where the formula leaves the
+    # reals or the float range, before any value is returned
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_dispersion_past_a_compact_tables_last_sample_is_free():
     # the verify suite's k0 potential: 0 from |p| = 0.5 on, last sampled at 8
     k0 = Potential.table([(0.0, 0.3), (0.5, 0.0), (8.0, 0.0)])

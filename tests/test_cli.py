@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -695,11 +696,41 @@ _EXTREME_ED = ["ed", "--L", "40", "--N", "3", "--mode-radius", "0.5", "--count",
     (_EXTREME_ED + ["--vhat", "gaussian:1e300:5"], 3,
      "eigensolver failed: dense solver gave a non-finite eigenvalue or residual; "
      "largest residual inf against tolerance 2.5 x ||M||_inf"),
-], ids=["energy-table-summand-overflow", "ed-matrix-overflow", "ed-residual-overflow"])
+    (["energy", "--vhat", "table:0,-1;1,0"], 2,
+     "the density integrand at |p| = 0.0 is not finite (vhat = -1.0)"),
+    (["energy", "--vhat", "gaussian:0:1e-9", "--dim", "2", "--L", "1e3", "--quad-step", "1e300"],
+     2, "the density integrand at |p| = 1e+300 is not finite (vhat = 0.0)"),
+    (["energy", "--vhat", "gaussian:1e-9:1e300", "--dim", "3", "--L", "10"], 2,
+     "--vhat: tail bound did not converge"),
+    # CI runs this at --window 3: its 716,000 listed coordinates would lift
+    # this process's peak RSS past 256 MB, which the child of
+    # test_kappa_budget_exits_2_under_an_address_space_limit inherits at exec
+    (["dispersion", "--vhat", "gaussian:1e308:1", "--dim", "2", "--L", "1e3", "--window", "0.5"],
+     2, "the Bogoliubov dispersion at |p| = 0.006283185307179587 is not finite "
+     "(vhat = 9.99960522361658e+307)"),
+    (["dispersion", "--vhat", "gaussian:1e308:0.1", "--dim", "1", "--L", "1e3", "--window", "0.5"],
+     2, "the Bogoliubov dispersion at |p| = 0.006283185307179587 is not finite "
+     "(vhat = 9.996052937409753e+307)"),
+    (["dispersion", "--vhat", "gaussian:1e300:1", "--dim", "1", "--L", "1e3", "--window", "0.5"],
+     2, "the Bogoliubov rotation at |p| = 0.006283185307179587 is singular: alpha rounds to 1 "
+     "(vhat = 9.999605223616582e+299)"),
+    *((argv, 2, "the Bogoliubov dispersion at |p| = 1.0 is imaginary (vhat = -2.0)")
+      for argv in (["dispersion", "--vhat", "table:0,-3;3,0", "--window", "3"],
+                   ["enumerate", "--vhat", "table:0,-3;3,0", "--kappa", "2", "--window", "3"],
+                   ["figure", "--vhat", "table:0,-3;3,0", "--kappa", "2", "--window", "3"],
+                   ["energy", "--vhat", "table:0,-3;3,0"])),
+], ids=["energy-table-summand-overflow", "ed-matrix-overflow", "ed-residual-overflow",
+        "energy-density-imaginary", "energy-density-grid-overflow", "energy-3d-tail-underflow",
+        "dispersion-overflow-2d", "dispersion-overflow-1d", "dispersion-alpha-1",
+        "dispersion-imaginary", "enumerate-imaginary", "figure-imaginary", "energy-imaginary"])
 def test_extreme_potentials_exit_with_one_line(capsys, args, code, message):
-    # one line, no traceback and no CSV with nan or inf in it; numpy's
-    # RuntimeWarnings are errors here, as in CI
-    assert run_cli(args, capsys) == (code, "", f"bogospec: error: {message}\n")
+    # one line, no traceback and no CSV row, so no nan or inf; numpy's
+    # RuntimeWarnings are errors here, as in CI.  dispersion writes its
+    # three header lines and column names before it forms its first row
+    got, out, err = run_cli(args, capsys)
+    assert (got, err) == (code, f"bogospec: error: {message}\n")
+    assert len(out.splitlines()) == (4 if args[0] == "dispersion" else 0)
+    assert not re.search(r"(?i)\b(nan|inf)\b", out)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1016,6 +1047,20 @@ def test_memory_error_exit_code(monkeypatch, capsys):
     assert code == 5
     assert out == ""
     assert err == "bogospec: error: out of memory; try --max-excited below 3\n"
+
+
+@pytest.mark.parametrize("target, args", [
+    ("enumerate_below", ["enumerate", "--vhat", "gaussian:0.1:5", "--kappa", "1",
+                         "--window", "2"]),
+    ("bogoliubov_energy", ["energy", "--vhat", "gaussian:0.1:5"]),
+], ids=["enumerate", "energy"])
+def test_memory_error_outside_ed_is_out_of_memory(monkeypatch, capsys, target, args):
+    # only ed has a setting to name; every other command says the bare fact
+    def exhausted(*_, **__):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, target, exhausted)
+    assert run_cli(args, capsys) == (5, "", "bogospec: error: out of memory\n")
 
 
 # SHA-256 of `bogospec ed` CSV output, captured before the vectorised

@@ -162,6 +162,24 @@ def test_potential_rejects_non_finite_parameters():
             Potential.gaussian(0.1, bad)
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Potential.gaussian(0.1, 5.0, 4), "dimension must be 1, 2 or 3, got 4",
+                 id="potential-dim-4"),
+    pytest.param(lambda: Potential.table([(0.0, 0.3)]),
+                 "table potential needs at least two samples", id="table-one-sample"),
+    pytest.param(lambda: Potential("yukawa", 1), "unknown potential family 'yukawa'",
+                 id="unknown-family"),
+    pytest.param(lambda: periodized_value(V1, LatticeSpec(2 * math.pi, 1), 0.0, tail_tol=0.0),
+                 "tail_tol must be > 0", id="periodized-tail_tol-0"),
+    pytest.param(lambda: periodized_value(V1, LatticeSpec(2 * math.pi, 1), (0.0, 0.0)),
+                 "x must have 1 coordinates, got 2", id="periodized-x-length"),
+])
+def test_potential_and_periodization_inputs_are_refused_by_name(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_summation_radius_rule():
     # compact support first, then the non-decaying table, then the growth
     never = lambda r: pytest.fail("a tail bound was evaluated")
@@ -572,6 +590,19 @@ def test_gaussian_integral_tail_within_4_ulps_of_exact_erfc():
                 assert _ulps(got, exact) <= 4, (s, r, d)
                 if _ulps(got, old) > 4:
                     assert _ulps(old, exact) > _ulps(got, exact), (s, r, d)
+
+
+def test_gaussian_integral_tail_below_the_float_range_never_converges():
+    # s = 2e-300: the 3D form's s**1.5 underflows to 0, and its erfc term is
+    # its limit +inf; the 1D and 2D tails are past any tolerance too, so
+    # every dimension's sum refuses the width the same way
+    assert gaussian_integral_tail(2e-300, 1.0, 3) == math.inf
+    assert gaussian_integral_tail(2e-300, 1.0, 1) > 1e149
+    assert gaussian_integral_tail(2e-300, 1.0, 2) > 1e299
+    for d in (1, 2, 3):
+        pot = Potential.gaussian(1e-9, 1e300, d)
+        with pytest.raises(TailBoundError, match="^tail bound did not converge$"):
+            periodized_value(pot, LatticeSpec(10.0, d), [0.0] * d)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -94,6 +94,26 @@ def test_sandwich_rejects_bad_eps():
         check_sandwich(cfg, (0,), [1.5])
 
 
+def _different_potentials():
+    series = [EDConfig(4, LAT, V1, mode_radius=1.0), EDConfig(8, LAT, ZERO, mode_radius=1.0)]
+    compare_spectra(series, SECTORS, j_max=1)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: check_sandwich(EDConfig(4, LAT, V1, mode_radius=2.0), (0,), [0.5]),
+                 "sector dimension 8 exceeds dense limit 7", id="sandwich-dim-limit"),
+    pytest.param(_different_potentials, "series members use different lattice or potential",
+                 id="compare_spectra-potentials"),
+    pytest.param(lambda: scaling_fit([(4, 0.1), (8, -0.05), (16, 0.02)]),
+                 "errors must be positive", id="scaling_fit-negative"),
+])
+def test_verify_inputs_are_refused_by_name(monkeypatch, call, message):
+    monkeypatch.setattr(verify, "SANDWICH_DIM_LIMIT", 7)  # the zero sector has 8 states
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_sandwich_detects_corrupted_pairing_sign(monkeypatch):
     orig = fe.assemble_estimating
 
@@ -175,6 +195,19 @@ def test_compare_spectra_keys_are_the_solved_sectors():
     comp = compare_spectra(series, requested, j_max=1)
     solved = list(many_body_excitations(series[0], requested, count=1).sector_values)
     assert [k for k, _ in comp.gap_errors] == solved
+
+
+def test_gap_errors_fall_as_one_over_n():
+    # the paper's claim on the excitation spectrum: every K_N^j(p) tends to
+    # K_Bog^j(p).  With cap = N the truncation does not fake agreement, and
+    # at amplitude 0.1 each error is c / N to within 2% from N = 16 on
+    series = [EDConfig(n, LAT, V1, mode_radius=2.0, max_excited=n) for n in (8, 16, 32)]
+    comp = compare_spectra(series, [(0,), (1,), (2,)], j_max=2, tol=1e-11)
+    assert comp.n_values == [8, 16, 32]
+    assert len(comp.gap_errors) == 6
+    for errors in [comp.ground_errors, *comp.gap_errors.values()]:
+        assert errors[0] > errors[1] > errors[2] > 0.0
+        assert abs(32 * errors[2] / (16 * errors[1]) - 1.0) < 0.02
 
 
 def test_compare_spectra_unresolved_ranks_are_typed():
