@@ -40,8 +40,11 @@ loading that stack.
 from __future__ import annotations
 
 import bisect
+import gc
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
 
@@ -80,9 +83,10 @@ DEFAULT_SEED = 1234
 
 #: lattice points one lattice_points ball may span, counted on the cube
 #: [-m, m]^d around it.  3D energy at L = 40 (803,142 points in a cube of
-#: 1,520,875) peaks at 126 MB ru_maxrss against 29 MB at L = 2, about 120
-#: bytes a point; 1D dispersion, which sorts coordinate tuples and builds a
-#: Momentum per shell only, at 56 MB against 17 MB for 200,002 rows
+#: 1,520,875) takes 0.50 s on a 2-core Xeon VM and peaks at 126 MB
+#: ru_maxrss against 29 MB at L = 2, about 120 bytes a point; 1D dispersion,
+#: which sorts coordinate tuples and builds a Momentum per shell only, at
+#: 56 MB against 16 MB for 200,002 rows
 MAX_LATTICE_POINTS = 2_500_000
 
 #: counters one lattice_shells call may hold: its m + 1 shells in 1D, an
@@ -160,7 +164,8 @@ class Momentum:
     A slotted frozen value: equality, hash, repr, replace, copy and pickle
     are the dataclass's.  Its __init__ writes the two slots through their
     member descriptors, which skips the generated frozen __init__'s
-    object.__setattr__ per field; lattice_points builds one per point.
+    object.__setattr__ per field.  lattice_points does not go through
+    __init__: it maps object.__new__ and the same two setters over its list.
     """
 
     n: tuple[int, ...]
@@ -352,9 +357,26 @@ def lattice_points(
 ) -> list[Momentum]:
     """All momenta with |p| <= radius, in lexicographic order of n: the
     points of lattice_coords.  LatticeBudgetError if the cube around the
-    ball holds more than MAX_LATTICE_POINTS points."""
-    L = lattice.L
-    return [Momentum(n, L) for n in lattice_coords(lattice, radius, include_zero)]
+    ball holds more than MAX_LATTICE_POINTS points.
+
+    No Python call is made per point: the list is object.__new__ mapped
+    over the class, and the n and L member setters that Momentum.__init__
+    uses are mapped over it.  The whole listing, coordinates included,
+    runs with the cyclic garbage collector paused, as lattice_coords
+    does; that is safe because a Momentum refers only to its tuple of
+    ints and a float, so the points form no reference cycle.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        coords = lattice_coords(lattice, radius, include_zero)
+        points = list(map(object.__new__, repeat(Momentum, len(coords))))
+        deque(map(_set_n, points, coords), maxlen=0)
+        deque(map(_set_L, points, repeat(lattice.L)), maxlen=0)
+    finally:
+        if enabled:
+            gc.enable()
+    return points
 
 
 def lattice_coords(
@@ -365,22 +387,46 @@ def lattice_coords(
 
     Coordinates are fixed one axis at a time; each ranges over
     |c| <= isqrt(K - sum of the squares fixed so far), K = floor(ball_norm2),
-    so only points of the ball are visited.  LatticeBudgetError if the
-    cube around the ball holds more than MAX_LATTICE_POINTS points.
+    so only points of the ball are visited.  Each prefix's run along the
+    last axis is built by C-level iterators, zip(*map(repeat, prefix),
+    range(...)), with no Python step per point.  LatticeBudgetError if
+    the cube around the ball holds more than MAX_LATTICE_POINTS points.
+
+    The listing runs with the cyclic garbage collector paused, and enables
+    it again, on return or on an error, only if it was enabled on entry.
+    With the collector on, every 700 new tuples start a collection, and
+    the older generations rescan all the listing already holds: half the
+    time of a 3D listing at L = 40.  Tuples of ints form no reference
+    cycle, so the pause leaves nothing for the collector to free.  The
+    collector is enabled again with nothing allocated before the return
+    (a generator context manager would allocate its StopIteration there),
+    so the collection it put off falls on the caller's next allocation,
+    or on none if the caller drops the list first.
     """
     if cube_exceeds(lattice, radius, MAX_LATTICE_POINTS):
         raise LatticeBudgetError(radius, MAX_LATTICE_POINTS, "points")
     K = math.floor(ball_norm2(lattice, radius))
-    # (prefix, squared norm still allowed) over the first d - 1 axes, in order
-    level: list[tuple[tuple[int, ...], int]] = [((), K)]
-    for _ in range(lattice.d - 1):
-        level = [(prefix + (c,), left - c * c)
-                 for prefix, left in level for c in _axis_range(left)]
-    coords: list[tuple[int, ...]] = []
-    for prefix, left in level:
-        # left == K only on the zero prefix, whose c = 0 is the zero point
-        coords += [prefix + (c,) for c in _axis_range(left)
-                   if c or include_zero or left != K]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # (prefix, squared norm still allowed) over the first d - 1 axes, in order
+        level: list[tuple[tuple[int, ...], int]] = [((), K)]
+        for _ in range(lattice.d - 1):
+            level = [(prefix + (c,), left - c * c)
+                     for prefix, left in level for c in _axis_range(left)]
+        coords: list[tuple[int, ...]] = []
+        for prefix, left in level:
+            b = math.isqrt(left)
+            # left == K only on the zero prefix, whose c = 0 is the zero point
+            if left == K and not include_zero:
+                runs = (range(-b, 0), range(1, b + 1))
+            else:
+                runs = (range(-b, b + 1),)
+            for run in runs:
+                coords += zip(*map(repeat, prefix), run)
+    finally:
+        if enabled:
+            gc.enable()
     return coords
 
 

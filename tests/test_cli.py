@@ -769,7 +769,10 @@ def test_kappa_budget_exits_2_under_an_address_space_limit():
         "from bogospec.cli import main\n"
         "code = main(['figure', '--vhat', 'gaussian:0.1:5', '--kappa', '1e9',"
         " '--window', '0.5'])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        # VmHWM, the peak RSS of this process's own address space: ru_maxrss
+        # would keep pytest's peak from before the exec
+        "print(next(line.split()[1] for line in open('/proc/self/status')"
+        " if line.startswith('VmHWM:')))\n"
         "sys.exit(code)\n"
     )
     run = subprocess.run([sys.executable, "-c", code], env=env,
@@ -779,7 +782,7 @@ def test_kappa_budget_exits_2_under_an_address_space_limit():
         "bogospec: error: enumeration below kappa 1e+09 exceeds the cap of "
         "2,500,000 multisets; lower kappa\n"
     )
-    assert int(run.stdout) < 256 * 1024  # ru_maxrss, in KiB
+    assert int(run.stdout) < 256 * 1024  # VmHWM, in KiB
 
 
 def _loaded_modules(code):
@@ -1130,6 +1133,18 @@ GOLDEN_ENUMERATE = [
 ]
 
 
+# SHA-256 of `bogospec dispersion` CSV output, whose rows are
+# lattice_coords' tuples in sector order, captured before the listings
+# were built by C-level iterators: a 2D ball whose radius 0.3 at h = 0.1
+# keeps the sphere |n| = 3, and a 3D ball.  The README's 1D case and a
+# 2D case are pinned in GOLDEN_ENUMERATE
+GOLDEN_DISPERSION = [
+    (["--dim", "2", "--L", "62.8318530718", "--window", "0.3"],
+     "6e5966225d137ff216bdfbd604ae44a5a40892a4977edb42c5af7afd1233bbb4"),
+    (["--dim", "3", "--L", "10", "--window", "2"],
+     "aaf85393c8b44921dc36ffac343501d92df2132a9392ec990e1be412f39f4baa"),
+]
+
 # SHA-256 of `bogospec energy` CSV output, captured before the shell-wise
 # lattice sums: --vhat gaussian:0.1:5 in 3D at L = 10 (the lattice-3d
 # workload) and L = 20 and in 2D, and a compact table potential in 3D
@@ -1151,6 +1166,10 @@ def _golden_ed_args(flags):
 
 def _golden_energy_args(flags):
     return ["energy"] + ([] if "--vhat" in flags else ["--vhat", "gaussian:0.1:5"]) + flags
+
+
+def _golden_dispersion_args(flags):
+    return ["dispersion", "--vhat", "gaussian:0.1:5"] + flags
 
 
 @pytest.mark.parametrize("flags, digest", GOLDEN_ED)
@@ -1177,10 +1196,19 @@ def test_energy_output_bytes_pinned(tmp_path, capsys, flags, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("flags, digest", GOLDEN_DISPERSION)
+def test_dispersion_output_bytes_pinned(tmp_path, capsys, flags, digest):
+    out = tmp_path / "dispersion.csv"
+    code, _, _ = run_cli(_golden_dispersion_args(flags) + ["--out", str(out)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("args", [_golden_ed_args(flags) for flags, _ in GOLDEN_ED]
                          + [["verify", "--seed", "23"]]
                          + [args for args, _ in GOLDEN_ENUMERATE]
-                         + [_golden_energy_args(flags) for flags, _ in GOLDEN_ENERGY],
+                         + [_golden_energy_args(flags) for flags, _ in GOLDEN_ENERGY]
+                         + [_golden_dispersion_args(flags) for flags, _ in GOLDEN_DISPERSION],
                          ids=lambda args: args[0])
 def test_golden_csv_bodies_need_no_quoting(tmp_path, capsys, args):
     # the commands join their fields with commas unquoted: read back by

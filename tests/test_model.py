@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import math
 import pickle
 import random
@@ -314,6 +315,74 @@ def test_lattice_points_and_shells_match_cube_scan(d, L):
             assert any(p.norm2_int == 5 for p in pts)
         if radius == 1.9 * h and d >= 2:
             assert m == 1 and max(p.norm2_int for p in pts) == d
+
+
+def _cube_filter(lattice, radius, include_zero):
+    """The points of the cube [-m, m]^d with |n|^2 <= floor(ball_norm2), in
+    lexicographic order: product's order, with no walk over the ball."""
+    K = math.floor(model.ball_norm2(lattice, radius))
+    m = math.isqrt(K)
+    return [n for n in product(range(-m, m + 1), repeat=lattice.d)
+            if sum(c * c for c in n) <= K and (include_zero or any(n))]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("include_zero", [False, True])
+# radius 0; radius 0.3 at h = 0.1, which reads below 3 h and keeps the
+# sphere |n| = 3 only by ball_norm2's widening; and larger balls
+@pytest.mark.parametrize("L, radius", [(TAU, 0.0), (TAU / 0.1, 0.3), (7.0, 3.1), (13.3, 5.2)])
+def test_listings_match_a_filter_of_the_cube(d, include_zero, L, radius):
+    lat = LatticeSpec(L, d)
+    ref = _cube_filter(lat, radius, include_zero)
+    if radius == 0.3:
+        assert max(sum(c * c for c in n) for n in ref) == 9
+    coords = lattice_coords(lat, radius, include_zero)
+    assert type(coords) is list and coords == ref
+    pts = lattice_points(lat, radius, include_zero)
+    assert type(pts) is list and len(pts) == len(ref)
+    for p, n in zip(pts, ref):
+        q = Momentum(n, L)
+        assert type(p) is Momentum and (p.n, p.L) == (n, L)
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        assert type(p.n) is tuple and all(type(c) is int for c in p.n)
+
+
+@pytest.mark.parametrize("listing", [lattice_points, lattice_coords])
+def test_listings_restore_the_collector_state(monkeypatch, listing):
+    lat = LatticeSpec(TAU, 3)
+
+    def refused():
+        with pytest.raises(LatticeBudgetError):
+            listing(lat, 1e6)
+
+    def broken_midway():
+        # the third repeat, in the second run of the last axis, raises
+        # after the first run is listed
+        calls = []
+
+        def repeat_until_third(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise ArithmeticError("midway")
+            return repeat(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(model, "repeat", repeat_until_third)
+            with pytest.raises(ArithmeticError, match="midway"):
+                listing(lat, 2.0)
+
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert len(listing(lat, 2.0)) == 32
+            assert gc.isenabled() is enabled
+            refused()
+            assert gc.isenabled() is enabled
+            broken_midway()
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 @cache
