@@ -13,11 +13,11 @@ commas: none needs quoting, being an integer, a float's repr, a fixed
 token or one of `enumerate`'s constituent labels (digits, spaces, minus
 signs and semicolons).  `enumerate` and `figure` write their lines
 straight from the search's ranked entries (`SpectrumTable.entries`),
-formatting each distinct energy's text once per call; `enumerate` writes
-each entry's constituents text as the search formed it, and `figure`
-skips that field and the index code beside it; `dispersion`
-formats each shell |n|^2 = k once per call, its fields depending on k
-alone.  Every command lists sectors in (|n|^2, n) order.
+formatting each distinct energy's text, and `enumerate` each rank's, once
+per call; `enumerate` writes each entry's constituents text as the
+search formed it, and `figure` skips that field and the index code beside
+it; `dispersion` formats each shell |n|^2 = k once per call, its fields
+depending on k alone.  Every command lists sectors in (|n|^2, n) order.
 
 A command loads only what it runs.  The ED stack (`fock_ed`, and
 `verify` on it) is imported inside `ed` and `verify`; the errors `main`
@@ -225,14 +225,16 @@ def cmd_energy(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     lattice, pot, cfg = _setup(args, kappa=args.kappa, window=args.window)
     table = enumerate_below(lattice, pot, args.kappa, args.window)
-    # one text per distinct energy; the search formed each constituents field
+    # one text per distinct energy and per rank; the search formed each
+    # constituents field
     text = _Reprs()
+    ranks = [f"{j}," for j in range(1, max(map(len, table.entries.values()), default=0) + 1)]
 
     def lines() -> Iterator[str]:
         for key in sector_order(table.entries):
             head = "".join(f"{c}," for c in key)
-            for rank, (energy, n_quasi, _, constituents) in enumerate(table.entries[key], 1):
-                yield f"{head}{rank},{text[energy]},{n_quasi},{constituents}\n"
+            for rank, (energy, n_quasi, _, constituents) in zip(ranks, table.entries[key]):
+                yield f"{head}{rank}{text[energy]},{n_quasi},{constituents}\n"
 
     cols = [f"n{i + 1}" for i in range(args.dim)] + ["j", "energy", "n_quasi", "constituents"]
     _emit(args.out, "enumerate", cfg, cols, lines())

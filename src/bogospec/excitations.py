@@ -19,9 +19,13 @@ and its sector; each kept total is decoded to its coordinates once, at
 the end.
 
 A multiset is recorded where it is formed, as a child of the node being
-extended.  A child whose energy plus the lowest candidate energy from
-its last index on already exceeds kappa is a leaf: float addition is
-monotone, so none of its extensions could stay below kappa, and it is
+extended.  A node visits its children, the candidates from its last
+index on, cheapest first (ties by index) and stops at the first past
+kappa: float addition is monotone, so every later one is past it too.
+Neither the sorted entries nor the budget's charge (below) depends on
+that order.  A child whose energy plus the lowest candidate energy from
+its last index on already exceeds kappa is a leaf: by the same
+monotonicity none of its extensions could stay below kappa, and it is
 never pushed.  The table keeps the sorted entries; its records are
 NamedTuples, built on first read of `sectors`.  Every window test here
 is model's ball test (`ball_norm2`), as in the CLI's other listings.
@@ -191,6 +195,8 @@ def enumerate_below(
 ) -> SpectrumTable:
     """Enumerate every excitation with energy <= kappa, exactly once.
 
+    Each node's children are visited cheapest first, up to the first past
+    kappa; neither the sorted entries nor the charge depends on that order.
     Constituents may lie outside the momentum window; only the total
     momentum is filtered, at emission.  Ties in energy are ranked by
     (number of quasiparticles, lexicographic constituent encoding).
@@ -228,6 +234,11 @@ def enumerate_below(
     # floor[i]: the lowest candidate energy from index i on (inf past the end)
     floor = list(itertools.accumulate(reversed(energies), min, initial=math.inf))
     floor.reverse()
+    # orders[start]: the indices from start on, cheapest first and ties by
+    # index; the root's is one sort, each other start's filters it when a
+    # node with that start is first popped
+    by_energy = sorted(range(n), key=energies.__getitem__)
+    orders = {0: by_energy}
     win2 = ball_norm2(lattice, momentum_window)
     entries: dict[tuple[int, ...], list[tuple[float, int, str, str]]] = {}
     # each coded total reached: its sector's list in entries, or None outside the window
@@ -241,10 +252,14 @@ def enumerate_below(
         tried += n - start
         if tried > MAX_MULTISETS:
             raise EnumerationBudgetError(kappa)
-        for i in range(start, n):
+        try:
+            order = orders[start]
+        except KeyError:
+            order = orders[start] = [i for i in by_energy if i >= start]
+        for i in order:
             ne = energy + energies[i]
-            if ne > kappa:
-                continue
+            if ne > kappa:  # every later child costs at least as much
+                break
             child, t = enc + chars[i], total + steps[i]
             child_text = text + after[i]
             try:

@@ -754,35 +754,54 @@ def _src_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def test_kappa_budget_exits_2_under_an_address_space_limit():
-    # at kappa 1e9 the search forms its 2,500,000 multisets in about 60 MB
-    # of peak RSS.  A search order that held long encodings in millions of
-    # pending entries outgrows the RSS bound, or the address-space limit
-    # (then exit 5), and fails here instead of exhausting the machine
-    env = _src_env()
-    # 3 GiB, or less where the hard limit is lower (under `ulimit -v`)
+def _run_under_address_space_limit(argv):
+    """`bogospec argv` in a fresh interpreter limited to 3 GiB of address
+    space, or less where the hard limit is lower (under `ulimit -v`): the
+    finished process and its VmHWM in KiB, the peak RSS of its own address
+    space (ru_maxrss would keep pytest's peak from before the exec)."""
     code = (
         "import resource, sys\n"
         "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
         "limit = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)\n"
         "resource.setrlimit(resource.RLIMIT_AS, (limit, hard))\n"
         "from bogospec.cli import main\n"
-        "code = main(['figure', '--vhat', 'gaussian:0.1:5', '--kappa', '1e9',"
-        " '--window', '0.5'])\n"
-        # VmHWM, the peak RSS of this process's own address space: ru_maxrss
-        # would keep pytest's peak from before the exec
+        f"code = main({argv!r})\n"
         "print(next(line.split()[1] for line in open('/proc/self/status')"
         " if line.startswith('VmHWM:')))\n"
         "sys.exit(code)\n"
     )
-    run = subprocess.run([sys.executable, "-c", code], env=env,
+    run = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                          capture_output=True, text=True, timeout=60)
+    return run, int(run.stdout)
+
+
+def test_kappa_budget_exits_2_under_an_address_space_limit():
+    # kappa 1e9 is refused before the search, since its 63,244 candidates
+    # alone charge past the cap; it peaks at about 32 MB of RSS
+    run, vmhwm = _run_under_address_space_limit(
+        ["figure", "--vhat", "gaussian:0.1:5", "--kappa", "1e9", "--window", "0.5"])
     assert run.returncode == 2
     assert run.stderr == (
         "bogospec: error: enumeration below kappa 1e+09 exceeds the cap of "
         "2,500,000 multisets; lower kappa\n"
     )
-    assert int(run.stdout) < 256 * 1024  # VmHWM, in KiB
+    assert vmhwm < 64 * 1024
+
+
+def test_search_budget_exits_2_under_an_address_space_limit():
+    # kappa 2.5 passes the cap inside the search, at a peak RSS of about
+    # 103 MB.  A search order that held long encodings in millions of
+    # pending entries outgrows the RSS bound, or the address-space limit
+    # (then exit 5), and fails here instead of exhausting the machine
+    run, vmhwm = _run_under_address_space_limit(
+        ["enumerate", "--vhat", "gaussian:0.1:5", "--L", "41.8879020479",
+         "--kappa", "2.5", "--window", "3"])
+    assert run.returncode == 2
+    assert run.stderr == (
+        "bogospec: error: enumeration below kappa 2.5 exceeds the cap of "
+        "2,500,000 multisets; lower kappa\n"
+    )
+    assert vmhwm < 208 * 1024
 
 
 def _loaded_modules(code):

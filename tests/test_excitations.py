@@ -390,6 +390,47 @@ def test_budget_count_is_exact_with_leaf_pruning(monkeypatch):
         enumerate_below(LAT, ZERO, 5.5, 2.0)
 
 
+def _charge(energies, kappa):
+    """The search's charge, counted apart from it: n, and n - i for every
+    multiset below kappa whose last index is i, each summed left to right
+    in index order."""
+    n = len(energies)
+    charge = n
+    for size in itertools.count(1):
+        below = 0
+        for combo in itertools.combinations_with_replacement(range(n), size):
+            energy = 0.0
+            for i in combo:
+                energy += energies[i]
+            if energy <= kappa:
+                below += 1
+                charge += n - combo[-1]
+        if not below:
+            return charge
+
+
+@pytest.mark.parametrize("lattice, pot, kappa, reverse", [
+    (LAT_1D_SPECTRUM, V1, 0.5, False),
+    (LatticeSpec(2 * math.pi, 2), Potential.zero(2), 4.5, False),
+    (LAT, V1, 5.0, True),
+], ids=["1d-gaussian", "2d-zero", "reversed-modes"])
+def test_budget_charge_does_not_depend_on_visiting_order(monkeypatch, lattice, pot, kappa,
+                                                         reverse):
+    # the search visits each node's children cheapest first; the charge
+    # is the one of index order, on candidates listed here from the cube
+    cube = itertools.product(range(-5, 6), repeat=lattice.d)
+    points = [lattice.momentum(nv) for nv in cube if any(nv)]
+    energies = [e for e in (dispersion(p, pot) for p in points) if e <= kappa]
+    assert energies != sorted(energies)  # cheapest-first is not index order
+    charge = _charge(energies, kappa)
+    modes = points[::-1] if reverse else None
+    monkeypatch.setattr(excitations, "MAX_MULTISETS", charge)
+    enumerate_below(lattice, pot, kappa, 2.0, modes)
+    monkeypatch.setattr(excitations, "MAX_MULTISETS", charge - 1)
+    with pytest.raises(EnumerationBudgetError):
+        enumerate_below(lattice, pot, kappa, 2.0, modes)
+
+
 def test_budget_refuses_up_front_where_the_candidates_alone_pass_the_cap(monkeypatch):
     # the empty multiset forms all n candidates and candidate i is charged
     # n - i: n + n(n+1)/2 is a floor of the search's charge, refused before
