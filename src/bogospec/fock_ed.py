@@ -6,8 +6,8 @@ and the excited-particle count optionally capped.  `build_basis` builds
 only the sectors asked for, by a walk over the excited modes that numpy
 runs one mode (level) at a time, pruned exactly by a reach table that
 gives, per mode and partial momentum, the fewest particles still needed
-to reach a requested sector; momenta there, and the pair momenta of the
-move table, are single integers (model's MomentumCode).  Assembled
+to reach a requested sector; momenta there, and those of the
+Hamiltonian's moves, are single integers (model's MomentumCode).  Assembled
 matrices are exact compressions P H P of the second-quantized operators
 to that basis, so operator inequalities survive as matrix inequalities
 per sector.  The cube's signed coordinate permutations leave the mode
@@ -30,12 +30,11 @@ of the modes the move fills, less those of the modes it empties, and is
 looked up in the sorted keys.  Moves are vectorised
 over the states, and each entry adds the same terms in the same order as
 a per-state loop would, so the matrices equal that loop's bit for bit
-(see `assemble_hamiltonian`).  The Hamiltonian's interaction
-coefficients and mode moves form a move table (`_MoveTable`) that each
-EDConfig builds once, vectorised, for its whole mode set.  A sector then
-lists the (state, mode pair) entries its states can empty and takes only
-those pairs' moves, in slices of about PAIR_SLICE (state, move) pairs, a
-few numpy calls per slice, which bounds the memory a slice holds.
+(see `assemble_hamiltonian`).  The Hamiltonian lists the (state, mode
+pair) entries a sector's states can empty and forms only those pairs'
+moves and reads only the vhat they take, so its cost follows the
+sector, not the mode set; entries go in slices of about PAIR_SLICE
+(state, move) pairs, which bounds the memory a slice holds.
 
 A SectorMatrix holds its own CSR arrays, built by numpy (`_csr`), and
 gives the dense matrix, its diagonal and a row-by-row product.  np.bincount
@@ -185,9 +184,9 @@ class EDConfig:
         return periodized_value(self.pot, self.lattice, (0.0,) * self.lattice.d)
 
     @cached_property
-    def _moves(self) -> _MoveTable:
-        # the interaction's move table, built once per configuration
-        return _move_table(self)
+    def _codes(self) -> tuple[np.ndarray, ...]:
+        # the Hamiltonian's integer mode data, built once per configuration
+        return _mode_codes(self._modes, self.lattice.d)
 
     def snapshot(self) -> dict:
         return {
@@ -512,93 +511,16 @@ class _Occupations:
         return out
 
 
-@dataclass(frozen=True)
-class _MoveTable:
-    """The interaction's coefficients and mode moves on one mode set.
-
-    pair_coef[a, b] is inv2n * vhat(k) of the transfer k = mode b - mode
-    a, the coefficient of the diagonal terms (t2 in {p, q}).  The moves
-    {p <= q} -> {t1 <= t2} of one source pair, in (t1, t2) order, are
-    the rows [move_start[p * n_modes + q], move_start[p * n_modes + q + 1])
-    of target and coef; coef holds inv2n * v of the four ordered variants
-    (p, q, t2, t1), (p, q, t1, t2), (q, p, t2, t1), (q, p, t1, t2) in loop
-    order, 0.0 for a variant that repeats an earlier one.  A move whose
-    every variant has v == 0 is left out.  Where vhat_radial raised (a
-    transfer past the last sample of a table that does not decay), the
-    coefficient is NaN and vhat_error holds the PotentialRangeError,
-    raised by the first sector that needs such a transfer.
-    """
-
-    pair_coef: np.ndarray  # (n_modes, n_modes)
-    move_start: np.ndarray  # (n_modes**2 + 1,)
-    target: np.ndarray  # (moves, 2): t1, t2
-    coef: np.ndarray  # (moves, 4 variant slots)
-    vhat_error: PotentialRangeError | None
-
-    def check(self, coef: np.ndarray, at: np.ndarray | tuple[np.ndarray, ...]) -> None:
-        """Raise vhat_error if one of the coefficients coef[at] a sector needs is NaN."""
-        if self.vhat_error is not None and np.isnan(coef[at]).any():
-            raise PotentialRangeError(*self.vhat_error.args)
-
-
-def _move_table(cfg: EDConfig) -> _MoveTable:
-    """The configuration's `_MoveTable`, vectorised over its mode set.
-
-    vhat follows model's one shell rule: it is read once per distinct
-    transfer |k|^2, outward, at h sqrt(|k|^2), the float Momentum.norm
-    gives, so no Momentum is built per transfer vector.  vhat_error is
-    the error of the smallest |k| past a table that does not decay.
-    """
-    modes = cfg._modes
-    nmode = len(modes)
-    d = cfg.lattice.d
-    mode_n = np.array([m.n for m in modes], dtype=np.int64).reshape(nmode, d)
-    # vhat of every transfer mode b - mode a, once per distinct |k|^2
-    transfer = (mode_n[None, :, :] - mode_n[:, None, :]).reshape(-1, d)
-    shells, kindex = np.unique((transfer * transfer).sum(axis=1), return_inverse=True)
-    h = cfg.lattice.spacing
-    kvals, error = [], None
-    for k in shells.tolist():
-        try:
-            kvals.append(cfg.pot.vhat_radial(h * math.sqrt(k)))
-        except PotentialRangeError as exc:
-            kvals.append(math.nan)
-            error = error or exc
-    vhat = np.array(kvals, dtype=np.float64)[kindex].reshape(nmode, nmode)
-    inv2n = 1.0 / (2.0 * cfg.n_particles)
-
-    # two pairs of one total momentum are equal or disjoint, so the moves
-    # are the ordered (source, target) pairs of distinct pairs in a group
-    first, second = np.triu_indices(nmode)  # pairs p <= q in (p, q) order
-    # a sum of two modes has coordinates in [-half, half]: one integer key per sum
-    key = MomentumCode(d, 2 * int(np.abs(mode_n).max()))
-    _, group = np.unique(key(mode_n[first] + mode_n[second]), return_inverse=True)
-    members = np.argsort(group, kind="stable")  # each group's pairs in (p, q) order
-    group_size = np.bincount(group)
-    size = group_size[group]  # the size of each pair's group
-    group_start = (np.cumsum(group_size) - group_size)[group]
-    source = np.repeat(np.arange(len(group)), size)
-    run_start = np.cumsum(size) - size
-    target = members[np.arange(size.sum()) + np.repeat(group_start - run_start, size)]
-    keep = source != target
-    source, target = source[keep], target[keep]
-    p, q, t1, t2 = first[source], second[source], first[target], second[target]
-    same_p, same_t = p == q, t1 == t2
-    v = np.stack([
-        vhat[p, t1],
-        np.where(same_t, 0.0, vhat[p, t2]),
-        np.where(same_p, 0.0, vhat[q, t1]),
-        np.where(same_p | same_t, 0.0, vhat[q, t2]),
-    ], axis=1)
-    keep = (v != 0.0).any(axis=1)  # NaN counts as nonzero
-    pair = p[keep] * nmode + q[keep]
-    return _MoveTable(
-        inv2n * vhat,
-        np.concatenate([[0], np.cumsum(np.bincount(pair, minlength=nmode * nmode))]),
-        np.stack([t1[keep], t2[keep]], axis=1),
-        inv2n * v[keep],
-        error,
-    )
+def _mode_codes(modes: Sequence[Momentum], d: int) -> tuple[np.ndarray, ...]:
+    """(code, order, sorted code, k2) of a mode set: each mode's
+    `MomentumCode` integer, at half-width 3m (m the largest |coordinate|)
+    so that p + q - t is coded too; the order that sorts those codes, and
+    the codes in it; and k2[a, b], the |k|^2 of the transfer mode b - mode a."""
+    n = np.array([m.n for m in modes], dtype=np.int64).reshape(len(modes), d)
+    code = MomentumCode(d, 3 * int(np.abs(n).max()))(n)
+    order = np.argsort(code)
+    transfer = n[None, :, :] - n[:, None, :]
+    return code, order, code[order], (transfer * transfer).sum(axis=2)
 
 
 def _csr(
@@ -653,15 +575,17 @@ def assemble_hamiltonian(
     evaluated at exact lattice momenta (which may exceed the mode
     radius; only the modes themselves are truncated).
 
-    The mode moves a_q a_p -> a+_{t2} a+_{t1} (t1 = p + q - t2) come from
-    the configuration's move table (`_MoveTable`), built once per
-    EDConfig.  Each call lists the mode pairs p <= q each state can
-    empty (`_occupied_pairs`) and vectorises over those (state, pair)
-    entries and their moves, in slices of about PAIR_SLICE, so its work
-    follows the pairs the sector's states occupy, not the whole mode
-    set.  Each entry is
-    still summed in the order of a loop over states, then (p, q, t2): the
-    kinetic fsum first, then each term
+    The mode moves a_q a_p -> a+_{t2} a+_{t1} (t1 = p + q - t2) are formed
+    per call, only for the mode pairs p <= q the sector's states can empty
+    (`_occupied_pairs`): a pair's moves {t1 <= t2} are found by one search
+    of the code of p + q - t1 among the modes' codes (`_mode_codes`, once
+    per EDConfig).  vhat is read once per distinct |k|^2 those terms
+    take, outward, at h sqrt(|k|^2), so a transfer past the last sample of
+    a table that does not decay raises PotentialRangeError, for the
+    sector's smallest such |k|, only in a sector that needs it.  The
+    (state, pair) entries and their moves go in slices of about
+    PAIR_SLICE.  Each entry is still summed in the order of a loop over
+    states, then (p, q, t2): the kinetic fsum first, then each term
     (v/2N) * (sqrt(a) sqrt(b) sqrt(c+1) sqrt(e+1)), its factors
     multiplied in that order, terms with v == 0 left out.  The diagonal
     terms (t2 in {p, q}) of a state are added one at a time in (p, q, t2)
@@ -672,8 +596,7 @@ def assemble_hamiltonian(
     four) are summed one slot at a time in loop order and the entry is
     written once.  Target states are found by exact search of their
     packed keys (`_Occupations`).  A basis that lists a state twice is
-    rejected.  A transfer past the last sample of a table that does not
-    decay raises PotentialRangeError, only in a sector that needs it.
+    rejected.
     """
     key, states = sector_basis(cfg, sector, basis)
     # an entry past the float range is kept as inf or NaN: lowest_eigenvalues refuses it
@@ -684,7 +607,8 @@ def assemble_hamiltonian(
 
 def _diagonal(
     kinetic: np.ndarray,
-    table: _MoveTable,
+    coef: np.ndarray,
+    k2: np.ndarray,
     root: Callable[[int | np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     s: np.ndarray,
     p: np.ndarray,
@@ -695,9 +619,10 @@ def _diagonal(
     (p, q, t2) order, as the per-state loop adds them: np.bincount adds
     its weights in order, each state's kinetic energy first.
 
-    An ordered pair (a, b) gives two cells, in increasing t2: the t2 = a
-    term pair_coef[a, a] * (((ra rb) rb) ra) and the t2 = b term
-    pair_coef[a, b] * (((ra rb) ra) rb), or 0.0 when a = b, which adds
+    coef[k2[a, b]] is inv2n * vhat of the transfer mode b - mode a.  An
+    ordered pair (a, b) gives two cells, in increasing t2: the t2 = a
+    term coef[0] * (((ra rb) rb) ra) and the t2 = b term
+    coef[k2[a, b]] * (((ra rb) ra) rb), or 0.0 when a = b, which adds
     exactly nothing onto a sum that starts at kinetic >= 0.  Terms are
     computed in slices of PAIR_SLICE pairs.  bincount's sums start at
     0.0, and 0.0 + kinetic is kinetic, as kinetic is never -0.0; they are
@@ -706,10 +631,9 @@ def _diagonal(
     terms = np.empty((len(s), 2))
     for lo in range(0, len(s), PAIR_SLICE):
         i, a, b = s[lo:lo + PAIR_SLICE], p[lo:lo + PAIR_SLICE], q[lo:lo + PAIR_SLICE]
-        table.check(table.pair_coef, (a, b))
         ra, rb = root(1, a, i), root(1 - (a == b), b, i)
-        own = table.pair_coef[a, a] * (((ra * rb) * rb) * ra)  # t2 = a: vhat(0)
-        other = np.where(a == b, 0.0, table.pair_coef[a, b] * (((ra * rb) * ra) * rb))
+        own = coef[0] * (((ra * rb) * rb) * ra)  # t2 = a: vhat(0)
+        other = np.where(a == b, 0.0, coef[k2[a, b]] * (((ra * rb) * ra) * rb))
         terms[lo:lo + PAIR_SLICE, 0] = np.where(a <= b, own, other)
         terms[lo:lo + PAIR_SLICE, 1] = np.where(a <= b, other, own)
     n = len(kinetic)
@@ -726,7 +650,6 @@ def _hamiltonian_entries(
     nmode = len(modes)
     occ = basis_occ.occ
     n = len(occ)
-    table = cfg._moves
     # roots[((1 + s) * nmode + m) * n + i] = sqrt(n_m + s) on state i,
     # s = -1..2: every square root a term takes, each rounded once as
     # math.sqrt rounds it (n_m - 1 < 0 is clipped and read only by a zero term)
@@ -738,9 +661,6 @@ def _hamiltonian_entries(
         return roots.take((level * nmode + m) * n + i)
 
     s, p, q = _occupied_pairs(occ)
-    kinetic = basis_occ.fsum(np.array([m.norm2 for m in modes]))
-    diag = _diagonal(kinetic, table, root, s, p, q)
-
     # Off the diagonal: every (state, source pair p <= q) entry takes each
     # move of its pair.  Entries go by source pair, then state, and a
     # slice's (state, move) pairs by move, so the targets a slice searches
@@ -751,9 +671,50 @@ def _hamiltonian_entries(
     # numpy sorts keys of 16 bits or fewer stably by radix
     by_pair = by_pair[np.argsort(pair[by_pair].astype(np.min_scalar_type(nmode * nmode)),
                                  kind="stable")]
-    s, p, q, pair = s[by_pair], p[by_pair], q[by_pair], pair[by_pair]
-    start = table.move_start[pair]
-    count = table.move_start[pair + 1] - start
+    pair = pair[by_pair]
+    first = np.ones(len(pair), dtype=bool)  # each distinct source pair's first entry
+    np.not_equal(pair[1:], pair[:-1], out=first[1:])
+    sp, sq = p[by_pair[first]], q[by_pair[first]]
+    # the moves {sp, sq} -> {t1 <= t2} of each source pair, by t1: t2 is
+    # the mode whose code is code[sp] + code[sq] - code[t1], where there is one
+    code, order, sorted_code, k2 = cfg._codes
+    want = (code[sp] + code[sq])[:, None] - code
+    at = sorted_code.searchsorted(want)
+    t2 = order.take(at, mode="clip")
+    every = np.arange(nmode)
+    found = (sorted_code.take(at, mode="clip") == want) & (every <= t2) & (every != sp[:, None])
+    src, t1 = np.nonzero(found)
+    del want, at, found  # (source pairs, modes) arrays, large where modes are many
+    a, b, t = sp[src], sq[src], np.array([t1, t2[src, t1]])
+    t1, t2 = t
+    # |k|^2 of each move's four ordered variants (a, b, t2, t1), (a, b, t1, t2),
+    # (b, a, t2, t1), (b, a, t1, t2), in loop order
+    kt = k2[np.array([a, b])[:, None], t].reshape(4, -1)
+    # vhat once per distinct |k|^2 the diagonal (vhat(0) among them) and the moves take, outward
+    shells = np.bincount(np.concatenate([k2[p, q], kt.ravel()]), minlength=1)
+    shells[0] += len(s)
+    vhat = np.zeros(len(shells))
+    h = cfg.lattice.spacing
+    for shell in np.flatnonzero(shells).tolist():
+        vhat[shell] = cfg.pot.vhat_radial(h * math.sqrt(shell))
+    inv2n = 1.0 / (2.0 * cfg.n_particles)
+    kinetic = basis_occ.fsum(np.array([m.norm2 for m in modes]))
+    diag = _diagonal(kinetic, inv2n * vhat, k2, root, s, p, q)
+
+    # a variant that repeats an earlier one is a 0.0 slot, and a move whose
+    # every variant has v == 0 is left out
+    v = vhat[kt]
+    v[1, t1 == t2] = 0.0
+    v[2, a == b] = 0.0
+    v[3, (a == b) | (t1 == t2)] = 0.0
+    keep = (v != 0.0).any(axis=0)
+    # compress keeps rows contiguous, which each slice's take needs to be fast
+    targets, coefs = t.compress(keep, axis=1), inv2n * v.compress(keep, axis=1)
+    moves = np.bincount(src[keep], minlength=len(sp))  # per source pair
+    source = first.cumsum() - 1  # each entry's source pair
+    s, p, q = s[by_pair], p[by_pair], q[by_pair]
+    start = (moves.cumsum() - moves)[source]
+    count = moves[source]
     # sqrt(n_p) sqrt(n_q - [p == q]), the first two factors of every variant
     # of an entry's moves: (q, p, ...) multiplies the same two roots in the
     # other order, which rounds the same, and is a 0.0 slot when p == q
@@ -776,9 +737,8 @@ def _hamiltonian_entries(
         span = start[hi - 1] + c[-1] - start[lo]  # moves from start[lo] on
         by_move = np.argsort((move - start[lo]).astype(np.min_scalar_type(span)), kind="stable")
         entry, move = entry[by_move], move[by_move]
-        table.check(table.coef, move)
         i = s.take(entry)
-        t1, t2 = table.target.take(move, axis=0).T
+        t1, t2 = targets.take(move, axis=1)
         target = emptied.take(entry, axis=0) + place.take(t1, axis=0) + place.take(t2, axis=0)
         hit, target_rows = basis_occ.find(target)
         entry, move, i, t1, t2 = entry[hit], move[hit], i[hit], t1[hit], t2[hit]
@@ -789,10 +749,10 @@ def _hamiltonian_entries(
         sources = pair_root.take(entry)
         amp_21 = (sources * roots.take(at + t2 * n)) * roots.take(at + t1 * n + rise)
         amp_12 = (sources * roots.take(at + t1 * n)) * roots.take(at + t2 * n + rise)
-        coef = table.coef.take(move, axis=0)
+        coef = coefs.take(move, axis=1)
         value = np.zeros(len(hit))
         for j, amp in enumerate((amp_21, amp_12, amp_21, amp_12)):
-            value += coef[:, j] * amp
+            value += coef[j] * amp
         rows.append(target_rows)
         cols.append(i)
         vals.append(value)

@@ -12,7 +12,7 @@ momenta by integer additions.  One rule, ball_norm2, decides which
 points every window, mode radius and lattice sum holds; a walk over the
 ball, never the enclosing cube, finds them.  One shell rule holds for
 every radial sum and scan (periodized_value at x = 0, bogoliubov's
-energy sums, the ED move table's vhat, validate_potential): each shell
+energy sums, the ED Hamiltonian's vhat, validate_potential): each shell
 |n|^2 = k is evaluated once, at |p| = h * sqrt(k), and weighted by its
 exact integer point count (_fsum_repeated).  Potentials enter only
 through their radial Fourier transform vhat >= 0; real-space values are

@@ -804,6 +804,22 @@ def test_search_budget_exits_2_under_an_address_space_limit():
     assert vmhwm < 208 * 1024
 
 
+def test_many_mode_ed_fits_under_an_address_space_limit(tmp_path):
+    # 2D, L = 40, mode radius 2: 509 modes, yet the zero sector at cap 2 has
+    # 255 states.  The Hamiltonian forms only the moves of the pairs those
+    # states occupy, at a peak RSS of about 70 MB; a table of every move of
+    # the mode set (15 million of them) peaked at 2.2 GB
+    out = tmp_path / "ed.csv"
+    run, vmhwm = _run_under_address_space_limit(
+        ["ed", "--vhat", "gaussian:0.1:5", "--dim", "2", "--L", "40", "--N", "8",
+         "--mode-radius", "2", "--max-excited", "2", "--sectors", "0 0", "--count", "2",
+         "--out", str(out)])
+    assert run.returncode == 0, run.stderr
+    assert vmhwm < 144 * 1024
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "660e33570e5a38d577710f57f6442234ff2c630b1f2539ac31b191c3877662ed")
+
+
 def _loaded_modules(code):
     """The modules a fresh interpreter holds after running code."""
     env = _src_env()

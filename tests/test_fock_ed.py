@@ -527,8 +527,12 @@ ORACLE_CASES = [
               mode_radius=2.0), (0, 0, 0)),
     (EDConfig(3, LatticeSpec(2 * math.pi, 3), Potential.gaussian(0.1, 5.0, 3),
               mode_radius=2.0), (1, 0, 0)),
+    # 2D at L = 40, 129 modes, 65 states and 4,225 nonzeros: most moves'
+    # targets fall outside the basis
+    (EDConfig(8, LatticeSpec(40.0, 2), Potential.gaussian(0.1, 5.0, 2),
+              mode_radius=1.0, max_excited=2), (0, 0)),
 ]
-TWO_WORD_CASES = ORACLE_CASES[-2:]
+TWO_WORD_CASES = ORACLE_CASES[15:17]
 
 
 # (eps, sign) of the estimating Hamiltonians checked against the reference
@@ -569,25 +573,25 @@ def test_assembly_does_not_depend_on_the_slice_bound(monkeypatch, cfg, sector, b
                      _reference_hamiltonian(cfg, states))
 
 
-def test_move_table_built_once_per_config(monkeypatch):
+def test_mode_codes_built_once_per_config(monkeypatch):
     calls = []
-    orig = fock_ed._move_table
+    orig = fock_ed._mode_codes
 
-    def counted(cfg):
-        calls.append(cfg)
-        return orig(cfg)
+    def counted(modes, d):
+        calls.append(modes)
+        return orig(modes, d)
 
-    monkeypatch.setattr(fock_ed, "_move_table", counted)
+    monkeypatch.setattr(fock_ed, "_mode_codes", counted)
     cfg = EDConfig(5, LAT, V1, mode_radius=2.0, max_excited=4)
     first = assemble_hamiltonian(cfg, (0,)).matrix
     for sector in ((0,), (1,), (-2,), (9,)):
         assemble_hamiltonian(cfg, sector)
     many_body_excitations(cfg, [(0,), (1,)], 2)
-    assert [c is cfg for c in calls] == [True]
-    # an equal configuration builds its own table, to the same matrix
+    assert len(calls) == 1
+    # an equal configuration builds its own, to the same matrix
     fresh = EDConfig(5, LAT, V1, mode_radius=2.0, max_excited=4)
     _assert_same_csr(assemble_hamiltonian(fresh, (0,)).matrix, first)
-    assert [c is fresh for c in calls] == [False, True]
+    assert len(calls) == 2
 
 
 def test_a_transfer_past_a_table_raises_only_in_a_sector_that_needs_it():
@@ -604,15 +608,37 @@ def test_a_transfer_past_a_table_raises_only_in_a_sector_that_needs_it():
         assemble_hamiltonian(cfg, (0,))
 
 
-def test_move_table_reads_vhat_once_per_transfer_shell(monkeypatch):
-    # 2D modes of radius 2: 69 distinct transfer vectors on 13 shells |k|^2,
-    # read outward at h sqrt(|k|^2), which differs from sqrt(h^2 |k|^2) at
-    # |k|^2 = 2 and 8 for this L
+def test_a_transfer_past_a_table_is_named_for_its_sector():
+    # 2D, modes |n|^2 <= 2 at h = 1, a table that ends at |p| = 1: the mode
+    # set's smallest transfer past it is sqrt(2), but sector (2, 0), the
+    # states {(1, 0), (1, 0)} and {(1, 1), (1, -1)}, takes |k|^2 = 0, 1, 4
+    pot = Potential.table([(0.0, 0.3), (0.5, 0.25), (1.0, 0.2)], 2)
+    cfg = EDConfig(2, LatticeSpec(2 * math.pi, 2), pot, mode_radius=1.5)
+    with pytest.raises(PotentialRangeError, match=r"^\|p\| = 2.0 outside table range"):
+        assemble_hamiltonian(cfg, (2, 0))
+    with pytest.raises(PotentialRangeError, match=r"^\|p\| = 1.4142135623730951 outside"):
+        assemble_hamiltonian(cfg, (1, 1))
+
+
+def test_hamiltonian_reads_vhat_once_per_transfer_shell_of_its_sector(monkeypatch):
+    # 2D modes of radius 2: 13 shells |k|^2 in the mode set, of which the
+    # 11 states of sector (6, 3) take 9; vhat is read on those, outward, at
+    # h sqrt(|k|^2), which differs from sqrt(h^2 |k|^2) at |k|^2 = 2 and 8
+    # for this L
     cfg = EDConfig(4, LatticeSpec(7.1, 2), Potential.gaussian(0.1, 5.0, 2), mode_radius=2.0)
     n = [m.n for m in cfg.modes()]
-    transfers = {tuple(b - a for a, b in zip(p, q)) for p in n for q in n}
-    shells = sorted({sum(c * c for c in k) for k in transfers})
-    assert (len(transfers), len(shells)) == (69, 13)
+    states = build_basis(cfg, [(6, 3)])[(6, 3)]
+    taken = set()  # |t - p|^2 of every term a+_t a+_{p+q-t} a_q a_p on a state
+    for state in states:
+        for (i, p), (j, q) in itertools.product(enumerate(n), repeat=2):
+            if state[i] and state[j] and (i != j or state[i] >= 2):
+                for t in n:
+                    if tuple(a + b - c for a, b, c in zip(p, q, t)) in n:
+                        taken.add(sum((c - a) ** 2 for a, c in zip(p, t)))
+    shells = sorted(taken)
+    assert len(states) == 11
+    assert len({sum((b - a) ** 2 for a, b in zip(p, q)) for p in n for q in n}) == 13
+    assert shells == [0, 1, 2, 4, 5, 8, 9, 10, 13]
     radii, vhat_radial = [], Potential.vhat_radial
 
     def recorded(pot, r):
@@ -620,7 +646,7 @@ def test_move_table_reads_vhat_once_per_transfer_shell(monkeypatch):
         return vhat_radial(pot, r)
 
     monkeypatch.setattr(Potential, "vhat_radial", recorded)
-    fock_ed._move_table(cfg)
+    assemble_hamiltonian(cfg, (6, 3), states)
     assert radii == [cfg.lattice.spacing * math.sqrt(k) for k in shells]
 
 
